@@ -268,7 +268,7 @@ def run_scenario(sc: Scenario, outdir) -> Path:
         if sc.method in ("spectral-full", "spectral-fo"):
             variant = "full" if sc.method == "spectral-full" else "first_order"
             cfg = spectral.SpectralStepConfig(dt=dt, mass=sc.mass, variant=variant)
-            stepper = lambda f, t: spectral._step(f, sc.potential, t, cfg)
+            stepper = lambda f, t: spectral.step(f, sc.potential, t, cfg)
         else:
             order = 0 if sc.method == "lo" else 1
             cutoff = None

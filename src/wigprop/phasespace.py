@@ -140,6 +140,12 @@ def truncate_real(values: np.ndarray, *, tol: float = REALNESS_TOL,
     Returns (real array, residue).  Raises NumericalError when the residue
     exceeds ``tol``: a large residue means the field is not contained in the
     grid (aliasing), which silently corrupts everything downstream.
+
+    The spectral drift and kick transform real half spectra (rfft/irfft), so
+    their output is real and the residue they report is zero by
+    construction: on that path this guard cannot detect aliasing, whether
+    or not the field is contained.  It still checks the complex results of
+    the pseudoparticle third derivative.
     """
     residue = float(np.abs(values.imag).max()) if np.iscomplexobj(values) else 0.0
     if residue > tol:

@@ -5,10 +5,19 @@ arguments x +/- s/2 of the momentum kernel), so potentials are kept in
 closed form and never sampled on a grid.  The time argument is threaded
 through every evaluation even though the built-ins are static; driven
 potentials can then be added without touching the propagator interfaces.
+
+Every potential declares whether it depends on time through the class
+attribute ``time_dependent``.  The base class says it does, so a new
+potential is treated as driven until it declares otherwise; the built-ins
+declare that they do not, and ``SeparableSum`` is static exactly when all
+of its terms are.  The spectral propagator caches the kick multiplier of
+a static potential (equal potentials, by dataclass equality, share it)
+and rebuilds the kick of a driven one at every step time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +26,11 @@ import numpy as np
 class Potential:
     """One-dimensional scalar potential, evaluable at arbitrary points.
 
-    Subclasses provide value/grad/d3 as vectorized functions of x.
+    Subclasses provide value/grad/d3 as vectorized functions of x, and set
+    ``time_dependent = False`` when the values do not depend on t.
     """
+
+    time_dependent = True
 
     def value(self, x, t: float = 0.0):
         raise NotImplementedError
@@ -34,6 +46,7 @@ class Potential:
 @dataclass(frozen=True)
 class Constant(Potential):
     c: float = 0.0
+    time_dependent = False
 
     def value(self, x, t: float = 0.0):
         return np.full_like(np.asarray(x, dtype=float), self.c)
@@ -48,6 +61,7 @@ class Constant(Potential):
 @dataclass(frozen=True)
 class Linear(Potential):
     g: float = 1.0
+    time_dependent = False
 
     def value(self, x, t: float = 0.0):
         return self.g * np.asarray(x, dtype=float)
@@ -64,6 +78,7 @@ class Harmonic(Potential):
     """V(x) = k x^2 / 2."""
 
     k: float = 1.0
+    time_dependent = False
 
     def __post_init__(self):
         if self.k < 0:
@@ -85,6 +100,7 @@ class GaussianWell(Potential):
 
     depth: float = 1.0
     sigma: float = 3.0
+    time_dependent = False
 
     def __post_init__(self):
         if self.sigma <= 0:
@@ -116,6 +132,10 @@ class SeparableSum:
 
     terms: tuple[Potential, ...]
 
+    @property
+    def time_dependent(self) -> bool:
+        return any(getattr(pot, "time_dependent", True) for pot in self.terms)
+
     def value_nd(self, coords, t: float = 0.0):
         out = self.terms[0].value(coords[0], t)
         for pot, c in zip(self.terms[1:], coords[1:]):
@@ -129,6 +149,7 @@ class RadialGaussianWell:
 
     depth: float = 1.0
     sigma: float = 3.0
+    time_dependent = False
 
     def __post_init__(self):
         if self.sigma <= 0:
@@ -172,4 +193,6 @@ def parse_potential(text: str) -> Potential:
             kwargs[key] = float(raw)
         except ValueError:
             raise ValueError(f"parameter {key!r} must be a number, got {raw!r}") from None
+        if not math.isfinite(kwargs[key]):
+            raise ValueError(f"parameter {key!r} must be finite, got {raw!r}")
     return cls(**kwargs)

@@ -262,6 +262,43 @@ class TestCommands:
         assert np.abs(back.values - orig.values).max() < 0.05 * peak
 
 
+class TestNonFinitePotentialParameters:
+    """Non-finite potential parameters are configuration errors (exit 2),
+    not an all-zero field (exit 0) or a traceback (exit 1)."""
+
+    def _evolve(self, tmp_path, method, potential):
+        runner = CliRunner()
+        field_path = tmp_path / "f0.txt"
+        runner.invoke(main, ["oracle", "field", "--nmax", "8",
+                             "--grid", "-8 8 64 -4 4 64", "-o", str(field_path)])
+        return runner.invoke(main, [
+            "evolve", "--method", method, "--potential", potential,
+            "-i", str(field_path), "--t1", "0.5", "--steps", "5",
+            "-o", str(tmp_path / "run")])
+
+    def test_nan_spring_constant_exits_2(self, tmp_path):
+        res = self._evolve(tmp_path, "lo", "harmonic k=nan")
+        assert res.exit_code == 2, res.output
+        assert "'k'" in res.output and "finite" in res.output
+        assert not (tmp_path / "run").exists()
+
+    def test_infinite_slope_exits_2(self, tmp_path):
+        res = self._evolve(tmp_path, "spectral-full", "linear g=inf")
+        assert res.exit_code == 2, res.output
+        assert "'g'" in res.output and "finite" in res.output
+
+    def test_scenario_error_names_the_line(self, tmp_path):
+        text = SCENARIO_ORACLE.replace("depth=1.0", "depth=-inf")
+        with pytest.raises(ConfigError, match="line 10: .*'depth'"):
+            parse_scenario_text(text)
+        scenario = tmp_path / "bad.txt"
+        scenario.write_text(text)
+        res = CliRunner().invoke(main, ["run", str(scenario), "-o",
+                                        str(tmp_path / "out")])
+        assert res.exit_code == 2
+        assert "line 10" in res.output
+
+
 class TestShippedScenarios:
     """The scenario files in scenarios/ must run and reproduce the
     benchmark slice extrema."""

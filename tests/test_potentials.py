@@ -123,6 +123,14 @@ class TestParse:
         with pytest.raises(ValueError):
             parse_potential(text)
 
+    @pytest.mark.parametrize("text,name", [
+        ("harmonic k=nan", "k"), ("linear g=inf", "g"),
+        ("gaussian_well depth=-inf", "depth"), ("constant c=NaN", "c"),
+    ])
+    def test_non_finite_parameter_named(self, text, name):
+        with pytest.raises(ValueError, match=f"parameter '{name}' must be finite"):
+            parse_potential(text)
+
 
 class TestMultiDimensional:
     def test_separable_sum(self):

@@ -1,0 +1,270 @@
+"""The multiplier memo and the half-spectrum (rfft) steps of the spectral
+propagator.
+
+The reference here is the full-spectrum form: complex fft/ifft along the
+transformed axis, with the multiplier built on the whole conjugate lattice
+and its unpaired Nyquist bin kept real.  Driven and distinct potentials
+check that the memo never serves a kick built for another potential or at
+another time.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wigprop import make_grid, spectral
+from wigprop.phasespace import (PhaseSpaceGridND, WignerField, WignerFieldND,
+                                norm)
+from wigprop.potentials import (Constant, GaussianWell, Harmonic, Linear,
+                                Potential, SeparableSum)
+from wigprop.spectral import (SpectralStepConfig, _apply_kick, _kick_phase,
+                              _kick_multiplier_first_order, drift, kick_full,
+                              step_first_order, step_full, step_separable)
+
+GRID = make_grid(-8, 8, 64, -8, 8, 64)
+
+
+@dataclass(frozen=True)
+class DrivenLinear(Linear):
+    """V(x, t) = g (1 + t) x: a force that grows with time."""
+
+    time_dependent = True
+
+    def value(self, x, t: float = 0.0):
+        return self.g * (1.0 + t) * np.asarray(x, dtype=float)
+
+
+class UnhashableWell(Potential):
+    """A static well whose depth can be changed in place; it cannot be
+    hashed, so it can never be a memo key."""
+
+    time_dependent = False
+    __hash__ = None
+
+    def __init__(self, depth: float):
+        self.depth = depth
+
+    def value(self, x, t: float = 0.0):
+        return GaussianWell(depth=self.depth, sigma=2.0).value(x, t)
+
+
+@pytest.fixture(autouse=True)
+def empty_memo():
+    spectral._MEMO.clear()
+    yield
+    spectral._MEMO.clear()
+
+
+def blob(grid, x0=1.0, p0=0.0):
+    x = grid.x_lattice[:, None]
+    p = grid.p_lattice[None, :]
+    return WignerField(grid=grid,
+                       values=2.0 * np.exp(-(x - x0) ** 2 - (p - p0) ** 2))
+
+
+def _sym_nyquist(phase, axis):
+    idx = [slice(None)] * phase.ndim
+    idx[axis] = phase.shape[axis] // 2
+    phase[tuple(idx)] = phase[tuple(idx)].real
+    return phase
+
+
+def reference_step(field, pot, t, dt, mass=1.0, variant="full"):
+    """Drift then kick through complex transforms of the full spectrum."""
+    g = field.grid
+    kx = 2.0 * np.pi * np.fft.fftfreq(g.nx, g.dx)
+    shift = g.p_lattice * dt / mass
+    phase = _sym_nyquist(np.exp(-1j * kx[:, None] * shift[None, :]), axis=0)
+    values = np.fft.ifft(np.fft.fft(field.values, axis=0) * phase, axis=0).real
+    x = g.x_lattice[:, None]
+    s = g.s_lattice[None, :]
+    delta_v = pot.value(x - s / 2.0, t) - pot.value(x + s / 2.0, t)
+    if variant == "full":
+        mult = np.exp(-1j * delta_v * dt)
+    else:
+        mult = 1.0 - 1j * delta_v * dt + 0j
+    mult = _sym_nyquist(mult, axis=1)
+    return np.fft.ifft(np.fft.fft(values, axis=1) * mult, axis=1).real
+
+
+def rebuilt_step(field, pot, t, cfg):
+    """step_full with the kick built afresh for this t, bypassing the memo."""
+    drifted = drift(field, cfg.dt, cfg.mass)
+    values, _ = _apply_kick(drifted.values, _kick_phase(field.grid, pot, t, cfg.dt))
+    return WignerField(grid=field.grid, values=values, time=field.time + cfg.dt)
+
+
+def max_rel(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+def kick_keys():
+    return [key for key in spectral._MEMO if key[0].startswith("kick")]
+
+
+class TestTimeDependenceDeclaration:
+    def test_builtins_are_static(self):
+        for pot in (Constant(), Linear(), Harmonic(), GaussianWell()):
+            assert pot.time_dependent is False
+
+    def test_base_class_defaults_to_driven(self):
+        assert Potential.time_dependent is True
+
+    def test_separable_sum_is_static_only_if_every_term_is(self):
+        assert SeparableSum((Harmonic(), GaussianWell())).time_dependent is False
+        assert SeparableSum((Harmonic(), DrivenLinear())).time_dependent is True
+
+
+class TestMemoSafety:
+    def test_driven_kick_is_rebuilt_every_step(self):
+        pot = DrivenLinear(g=0.5)
+        cfg = SpectralStepConfig(dt=0.1)
+        got = want = stale = blob(GRID)
+        for k in range(10):
+            t = k * cfg.dt
+            got = step_full(got, pot, t, cfg)
+            want = rebuilt_step(want, pot, t, cfg)
+            stale = rebuilt_step(stale, pot, 0.0, cfg)
+        assert max_rel(got.values, want.values) <= 1e-14
+        # a kick served from t = 0 would be visibly wrong
+        assert max_rel(stale.values, want.values) > 1e-2
+        assert kick_keys() == []
+
+    def test_driven_term_makes_separable_kick_rebuilt(self):
+        # a separable sum with a driven term must step as the product of
+        # the 1-d steps of its terms, each rebuilt where driven
+        axis = make_grid(-6, 6, 16, -6, 6, 16)
+        pots = (DrivenLinear(g=0.5), Harmonic(k=1.0))
+        parts = [blob(axis, x0=0.5), blob(axis, x0=-0.5)]
+        f2 = WignerFieldND(grid=PhaseSpaceGridND((axis, axis)),
+                           values=np.einsum("ac,bd->abcd",
+                                            *(p.values for p in parts)))
+        cfg = SpectralStepConfig(dt=0.1)
+        for k in range(5):
+            f2 = step_separable(f2, SeparableSum(pots), k * cfg.dt, cfg)
+            parts = [step_full(p, pot, k * cfg.dt, cfg)
+                     for p, pot in zip(parts, pots)]
+        want = np.einsum("ac,bd->abcd", *(p.values for p in parts))
+        np.testing.assert_allclose(f2.values, want, atol=1e-12)
+        assert not any(key[0] == "kick_nd" for key in spectral._MEMO)
+
+    def test_distinct_static_potentials_never_share_an_entry(self):
+        pots = [Harmonic(k=1.0), Harmonic(k=2.0), Linear(g=1.0),
+                GaussianWell(depth=1.0, sigma=3.0),
+                GaussianWell(depth=1.0, sigma=2.0)]
+        cfg = SpectralStepConfig(dt=0.1)
+        f = blob(GRID)
+        for _ in range(2):      # the second pass is served from the memo
+            for pot in pots:
+                got = step_full(f, pot, 0.0, cfg)
+                want = rebuilt_step(f, pot, 0.0, cfg)
+                assert max_rel(got.values, want.values) <= 1e-14
+        entries = [spectral._MEMO[key] for key in kick_keys()]
+        assert len(entries) == len(pots)
+        assert len({id(e) for e in entries}) == len(pots)
+
+    def test_equal_potentials_share_an_entry(self):
+        cfg = SpectralStepConfig(dt=0.1)
+        step_full(blob(GRID), Harmonic(k=1.0), 0.0, cfg)
+        step_full(blob(GRID), Harmonic(k=1.0), 0.5, cfg)
+        assert len(kick_keys()) == 1
+
+    def test_variants_and_step_sizes_never_share_an_entry(self):
+        pot = Harmonic(k=1.0)
+        f = blob(GRID)
+        for cfg in (SpectralStepConfig(dt=0.1), SpectralStepConfig(dt=0.2),
+                    SpectralStepConfig(dt=0.1, variant="first_order")):
+            got = spectral.step(f, pot, 0.0, cfg)
+            want = reference_step(f, pot, 0.0, cfg.dt, variant=cfg.variant)
+            assert max_rel(got.values, want) <= 1e-12
+        assert len(kick_keys()) == 3
+
+    def test_unhashable_potential_is_rebuilt(self):
+        pot = UnhashableWell(depth=1.0)
+        cfg = SpectralStepConfig(dt=0.1)
+        f = blob(GRID)
+        step_full(f, pot, 0.0, cfg)
+        pot.depth = 2.0
+        got = step_full(f, pot, 0.0, cfg)
+        want = reference_step(f, GaussianWell(depth=2.0, sigma=2.0), 0.0, cfg.dt)
+        assert max_rel(got.values, want) <= 1e-12
+        assert kick_keys() == []
+
+    def test_memo_is_bounded(self):
+        cfg = SpectralStepConfig(dt=0.1)
+        f = blob(GRID)
+        for c in range(2 * spectral._MEMO_SIZE):
+            step_full(f, Harmonic(k=float(c)), 0.0, cfg)
+        assert len(spectral._MEMO) == spectral._MEMO_SIZE
+
+    def test_cached_multipliers_are_read_only(self):
+        step_full(blob(GRID), Harmonic(k=1.0), 0.0, SpectralStepConfig(dt=0.1))
+        assert spectral._MEMO
+        assert not any(m.flags.writeable for m in spectral._MEMO.values())
+
+
+# ---------------------------------------------------------------------------
+# properties of the half-spectrum step over generated grids and potentials
+# ---------------------------------------------------------------------------
+
+POTENTIALS = st.one_of(
+    st.builds(Constant, c=st.floats(-5.0, 5.0)),
+    st.builds(Linear, g=st.floats(-3.0, 3.0)),
+    st.builds(Harmonic, k=st.floats(0.0, 3.0)),
+    st.builds(GaussianWell, depth=st.floats(-2.0, 2.0),
+              sigma=st.floats(0.3, 5.0)),
+)
+
+
+@st.composite
+def cases(draw):
+    sizes = st.sampled_from([8, 16, 32, 64])
+    x_half = draw(st.floats(2.0, 12.0))
+    p_half = draw(st.floats(2.0, 12.0))
+    grid = make_grid(-x_half, x_half, draw(sizes), -p_half, p_half, draw(sizes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # positive samples keep the norm well away from zero
+    field = WignerField(grid=grid, values=rng.random(grid.shape()))
+    return (field, draw(POTENTIALS), draw(st.floats(1e-3, 0.5)),
+            draw(st.floats(0.2, 5.0)))
+
+
+PROPERTY = settings(max_examples=60, deadline=None, database=None)
+
+
+class TestHalfSpectrumProperties:
+    @PROPERTY
+    @given(cases())
+    def test_steps_match_complex_reference(self, case):
+        field, pot, dt, mass = case
+        for variant, stepper in (("full", step_full),
+                                 ("first_order", step_first_order)):
+            cfg = SpectralStepConfig(dt=dt, mass=mass, variant=variant)
+            want = reference_step(field, pot, 0.0, dt, mass, variant)
+            for _ in range(2):      # built, then served from the memo
+                got = stepper(field, pot, 0.0, cfg)
+                assert max_rel(got.values, want) <= 1e-12
+
+    @PROPERTY
+    @given(cases())
+    def test_norm_conserved(self, case):
+        field, pot, dt, mass = case
+        norm0 = norm(field)
+        for stepper in (step_full, step_first_order):
+            out = stepper(field, pot, 0.0, SpectralStepConfig(dt=dt, mass=mass))
+            assert abs(norm(out) - norm0) <= 1e-12 * abs(norm0)
+
+    @PROPERTY
+    @given(cases())
+    def test_kick_keeps_momentum_marginal_at_every_x(self, case):
+        field, pot, dt, _ = case
+        before = field.values.sum(axis=1)
+        full = kick_full(field, pot, 0.0, dt).values
+        first, _ = _apply_kick(field.values, _kick_multiplier_first_order(
+            field.grid, pot, 0.0, dt))
+        for after in (full, first):
+            err = np.abs(after.sum(axis=1) - before).max()
+            assert err <= 1e-12 * np.abs(before).max()
