@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import csv
+import math
 import sys
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -205,8 +206,15 @@ def parse_scenario(path) -> Scenario:
 # running
 # ---------------------------------------------------------------------------
 
-def _initial_state(sc: Scenario):
-    """Returns (field at t0, superposition state or None)."""
+def _oracle_state(sc: Scenario) -> oracle.SuperpositionState:
+    """The scenario's eigenstate superposition (solved, not sampled)."""
+    basis = oracle.GaussianBasis(beta0_sq=sc.beta0_sq, n_max=sc.n_max)
+    solution = oracle.solve(basis, sc.potential.sigma)
+    return oracle.superposition(solution, *sc.amplitudes)
+
+
+def _initial_state(sc: Scenario) -> WignerField:
+    """The field at t0: read from file or sampled from the oracle state."""
     if sc.initial_kind == "file":
         try:
             loaded = load_field(sc.field_path)
@@ -214,11 +222,8 @@ def _initial_state(sc: Scenario):
             raise ConfigError(f"initial field: {exc}") from None
         if loaded.grid != sc.grid:
             raise ConfigError("initial field grid does not match scenario grid")
-        return WignerField(grid=sc.grid, values=loaded.values, time=sc.t0), None
-    basis = oracle.GaussianBasis(beta0_sq=sc.beta0_sq, n_max=sc.n_max)
-    solution = oracle.solve(basis, sc.potential.sigma)
-    state = oracle.superposition(solution, *sc.amplitudes)
-    return oracle.sample_field(state, sc.t0, sc.grid), state
+        return WignerField(grid=sc.grid, values=loaded.values, time=sc.t0)
+    return oracle.sample_field(_oracle_state(sc), sc.t0, sc.grid)
 
 
 def _snap_slice(grid: PhaseSpaceGrid, p_want: float) -> tuple[int, float]:
@@ -241,7 +246,6 @@ def run_scenario(sc: Scenario, outdir) -> Path:
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "scenario.txt").write_text(sc.source_text)
 
-    field0, state = _initial_state(sc)
     dt = (sc.t1 - sc.t0) / sc.nsteps
     want = sorted(set(round((tc - sc.t0) / dt) for tc in sc.checkpoints))
     diag_rows: list[tuple] = []
@@ -253,14 +257,15 @@ def run_scenario(sc: Scenario, outdir) -> Path:
             _write_slice(outdir, f, pv, sc.method)
 
     if sc.method == "oracle":
-        # no stepping: evaluate at the exact requested times
+        # no stepping: evaluate at the exact requested times only
+        state = _oracle_state(sc)
         for idx, tc in enumerate(sorted(set(sc.checkpoints))):
             f = oracle.sample_field(state, tc, sc.grid)
             emit(f)
             diag_rows.append((idx, f.time, norm(f), float(f.values.min()),
                               float(f.values.max())))
     else:
-        current = field0
+        current = _initial_state(sc)
         if 0 in want:
             emit(current)
         diag_rows.append((0, current.time, norm(current),
@@ -569,6 +574,8 @@ def transcribe_cmd(target, in_path, out, dfunc_m, dfunc_alpha, grid_raw):
             except (OSError, ValueError) as exc:
                 raise ConfigError(str(exc)) from None
             grid = _parse_grid_option(grid_raw)
+            if dfunc_m < 0:
+                raise ConfigError(f"--dfunc-m must be >= 0, got {dfunc_m}")
             if dfunc_alpha == "auto":
                 alpha_r = pseudoparticle.auto_alpha(grid.dx)
                 alpha_p = pseudoparticle.auto_alpha(grid.dp)
@@ -576,8 +583,10 @@ def transcribe_cmd(target, in_path, out, dfunc_m, dfunc_alpha, grid_raw):
                 try:
                     alpha_r = alpha_p = float(dfunc_alpha)
                 except ValueError:
-                    raise ConfigError("--dfunc-alpha must be 'auto' or a number") \
-                        from None
+                    alpha_r = alpha_p = math.nan
+                if not 0 < alpha_r < math.inf:
+                    raise ConfigError("--dfunc-alpha must be 'auto' or a positive "
+                                      f"finite number, got {dfunc_alpha!r}")
             f = pseudoparticle.deposit(
                 ens, grid,
                 pseudoparticle.DFunctionParams(alpha=alpha_r, order=dfunc_m),

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .phasespace import (NumericalError, PhaseSpaceGrid, WignerField,
                          truncate_real)
@@ -381,6 +380,10 @@ def numeric_wigner(psi: np.ndarray, x_fine: np.ndarray,
     per x-node.  Completely independent of the closed-form route, which is
     exactly why it exists.
     """
+    # scipy.interpolate takes about 0.3 s to import and only this
+    # cross-check uses it, so it is not loaded with the module
+    from scipy.interpolate import CubicSpline
+
     psi = np.asarray(psi, dtype=complex)
     x_fine = np.asarray(x_fine, dtype=float)
     if psi.shape != x_fine.shape or psi.ndim != 1:

@@ -13,18 +13,15 @@ feeding back on itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import map_coordinates
-from scipy.special import eval_hermitenorm, factorial
 
 from .phasespace import (HBAR, NumericalError, PhaseSpaceGrid, WignerField,
-                         norm, truncate_real)
+                         interpolate, norm, truncate_real)
 from .potentials import Potential
 from .spectral import NORM_DRIFT_WARN, EvolveResult, StepDiagnostics
-
-_INTERP_ORDER = {"bicubic": 3, "bilinear": 1}
 
 
 def step_lo(field_in: WignerField, pot: Potential, t: float, dt: float,
@@ -38,17 +35,12 @@ def step_lo(field_in: WignerField, pot: Potential, t: float, dt: float,
     Euler), while the output-node force inflates phase-space volumes by
     O(dt^2) per step and visibly shrinks structures over long runs.
     """
-    if method not in _INTERP_ORDER:
-        raise ValueError(f"unknown interpolation method {method!r}")
     grid = field_in.grid
     x = grid.x_lattice[:, None]
     p = grid.p_lattice[None, :]
     x0 = x - p * (dt / mass)
     p0 = p + pot.grad(x0, t) * dt
-    values = map_coordinates(field_in.values,
-                             [(x0 - grid.x_min) / grid.dx,
-                              (p0 - grid.p_min) / grid.dp],
-                             order=_INTERP_ORDER[method], mode="constant", cval=0.0)
+    values = interpolate(field_in, x0, p0, method)
     return WignerField(grid=grid, values=values, time=field_in.time + dt)
 
 
@@ -186,11 +178,16 @@ def d_function(x, params: DFunctionParams) -> np.ndarray:
     with unit integral and vanishing moments int u^k D du for
     1 <= k <= 2M + 1 at every (alpha, order): an order-M delta
     approximant.  order = 0 reduces to a pure Gaussian of unit integral.
+
+    The probabilists' Hermite polynomials come from ``_hermite_basis``,
+    the three-term recurrence He_{k+1}(u) = u He_k(u) - k He_{k-1}(u)
+    written for He_k / sqrt(k!), so He_2m = sqrt((2m)!) * basis[2m].
     """
     u = params.alpha * np.asarray(x, dtype=float)
-    series = np.zeros_like(u)
-    for m in range(params.order + 1):
-        series += eval_hermitenorm(2 * m, u) * (-1.0) ** m / (2.0 ** m * factorial(m))
+    coef = np.array([(-1.0) ** m * math.sqrt(math.factorial(2 * m))
+                     / (2.0 ** m * math.factorial(m))
+                     for m in range(params.order + 1)])
+    series = _hermite_basis(u, 2 * params.order + 1)[..., ::2] @ coef
     return params.alpha / np.sqrt(2.0 * np.pi) * np.exp(-u**2 / 2.0) * series
 
 

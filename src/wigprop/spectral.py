@@ -8,7 +8,7 @@ exp(-i [V(x - s/2) - V(x + s/2)] dt / hbar)).  The phase is conjugate-
 symmetric under s -> -s because the potential difference is odd in s, and
 the drift phase exp(-i kx p dt/m) is conjugate-symmetric under kx -> -kx,
 so real fields stay real.  Each sub-map therefore runs on half spectra:
-scipy.fft.rfft along the transformed axis, a multiply by the n//2 + 1
+numpy.fft.rfft along the transformed axis, a multiply by the n//2 + 1
 non-negative-frequency bins of the multiplier, and irfft back, so the
 field is real at every stage.  The unpaired Nyquist bin is kept at the
 real part of its multiplier for the same reason.  The s = 0 component is
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.fft import irfft, rfft
+from numpy.fft import irfft, rfft
 
 from .phasespace import (HBAR, PhaseSpaceGrid, WignerField, WignerFieldND,
                          interpolate, norm, truncate_real)

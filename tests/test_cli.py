@@ -125,6 +125,34 @@ class TestRunScenario:
         for name in ("diagnostics.csv", "field_t0.600000.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_oracle_run_samples_each_checkpoint_once(self, tmp_path, monkeypatch):
+        from wigprop import oracle
+        times = []
+        sample = oracle.sample_field
+
+        def counting(state, t, grid):
+            times.append(t)
+            return sample(state, t, grid)
+
+        monkeypatch.setattr(oracle, "sample_field", counting)
+        text = SCENARIO_ORACLE.replace("checkpoints = 0 3", "checkpoints = 3 0 1.5")
+        outdir = run_scenario(parse_scenario_text(text), tmp_path / "run")
+        assert times == [0.0, 1.5, 3.0]
+        # a stepped run samples only its initial field
+        times.clear()
+        run_scenario(parse_scenario_text(spectral_scenario()), tmp_path / "spec")
+        assert times == [0.0]
+
+        # each snapshot is the oracle field at its time, byte for byte
+        monkeypatch.undo()
+        for t in (0.0, 1.5, 3.0):
+            out = tmp_path / f"oracle_{t}.txt"
+            res = CliRunner().invoke(main, [
+                "oracle", "field", "--t", str(t), "--nmax", "8",
+                "--grid", "-8 8 64 -4 4 64", "-o", str(out)])
+            assert res.exit_code == 0, res.output
+            assert (outdir / f"field_t{t:.6f}.txt").read_bytes() == out.read_bytes()
+
     def test_file_initial_state(self, tmp_path):
         sc = parse_scenario_text(SCENARIO_ORACLE)
         base = run_scenario(sc, tmp_path / "base")
@@ -282,16 +310,30 @@ class TestCommands:
         peak = np.abs(orig.values).max()
         assert np.abs(back.values - orig.values).max() < 1e-3 * peak
 
-    def test_transcribe_too_narrow_kernel_exits_3(self, tmp_path):
-        runner = CliRunner()
+    def _transcribe_one_particle(self, tmp_path, *options):
         ens_path = tmp_path / "ens.txt"
         ens_path.write_text("# ensemble 1\n0.1 0.05 1 0.25 0.125\n")
-        res = runner.invoke(main, [
+        return CliRunner().invoke(main, [
             "transcribe", "--to", "field", "-i", str(ens_path),
-            "--grid", "-8 8 64 -4 4 64", "--dfunc-m", "1",
-            "--dfunc-alpha", "200", "-o", str(tmp_path / "back.txt")])
+            "--grid", "-8 8 64 -4 4 64", *options,
+            "-o", str(tmp_path / "back.txt")])
+
+    def test_transcribe_too_narrow_kernel_exits_3(self, tmp_path):
+        res = self._transcribe_one_particle(tmp_path, "--dfunc-m", "1",
+                                            "--dfunc-alpha", "200")
         assert res.exit_code == 3, res.output
         assert "too narrow" in res.output
+
+    @pytest.mark.parametrize("option, value", [
+        ("--dfunc-m", "-1"), ("--dfunc-alpha", "0"), ("--dfunc-alpha", "-2"),
+        ("--dfunc-alpha", "nan"), ("--dfunc-alpha", "inf")])
+    def test_transcribe_bad_kernel_option_exits_2(self, tmp_path, option, value):
+        # a negative order or a non-positive or non-finite width is bad
+        # input (exit 2 naming the option), not a traceback
+        res = self._transcribe_one_particle(tmp_path, option, value)
+        assert res.exit_code == 2, res.output
+        assert "config error" in res.output and option in res.output
+        assert not (tmp_path / "back.txt").exists()
 
 
 class TestNonFinitePotentialParameters:

@@ -54,6 +54,20 @@ class TestStepLo:
         spectral_gap = diff_metrics(bench.spectral30.field, bench.oracle_t3).linf
         assert lo_gap > spectral_gap
 
+    @pytest.mark.parametrize("method, order", [("bicubic", 3), ("bilinear", 1)])
+    def test_equals_direct_spline_backtrack(self, method, order):
+        # step_lo goes through phasespace.interpolate; the direct
+        # map_coordinates call on the backtracked nodes is the reference
+        from scipy.ndimage import map_coordinates
+        f, pot, dt = blob(GRID, x0=1.0), GaussianWell(), 0.05
+        x0 = GRID.x_lattice[:, None] - GRID.p_lattice[None, :] * dt
+        p0 = GRID.p_lattice[None, :] + pot.grad(x0, 0.0) * dt
+        want = map_coordinates(f.values, [(x0 - GRID.x_min) / GRID.dx,
+                                          (p0 - GRID.p_min) / GRID.dp],
+                               order=order, mode="constant", cval=0.0)
+        np.testing.assert_array_equal(
+            step_lo(f, pot, 0.0, dt, method=method).values, want)
+
     def test_bilinear_mode_diffuses_more(self):
         # on the exactly-transported harmonic rotation the only error is
         # interpolation, so the linear kernel must lose visibly more
@@ -167,6 +181,23 @@ class TestDFunction:
         for k in range(1, 2 * order + 2):
             moment = np.trapezoid((alpha * x) ** k * d, x)
             assert moment == pytest.approx(0.0, abs=1e-10), k
+
+    @pytest.mark.parametrize("alpha", [0.7, 2.0, 31.0])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 6])
+    def test_matches_scipy_hermite_series(self, alpha, order):
+        # the recurrence against scipy's He_n term by term: equal at order
+        # 0, within a few ulps of the peak above (3.0e-16 measured)
+        from scipy.special import eval_hermitenorm, factorial
+        params = DFunctionParams(alpha=alpha, order=order)
+        x = np.linspace(-(9 + 2 * order) / alpha, (9 + 2 * order) / alpha, 2001)
+        u = alpha * x
+        series = sum(eval_hermitenorm(2 * m, u) * (-1.0) ** m / (2.0 ** m * factorial(m))
+                     for m in range(order + 1))
+        want = alpha / np.sqrt(2.0 * np.pi) * np.exp(-u**2 / 2.0) * series
+        got = d_function(x, params)
+        if order == 0:
+            np.testing.assert_array_equal(got, want)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
     def test_order_zero_is_unit_gaussian(self):
         alpha = 1.7
