@@ -19,9 +19,9 @@ import click
 import numpy as np
 
 from . import oracle, pseudoparticle, spectral
-from .phasespace import (DEFAULT_GRID_SPEC, NumericalError, PhaseSpaceGrid,
-                         WignerField, diff_metrics, load_field, make_grid,
-                         norm, save_field)
+from .phasespace import (DEFAULT_GRID_SPEC, NonFiniteFieldError,
+                         NumericalError, PhaseSpaceGrid, WignerField,
+                         diff_metrics, load_field, make_grid, norm, save_field)
 from .potentials import GaussianWell, parse_potential
 
 METHODS = ("spectral-full", "spectral-fo", "lo", "nlo", "oracle")
@@ -290,7 +290,10 @@ def run_scenario(sc: Scenario, outdir) -> Path:
 
         norm0 = norm(current)
         for k in range(1, sc.nsteps + 1):
-            current = stepper(current, sc.t0 + (k - 1) * dt)
+            try:
+                current = stepper(current, sc.t0 + (k - 1) * dt)
+            except NonFiniteFieldError as exc:
+                raise NumericalError(f"step {k}: {exc}") from None
             n = norm(current)
             diag_rows.append((k, current.time, n, float(current.values.min()),
                               float(current.values.max())))

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .phasespace import (NumericalError, PhaseSpaceGrid, WignerField,
+from .phasespace import (NumericalError, PhaseSpaceGrid, WignerField, by_rows,
                          truncate_real)
 
 #: Cholesky pivots below this abort the solve.
@@ -313,7 +313,23 @@ def wigner_basis(basis: GaussianBasis, n: int, m: int, x, p) -> np.ndarray:
     return pref * np.exp(-a * x**2 - b * p**2) * np.exp(1j * d * x * p)
 
 
-def _assemble(state: SuperpositionState, t: float, x: np.ndarray, p: np.ndarray,
+def _pair_terms(state: SuperpositionState, t: float) -> list[tuple]:
+    """(weight, c_n conj(c_m), prefactor, a, b, d) for every basis pair
+    n <= m of the folded double sum whose coefficient is non-zero."""
+    basis = state.solution.basis
+    c = basis_coefficients(state, t)
+    terms = []
+    for n in range(1, basis.n_max + 1):
+        for m in range(n, basis.n_max + 1):
+            cc = c[n - 1] * np.conj(c[m - 1])
+            if abs(cc) == 0.0:
+                continue
+            weight = 1.0 if n == m else 2.0
+            terms.append((weight, cc, *_pair_coefficients(basis, n, m)))
+    return terms
+
+
+def _assemble(terms: list[tuple], x: np.ndarray, p: np.ndarray,
               derivative_p3: bool = False) -> np.ndarray:
     """Hermitian double sum over basis pairs, folded to n <= m.
 
@@ -321,22 +337,14 @@ def _assemble(state: SuperpositionState, t: float, x: np.ndarray, p: np.ndarray,
     accumulated instead (used as an analytic cross-check for the spectral
     differentiation).
     """
-    basis = state.solution.basis
-    c = basis_coefficients(state, t)
     out = np.zeros(np.broadcast(x, p).shape, dtype=float)
-    for n in range(1, basis.n_max + 1):
-        for m in range(n, basis.n_max + 1):
-            cc = c[n - 1] * np.conj(c[m - 1])
-            if abs(cc) == 0.0:
-                continue
-            pref, a, b, d = _pair_coefficients(basis, n, m)
-            term = pref * np.exp(-a * x**2 - b * p**2 + 1j * d * x * p)
-            if derivative_p3:
-                # d^3/dp^3 exp(-b p^2 + i d x p) = (w^3 - 6 b w) * exp(...)
-                w = -2.0 * b * p + 1j * d * x
-                term = term * (w**3 - 6.0 * b * w)
-            weight = 1.0 if n == m else 2.0
-            out += weight * (cc * term).real
+    for weight, cc, pref, a, b, d in terms:
+        term = pref * np.exp(-a * x**2 - b * p**2 + 1j * d * x * p)
+        if derivative_p3:
+            # d^3/dp^3 exp(-b p^2 + i d x p) = (w^3 - 6 b w) * exp(...)
+            w = -2.0 * b * p + 1j * d * x
+            term = term * (w**3 - 6.0 * b * w)
+        out += weight * (cc * term).real
     return out
 
 
@@ -348,7 +356,7 @@ def wigner_at(state: SuperpositionState, t: float, x, p):
     """
     x_arr = np.asarray(x, dtype=float)
     p_arr = np.asarray(p, dtype=float)
-    out = _assemble(state, t, x_arr, p_arr)
+    out = _assemble(_pair_terms(state, t), x_arr, p_arr)
     if np.ndim(x) == 0 and np.ndim(p) == 0:
         return float(out)
     return out
@@ -359,15 +367,28 @@ def wigner_dp3_at(state: SuperpositionState, t: float, x, p):
     function (cross-check oracle for spectral differentiation)."""
     x_arr = np.asarray(x, dtype=float)
     p_arr = np.asarray(p, dtype=float)
-    return _assemble(state, t, x_arr, p_arr, derivative_p3=True)
+    return _assemble(_pair_terms(state, t), x_arr, p_arr, derivative_p3=True)
 
 
 def sample_field(state: SuperpositionState, t: float,
                  grid: PhaseSpaceGrid) -> WignerField:
-    """Evaluate the analytic Wigner function on every lattice node."""
+    """Evaluate the analytic Wigner function on every lattice node.
+
+    Blocks of x-rows are summed on all CPUs through ``by_rows``; every
+    node gets the same operations in the same order as a single-threaded
+    sum over the whole lattice, so the field has the same bits for any
+    number of CPUs.
+    """
+    terms = _pair_terms(state, t)
     x = grid.x_lattice[:, None]
     p = grid.p_lattice[None, :]
-    return WignerField(grid=grid, values=_assemble(state, t, x, p), time=float(t))
+    values = np.empty(grid.shape())
+
+    def rows(sl):
+        values[sl] = _assemble(terms, x[sl], p)
+
+    by_rows(rows, grid.nx)
+    return WignerField(grid=grid, values=values, time=float(t))
 
 
 def numeric_wigner(psi: np.ndarray, x_fine: np.ndarray,

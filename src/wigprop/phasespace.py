@@ -10,6 +10,8 @@ hbar = 1.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,6 +25,15 @@ REALNESS_TOL = 1e-10
 
 class NumericalError(RuntimeError):
     """A numerical failure (conditioning, realness violation, norm blow-up)."""
+
+
+class NonFiniteFieldError(NumericalError, ValueError):
+    """Field values that are not all finite.
+
+    A ``ValueError`` for callers that validate input (a field file with a
+    NaN in it is bad input) and a ``NumericalError`` for those that step
+    (a kick that overflows to inf is a numerical failure).
+    """
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -125,7 +136,7 @@ class WignerField:
             raise ValueError(
                 f"values shape {values.shape} does not match grid {self.grid.shape()}")
         if not np.isfinite(values).all():
-            raise ValueError("field values must be finite")
+            raise NonFiniteFieldError("field values must be finite")
         if not math.isfinite(self.time):
             raise ValueError("time must be finite")
         values.setflags(write=False)
@@ -171,7 +182,99 @@ def marginal_x(field: WignerField) -> np.ndarray:
     return field.values.sum(axis=1) * g.dp / (2.0 * np.pi * HBAR)
 
 
+# ---------------------------------------------------------------------------
+# row-parallel lattice kernels
+# ---------------------------------------------------------------------------
+
+#: Lattice rows per ``by_rows`` task.  Fixed blocks, not one share per
+#: core: the temporaries of a block stay small, and so does what glibc's
+#: per-thread arenas keep of them once freed.
+_BLOCK_ROWS = 32
+
+# number of pool workers (the CPUs this process may run on, so ``taskset``
+# limits it) and the pool itself; both are settled on first use
+_workers: int | None = None
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _worker_count() -> int:
+    global _workers
+    if _workers is None:
+        try:
+            _workers = len(os.sched_getaffinity(0))
+        except AttributeError:          # platforms without CPU affinity
+            _workers = os.cpu_count() or 1
+    return _workers
+
+
+def _get_pool():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # imported here: concurrent.futures loads logging, which no
+            # single-threaded command needs at start-up
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(max_workers=_worker_count(),
+                                       thread_name_prefix="wigprop-rows")
+    return _pool
+
+
+def _forget_pool() -> None:
+    # a forked child has none of its parent's pool threads: tasks sent to
+    # the inherited pool would wait forever, so the child builds its own
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def by_rows(fn, n: int) -> None:
+    """Call ``fn(rows)`` on slices of ``range(n)`` that cover it once.
+
+    The slices are consecutive blocks of ``_BLOCK_ROWS`` rows, run on a
+    shared thread pool with one worker per usable CPU.  With one CPU or a
+    single block it is one plain call ``fn(slice(0, n))``.  ``fn`` must
+    write only its own rows, must not call ``by_rows`` itself (its blocks
+    would wait on the pool they run in), and should spend its time in
+    code that releases the GIL and keeps no shared state (numpy ufuncs,
+    scipy.ndimage kernels).  When every row is computed without reference
+    to the others, the result has the same bits for any number of CPUs.
+    Returns once every block has finished; the first exception, in block
+    order, is raised to the caller.
+    """
+    if n <= _BLOCK_ROWS or _worker_count() < 2:
+        fn(slice(0, n))
+        return
+    pool = _get_pool()
+    futures = [pool.submit(fn, slice(start, min(start + _BLOCK_ROWS, n)))
+               for start in range(0, n, _BLOCK_ROWS)]
+    errors = [future.exception() for future in futures]   # waits for each
+    for error in errors:
+        if error is not None:
+            raise error
+
+
 _INTERP_ORDER = {"bicubic": 3, "bilinear": 1}
+
+
+def _spline_coefficients(values: np.ndarray) -> np.ndarray:
+    """Cubic B-spline coefficients of a lattice, as ``map_coordinates``
+    computes them with ``prefilter=True, mode="constant"``: filtered along
+    x, then along p, one lattice line at a time."""
+    from scipy.ndimage import spline_filter1d
+
+    out = np.empty_like(values)
+    by_rows(lambda cols: spline_filter1d(values[:, cols], 3, axis=0,
+                                         output=out[:, cols], mode="constant"),
+            values.shape[1])
+    by_rows(lambda rows: spline_filter1d(out[rows], 3, axis=1,
+                                         output=out[rows], mode="constant"),
+            values.shape[0])
+    return out
 
 
 def interpolate(field: WignerField, x, p, method: str = "bicubic"):
@@ -180,6 +283,12 @@ def interpolate(field: WignerField, x, p, method: str = "bicubic"):
     Points outside the grid bounds return 0 (fields are treated as
     compactly supported).  ``x`` and ``p`` broadcast against each other;
     scalars in, scalar out.
+
+    The spline prefilter and the evaluation run on all CPUs through
+    ``by_rows``, over blocks of the leading axis of the broadcast points
+    (a 1-d list of points is one block).  Each value is computed exactly
+    as one ``map_coordinates(..., mode="constant")`` call over all points
+    computes it, whatever the number of CPUs.
     """
     # imported here so that commands which never interpolate do not load
     # scipy.ndimage (about 0.3 s at process start)
@@ -187,15 +296,22 @@ def interpolate(field: WignerField, x, p, method: str = "bicubic"):
 
     if method not in _INTERP_ORDER:
         raise ValueError(f"unknown interpolation method {method!r}")
+    order = _INTERP_ORDER[method]
     g = field.grid
-    x_arr, p_arr = np.atleast_1d(x, p)
-    # the lattice coordinates are left unnamed so they are freed as soon as
-    # map_coordinates returns; held until this function returns, they cost
-    # a 512^2 pseudoparticle step 1,024 more page faults and about 5 % time
-    out = map_coordinates(
-        field.values,
-        np.broadcast_arrays((x_arr - g.x_min) / g.dx, (p_arr - g.p_min) / g.dp),
-        order=_INTERP_ORDER[method], mode="constant", cval=0.0)
+    x_min, dx, p_min, dp = g.x_min, g.dx, g.p_min, g.dp
+    coeffs = _spline_coefficients(field.values) if order > 1 else field.values
+    xs, ps = np.broadcast_arrays(*np.atleast_1d(x, p))
+    out = np.empty(xs.shape)
+    xs, ps, rows_out = (a if a.ndim > 1 else a[None] for a in (xs, ps, out))
+
+    def rows(sl):
+        # each block's lattice coordinates are freed as soon as its
+        # evaluation returns
+        map_coordinates(coeffs, [(xs[sl] - x_min) / dx, (ps[sl] - p_min) / dp],
+                        output=rows_out[sl], order=order, mode="constant",
+                        cval=0.0, prefilter=False)
+
+    by_rows(rows, len(rows_out))
     if np.ndim(x) == 0 and np.ndim(p) == 0:
         return float(out[0])
     return out
@@ -226,15 +342,24 @@ def diff_metrics(a: WignerField, b: WignerField) -> DiffMetrics:
 # then nx rows of np space-separated values (row = fixed x, column = fixed p)
 # ---------------------------------------------------------------------------
 
+def write_rows(fh, table: np.ndarray) -> None:
+    """Write a 2-d array as lines of space-separated values in ``%.17g``.
+
+    One ``%``-format of the whole table writes the same bytes as
+    formatting each value with ``f"{v:.17g}"``, in a fraction of the time.
+    """
+    line = " ".join(["%.17g"] * table.shape[1]) + "\n"
+    fh.write(line * len(table) % tuple(table.ravel().tolist()))
+
+
 def save_field(field: WignerField, path) -> None:
     g = field.grid
     header = (f"# wignerfield {g.nx} {g.np} {g.x_min:.17g} {g.x_max:.17g} "
               f"{g.p_min:.17g} {g.p_max:.17g} {field.time:.17g}\n")
     with open(path, "w") as fh:
         fh.write(header)
-        for row in field.values:
-            fh.write(" ".join(f"{v:.17g}" for v in row))
-            fh.write("\n")
+        for start in range(0, g.nx, _BLOCK_ROWS):
+            write_rows(fh, field.values[start:start + _BLOCK_ROWS])
 
 
 def load_field(path) -> WignerField:
@@ -292,7 +417,7 @@ class WignerFieldND:
             raise ValueError(
                 f"values shape {values.shape} does not match grid {self.grid.shape()}")
         if not np.isfinite(values).all():
-            raise ValueError("field values must be finite")
+            raise NonFiniteFieldError("field values must be finite")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 

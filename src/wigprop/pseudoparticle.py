@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .phasespace import (HBAR, NumericalError, PhaseSpaceGrid, WignerField,
-                         interpolate, norm, truncate_real)
+                         interpolate, norm, truncate_real, write_rows)
 from .potentials import Potential
 from .spectral import NORM_DRIFT_WARN, EvolveResult, StepDiagnostics
 
@@ -34,6 +34,10 @@ def step_lo(field_in: WignerField, pot: Potential, t: float, dt: float,
     makes the one-step map exactly area-preserving (backward symplectic
     Euler), while the output-node force inflates phase-space volumes by
     O(dt^2) per step and visibly shrinks structures over long runs.
+
+    The backtracked points and the force are computed on the calling
+    thread; the spline prefilter and the evaluation in ``interpolate`` run
+    on all CPUs, with the same result bits for any number of them.
     """
     grid = field_in.grid
     x = grid.x_lattice[:, None]
@@ -375,13 +379,18 @@ def deposit(ensemble: Ensemble, grid: PhaseSpaceGrid,
 # ensemble serialization: '# ensemble N' header, rows 'r p f_L dr dp'
 # ---------------------------------------------------------------------------
 
+#: Particles formatted per write in ``save_ensemble``; stacking the five
+#: columns of the whole ensemble at once would raise the peak memory.
+_SAVE_BLOCK = 8192
+
+
 def save_ensemble(ensemble: Ensemble, path) -> None:
+    columns = (ensemble.r, ensemble.p, ensemble.f_l, ensemble.dr, ensemble.dp)
     with open(path, "w") as fh:
         fh.write(f"# ensemble {len(ensemble)}\n")
-        for k in range(len(ensemble)):
-            fh.write(f"{ensemble.r[k]:.17g} {ensemble.p[k]:.17g} "
-                     f"{ensemble.f_l[k]:.17g} {ensemble.dr[k]:.17g} "
-                     f"{ensemble.dp[k]:.17g}\n")
+        for start in range(0, len(ensemble), _SAVE_BLOCK):
+            sl = slice(start, start + _SAVE_BLOCK)
+            write_rows(fh, np.column_stack([col[sl] for col in columns]))
 
 
 def load_ensemble(path) -> Ensemble:

@@ -1,3 +1,6 @@
+import hashlib
+import pathlib
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -361,6 +364,17 @@ class TestNonFinitePotentialParameters:
         assert res.exit_code == 2, res.output
         assert "'g'" in res.output and "finite" in res.output
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_kick_exits_3(self, tmp_path):
+        # finite parameters whose potential overflows: the spectral kick
+        # turns the field into NaN, a numerical failure named by its step
+        for method in ("spectral-full", "spectral-fo"):
+            res = self._evolve(tmp_path, method, "harmonic k=1e308")
+            assert res.exit_code == 3, res.output
+            assert "numerical failure: step 1:" in res.output
+            assert "finite" in res.output
+
     def test_scenario_error_names_the_line(self, tmp_path):
         text = SCENARIO_ORACLE.replace("depth=1.0", "depth=-inf")
         with pytest.raises(ConfigError, match="line 10: .*'depth'"):
@@ -402,6 +416,44 @@ class TestShippedScenarios:
         text, ok = compare_runs(tmp_path / "ora", tmp_path / "spec",
                                 linf_tol=0.05)
         assert ok and "peak gap" in text
+
+
+def tree_sha256(root):
+    """Digest of every file under ``root``: relative path and bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        digest.update(str(path.relative_to(root)).encode() + b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
+class TestShippedRunBytes:
+    """Run directories of the shipped well scenario, byte for byte.
+
+    The digests were recorded with numpy 2.4.6 and scipy 1.17.1; other
+    versions may round some transcendental or FFT results differently.
+    """
+
+    DIGESTS = {
+        "gaussian_well_oracle.txt":
+            "e1722eba0340264ee62e72656b5856973fa17810f59ca3c4f1114729ebb76c24",
+        "gaussian_well_spectral.txt":
+            "14bd347c396110d9cc804aeb34ec3c540ae7065d775cd9598f31bda977b9aa58",
+        "lo": "0d4b34956c4254fcc87f3e065a6e97477deb225c0b1f906f5867692d8e151907",
+        "nlo": "a1d2395d22d918c41deb61d337c607744e12568457f3aa5459238c2a28841e80",
+    }
+
+    @pytest.mark.parametrize("case", sorted(DIGESTS))
+    def test_run_directory_sha256(self, tmp_path, case):
+        root = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
+        if case.endswith(".txt"):
+            text = (root / case).read_text()
+        else:
+            text = (root / "gaussian_well_spectral.txt").read_text().replace(
+                "method = spectral-full", f"method = {case}")
+        outdir = run_scenario(parse_scenario_text(text), tmp_path / "run")
+        assert tree_sha256(outdir) == self.DIGESTS[case]
 
 
 class TestAllMethodsRun:

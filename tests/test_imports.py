@@ -1,9 +1,11 @@
-"""Which scipy submodules each command loads.
+"""Which scipy submodules each command loads, and which start threads.
 
 scipy submodules take most of a second to import, and every command runs
 in a fresh process, so each is imported inside the one function that uses
-it.  These tests run commands in fresh interpreters and read sys.modules;
-they measure no time.
+it; the row-block thread pool and ``concurrent.futures`` likewise wait for
+the first kernel that uses them.  These tests run commands in fresh
+interpreters and read sys.modules and the live thread count; they measure
+no time.
 """
 
 import json
@@ -39,16 +41,24 @@ checkpoints = 0 0.3
 """
 
 
-def modules_after(code: str, cwd: Path) -> set[str]:
-    """Names in sys.modules once ``code`` has run in a fresh interpreter."""
+def state_after(code: str, cwd: Path) -> tuple[set[str], int]:
+    """Names in sys.modules and the number of live threads once ``code``
+    has run in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (_SRC, env.get("PYTHONPATH")) if p)
-    script = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    script = (f"{code}\nimport json, sys, threading\n"
+              "print(json.dumps([sorted(sys.modules), threading.active_count()]))\n")
     out = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    return set(json.loads(out.stdout.splitlines()[-1]))
+    modules, threads = json.loads(out.stdout.splitlines()[-1])
+    return set(modules), threads
+
+
+def modules_after(code: str, cwd: Path) -> set[str]:
+    """Names in sys.modules once ``code`` has run in a fresh interpreter."""
+    return state_after(code, cwd)[0]
 
 
 def scipy_modules(names: set[str]) -> set[str]:
@@ -62,8 +72,12 @@ def run_cli(*commands: list[str]) -> str:
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
-    loaded = modules_after("import wigprop.cli", tmp_path)
+    loaded, threads = state_after("import wigprop.cli", tmp_path)
     assert scipy_modules(loaded) == set()
+    # the row-block thread pool is built on first use, and
+    # concurrent.futures (which loads logging) imported with it
+    assert not {"concurrent.futures", "logging"} & loaded
+    assert threads == 1
     # the benchmark and its tracer read these from sys.modules after the
     # import, so they stay eager
     assert {"wigprop.oracle", "wigprop.pseudoparticle",
@@ -85,6 +99,12 @@ def test_oracle_run_and_transcription_load_no_scipy(tmp_path):
         ["compare", "run", "run"]), tmp_path)
     assert (tmp_path / "back.txt").exists() and (tmp_path / "f.txt").exists()
     assert scipy_modules(loaded) == set()
+
+
+def test_oracle_solve_starts_no_thread(tmp_path):
+    loaded, threads = state_after(run_cli(["oracle", "solve"]), tmp_path)
+    assert threads == 1
+    assert "concurrent.futures" not in loaded
 
 
 @pytest.mark.parametrize("method", ["spectral-full", "spectral-fo"])

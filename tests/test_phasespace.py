@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wigprop import (diff_metrics, interpolate, load_field, make_grid,
                      marginal_x, norm, save_field)
@@ -181,6 +183,29 @@ class TestSerialization:
         assert back.grid == g
         assert back.time == f.time
         np.testing.assert_array_equal(back.values, f.values)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), nx=st.sampled_from([4, 32, 64, 128]),
+           n_p=st.sampled_from([4, 16]),
+           time=st.floats(allow_nan=False, allow_infinity=False))
+    def test_bytes_equal_per_value_formatting(self, tmp_path_factory, data,
+                                              nx, n_p, time):
+        values = data.draw(arrays(np.float64, (nx, n_p), elements=st.floats(
+            allow_nan=False, allow_infinity=False)))
+        # the extremes of the format, wherever the draw put its values
+        values.ravel()[:6] = [-0.0, 5e-324, -2.2250738585072014e-308,
+                              1.7976931348623157e308, 0.1, -1e-300]
+        g = make_grid(-3, 5, nx, -2, 2, n_p)
+        f = WignerField(grid=g, values=values, time=time)
+        path = tmp_path_factory.mktemp("field") / "field.txt"
+        save_field(f, path)
+        # the one-value-at-a-time writer is the reference
+        want = (f"# wignerfield {nx} {n_p} {g.x_min:.17g} {g.x_max:.17g} "
+                f"{g.p_min:.17g} {g.p_max:.17g} {time:.17g}\n"
+                + "".join(" ".join(f"{v:.17g}" for v in row) + "\n"
+                          for row in f.values))
+        assert path.read_text() == want
+        assert load_field(path).values.tobytes() == f.values.tobytes()
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -261,6 +261,25 @@ class TestEnsemble:
         for name in ("r", "p", "f_l", "dr", "dp"):
             np.testing.assert_array_equal(getattr(back, name), getattr(ens, name))
 
+    def test_save_bytes_equal_per_particle_formatting(self, tmp_path):
+        # more particles than one formatting block, and the format's extremes
+        rng = np.random.default_rng(8)
+        n = 2 * 8192 + 5
+        f_l = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        f_l[:4] = [-0.0, 5e-324, 1.7976931348623157e308, 0.1]
+        ens = Ensemble(r=rng.uniform(-9, 9, n), p=rng.uniform(-5, 5, n),
+                       f_l=f_l, dr=np.full(n, 0.0625), dp=np.full(n, 1 / 3))
+        path = tmp_path / "ens.txt"
+        save_ensemble(ens, path)
+        want = f"# ensemble {n}\n" + "".join(
+            f"{ens.r[k]:.17g} {ens.p[k]:.17g} {ens.f_l[k]:.17g} "
+            f"{ens.dr[k]:.17g} {ens.dp[k]:.17g}\n" for k in range(n))
+        assert path.read_text() == want
+        empty = Ensemble(r=np.empty(0), p=np.empty(0), f_l=np.empty(0),
+                         dr=np.empty(0), dp=np.empty(0))
+        save_ensemble(empty, path)
+        assert path.read_text() == "# ensemble 0\n"
+
 
 class TestDeposit:
     def test_single_particle_integral(self):
