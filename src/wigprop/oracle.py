@@ -313,38 +313,46 @@ def wigner_basis(basis: GaussianBasis, n: int, m: int, x, p) -> np.ndarray:
     return pref * np.exp(-a * x**2 - b * p**2) * np.exp(1j * d * x * p)
 
 
-def _pair_terms(state: SuperpositionState, t: float) -> list[tuple]:
-    """(weight, c_n conj(c_m), prefactor, a, b, d) for every basis pair
-    n <= m of the folded double sum whose coefficient is non-zero."""
+def _pair_terms(state: SuperpositionState, times) -> list[tuple]:
+    """(weight, live, (prefactor, a, b, d)) for every basis pair n <= m of
+    the folded double sum, where ``live`` lists (k, c_n conj(c_m)) at
+    times[k] for each time whose coefficient is non-zero; a pair with no
+    such time is left out."""
     basis = state.solution.basis
-    c = basis_coefficients(state, t)
+    coeffs = [basis_coefficients(state, t) for t in times]
     terms = []
     for n in range(1, basis.n_max + 1):
         for m in range(n, basis.n_max + 1):
-            cc = c[n - 1] * np.conj(c[m - 1])
-            if abs(cc) == 0.0:
-                continue
-            weight = 1.0 if n == m else 2.0
-            terms.append((weight, cc, *_pair_coefficients(basis, n, m)))
+            live = [(k, cc) for k, cc in enumerate(c[n - 1] * np.conj(c[m - 1])
+                                                   for c in coeffs)
+                    if abs(cc) != 0.0]
+            if live:
+                weight = 1.0 if n == m else 2.0
+                terms.append((weight, live, _pair_coefficients(basis, n, m)))
     return terms
 
 
-def _assemble(terms: list[tuple], x: np.ndarray, p: np.ndarray,
+def _assemble(terms: list[tuple], count: int, x: np.ndarray, p: np.ndarray,
               derivative_p3: bool = False) -> np.ndarray:
-    """Hermitian double sum over basis pairs, folded to n <= m.
+    """Hermitian double sum over basis pairs, folded to n <= m, at each of
+    ``count`` times; stacked along a new first axis.
 
+    Only the coefficients depend on time, so each pair term is evaluated
+    once and accumulated into every time it is live at.  Each time gets
+    the same operations in the same order as a sum for that time alone.
     With derivative_p3 the third momentum derivative of every pair term is
     accumulated instead (used as an analytic cross-check for the spectral
     differentiation).
     """
-    out = np.zeros(np.broadcast(x, p).shape, dtype=float)
-    for weight, cc, pref, a, b, d in terms:
+    out = np.zeros((count,) + np.broadcast(x, p).shape, dtype=float)
+    for weight, live, (pref, a, b, d) in terms:
         term = pref * np.exp(-a * x**2 - b * p**2 + 1j * d * x * p)
         if derivative_p3:
             # d^3/dp^3 exp(-b p^2 + i d x p) = (w^3 - 6 b w) * exp(...)
             w = -2.0 * b * p + 1j * d * x
             term = term * (w**3 - 6.0 * b * w)
-        out += weight * (cc * term).real
+        for k, cc in live:
+            out[k] += weight * (cc * term).real
     return out
 
 
@@ -356,7 +364,7 @@ def wigner_at(state: SuperpositionState, t: float, x, p):
     """
     x_arr = np.asarray(x, dtype=float)
     p_arr = np.asarray(p, dtype=float)
-    out = _assemble(_pair_terms(state, t), x_arr, p_arr)
+    out = _assemble(_pair_terms(state, [t]), 1, x_arr, p_arr)[0]
     if np.ndim(x) == 0 and np.ndim(p) == 0:
         return float(out)
     return out
@@ -367,28 +375,43 @@ def wigner_dp3_at(state: SuperpositionState, t: float, x, p):
     function (cross-check oracle for spectral differentiation)."""
     x_arr = np.asarray(x, dtype=float)
     p_arr = np.asarray(p, dtype=float)
-    return _assemble(_pair_terms(state, t), x_arr, p_arr, derivative_p3=True)
+    return _assemble(_pair_terms(state, [t]), 1, x_arr, p_arr,
+                     derivative_p3=True)[0]
+
+
+def sample_fields(state: SuperpositionState, times,
+                  grid: PhaseSpaceGrid) -> list[WignerField]:
+    """Evaluate the analytic Wigner function on every lattice node at each
+    of ``times``; one field per time, in the order given.
+
+    Each basis pair's complex exponential is evaluated once per block of
+    x-rows for all the times (see ``_assemble``), and the blocks are
+    summed on all CPUs through ``by_rows``.  Every node of every field
+    gets the same operations in the same order as a single-threaded sum
+    over the whole lattice at its own time, so each field has the same
+    bits whatever the other times and the number of CPUs.  The fields
+    share one array of len(times) lattices, which bounds how many times
+    one call should take.
+    """
+    times = [float(t) for t in times]
+    terms = _pair_terms(state, times)
+    x = grid.x_lattice[:, None]
+    p = grid.p_lattice[None, :]
+    values = np.empty((len(times),) + grid.shape())
+
+    def rows(sl):
+        values[:, sl] = _assemble(terms, len(times), x[sl], p)
+
+    by_rows(rows, grid.nx)
+    return [WignerField(grid=grid, values=values[k], time=t)
+            for k, t in enumerate(times)]
 
 
 def sample_field(state: SuperpositionState, t: float,
                  grid: PhaseSpaceGrid) -> WignerField:
-    """Evaluate the analytic Wigner function on every lattice node.
-
-    Blocks of x-rows are summed on all CPUs through ``by_rows``; every
-    node gets the same operations in the same order as a single-threaded
-    sum over the whole lattice, so the field has the same bits for any
-    number of CPUs.
-    """
-    terms = _pair_terms(state, t)
-    x = grid.x_lattice[:, None]
-    p = grid.p_lattice[None, :]
-    values = np.empty(grid.shape())
-
-    def rows(sl):
-        values[sl] = _assemble(terms, x[sl], p)
-
-    by_rows(rows, grid.nx)
-    return WignerField(grid=grid, values=values, time=float(t))
+    """Evaluate the analytic Wigner function on every lattice node at one
+    time: ``sample_fields`` with one time."""
+    return sample_fields(state, [t], grid)[0]
 
 
 def numeric_wigner(psi: np.ndarray, x_fine: np.ndarray,

@@ -277,6 +277,33 @@ def _spline_coefficients(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _evaluate(field: WignerField, method: str, shape: tuple, coords) -> np.ndarray:
+    """The field's spline at the lattice coordinates ``coords(rows)``
+    returns for each block of rows of an output of ``shape`` (at least
+    2-d); out-of-grid points give 0."""
+    # imported here so that commands which never interpolate do not load
+    # scipy.ndimage (about 0.3 s at process start)
+    from scipy.ndimage import map_coordinates
+
+    if method not in _INTERP_ORDER:
+        raise ValueError(f"unknown interpolation method {method!r}")
+    order = _INTERP_ORDER[method]
+    coeffs = _spline_coefficients(field.values) if order > 1 else field.values
+    out = np.empty(shape)
+    by_rows(lambda rows: map_coordinates(
+        coeffs, coords(rows), output=out[rows], order=order, mode="constant",
+        cval=0.0, prefilter=False), shape[0])
+    return out
+
+
+def at_lattice_coordinates(field: WignerField, coords: np.ndarray,
+                           method: str = "bicubic") -> np.ndarray:
+    """Interpolate the field at lattice coordinates: ``coords[0]`` holds
+    (x - x_min) / dx and ``coords[1]`` holds (p - p_min) / dp, each at
+    least 2-d.  Gives the bits ``interpolate`` gives at those (x, p)."""
+    return _evaluate(field, method, coords.shape[1:], lambda rows: coords[:, rows])
+
+
 def interpolate(field: WignerField, x, p, method: str = "bicubic"):
     """Interpolate the field at arbitrary (x, p) points.
 
@@ -286,35 +313,22 @@ def interpolate(field: WignerField, x, p, method: str = "bicubic"):
 
     The spline prefilter and the evaluation run on all CPUs through
     ``by_rows``, over blocks of the leading axis of the broadcast points
-    (a 1-d list of points is one block).  Each value is computed exactly
-    as one ``map_coordinates(..., mode="constant")`` call over all points
-    computes it, whatever the number of CPUs.
+    (a 1-d list of points is one block), and each block's lattice
+    coordinates are computed and freed with it.  Each value is computed
+    exactly as one ``map_coordinates(..., mode="constant")`` call over all
+    points computes it, whatever the number of CPUs.
     """
-    # imported here so that commands which never interpolate do not load
-    # scipy.ndimage (about 0.3 s at process start)
-    from scipy.ndimage import map_coordinates
-
-    if method not in _INTERP_ORDER:
-        raise ValueError(f"unknown interpolation method {method!r}")
-    order = _INTERP_ORDER[method]
     g = field.grid
     x_min, dx, p_min, dp = g.x_min, g.dx, g.p_min, g.dp
-    coeffs = _spline_coefficients(field.values) if order > 1 else field.values
     xs, ps = np.broadcast_arrays(*np.atleast_1d(x, p))
-    out = np.empty(xs.shape)
-    xs, ps, rows_out = (a if a.ndim > 1 else a[None] for a in (xs, ps, out))
-
-    def rows(sl):
-        # each block's lattice coordinates are freed as soon as its
-        # evaluation returns
-        map_coordinates(coeffs, [(xs[sl] - x_min) / dx, (ps[sl] - p_min) / dp],
-                        output=rows_out[sl], order=order, mode="constant",
-                        cval=0.0, prefilter=False)
-
-    by_rows(rows, len(rows_out))
+    flat = xs.ndim == 1
+    if flat:
+        xs, ps = xs[None], ps[None]
+    out = _evaluate(field, method, xs.shape,
+                    lambda rows: [(xs[rows] - x_min) / dx, (ps[rows] - p_min) / dp])
     if np.ndim(x) == 0 and np.ndim(p) == 0:
-        return float(out[0])
-    return out
+        return float(out[0, 0])
+    return out[0] if flat else out
 
 
 @dataclass(frozen=True)

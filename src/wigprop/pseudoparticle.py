@@ -18,10 +18,37 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .phasespace import (HBAR, NumericalError, PhaseSpaceGrid, WignerField,
-                         interpolate, norm, truncate_real, write_rows)
+from .phasespace import (_BLOCK_ROWS, HBAR, NonFiniteFieldError,
+                         NumericalError, PhaseSpaceGrid, WignerField,
+                         at_lattice_coordinates, norm, truncate_real,
+                         write_rows)
 from .potentials import Potential
-from .spectral import NORM_DRIFT_WARN, EvolveResult, StepDiagnostics
+from .spectral import (NORM_DRIFT_WARN, EvolveResult, StepDiagnostics,
+                       _is_static, _memoized)
+
+
+def _backtrack_coordinates(grid: PhaseSpaceGrid, pot: Potential, t: float,
+                           dt: float, mass: float) -> np.ndarray:
+    """Lattice coordinates (x0 - x_min) / dx and (p0 - p_min) / dp of the
+    backtracked points, stacked along a new first axis.
+
+    Raises ``NonFiniteFieldError`` when any of them is not finite (a force
+    that overflows), which the spline evaluation would otherwise turn into
+    silent zeros.
+    """
+    x = grid.x_lattice[:, None]
+    p = grid.p_lattice[None, :]
+    x0 = x - p * (dt / mass)
+    p0 = p + pot.grad(x0, t) * dt
+    coords = np.empty((2,) + grid.shape())
+    np.subtract(x0, grid.x_min, out=coords[0])
+    coords[0] /= grid.dx
+    np.subtract(p0, grid.p_min, out=coords[1])
+    coords[1] /= grid.dp
+    if not np.isfinite(coords).all():
+        raise NonFiniteFieldError(
+            f"backtracked points at t={t:g} must be finite (the force overflows)")
+    return coords
 
 
 def step_lo(field_in: WignerField, pot: Potential, t: float, dt: float,
@@ -35,17 +62,46 @@ def step_lo(field_in: WignerField, pot: Potential, t: float, dt: float,
     Euler), while the output-node force inflates phase-space volumes by
     O(dt^2) per step and visibly shrinks structures over long runs.
 
-    The backtracked points and the force are computed on the calling
-    thread; the spline prefilter and the evaluation in ``interpolate`` run
-    on all CPUs, with the same result bits for any number of them.
+    The lattice coordinates of the backtracked points are built on the
+    calling thread.  For a static (``time_dependent = False``) hashable
+    potential they depend only on (grid, potential, dt, mass), so they are
+    built once and kept in the bounded memo of ``spectral`` under that key;
+    any other potential gets them rebuilt at every step.  Non-finite
+    coordinates raise ``NonFiniteFieldError``.  The spline prefilter and
+    the evaluation run on all CPUs, with the same result bits for any
+    number of them, from the memo or not.
     """
     grid = field_in.grid
-    x = grid.x_lattice[:, None]
-    p = grid.p_lattice[None, :]
-    x0 = x - p * (dt / mass)
-    p0 = p + pot.grad(x0, t) * dt
-    values = interpolate(field_in, x0, p0, method)
+    coords = _memoized(("backtrack", grid, pot, dt, mass),
+                       lambda: _backtrack_coordinates(grid, pot, t, dt, mass),
+                       static=_is_static(pot))
+    values = at_lattice_coordinates(field_in, coords, method)
     return WignerField(grid=grid, values=values, time=field_in.time + dt)
+
+
+def _p3_multiplier(grid: PhaseSpaceGrid, s_cutoff: float | None) -> np.ndarray:
+    s = grid.s_lattice
+    mult = (1j * s / HBAR) ** 3
+    mult[grid.np // 2] = 0.0
+    if s_cutoff is not None:
+        mult = mult * (np.abs(s) <= s_cutoff)
+    return mult
+
+
+def _spectral_p3(values: np.ndarray, grid: PhaseSpaceGrid,
+                 s_cutoff: float | None) -> np.ndarray:
+    """Third momentum derivative of lattice rows: the p-spectrum times
+    (i s / hbar)^3, with the unpaired Nyquist mode dropped (as for any
+    odd-order spectral derivative) and, given ``s_cutoff``, every mode
+    with |s| > s_cutoff zeroed.  Raises ``NumericalError`` when the result
+    is not real to ``REALNESS_TOL``.  Rows are independent, so a block of
+    rows gets the bits the whole lattice would give it."""
+    spectrum = np.fft.fft(values, axis=1)
+    spectrum *= _memoized(("p3", grid, s_cutoff),
+                          lambda: _p3_multiplier(grid, s_cutoff))
+    third, _ = truncate_real(np.fft.ifft(spectrum, axis=1),
+                             context="spectral third derivative")
+    return third
 
 
 def d_p3(field_in: WignerField, mode: str = "spectral",
@@ -60,13 +116,7 @@ def d_p3(field_in: WignerField, mode: str = "spectral",
     """
     grid = field_in.grid
     if mode == "spectral":
-        s = grid.s_lattice
-        mult = (1j * s / HBAR) ** 3
-        mult[grid.np // 2] = 0.0
-        if s_cutoff is not None:
-            mult = mult * (np.abs(s) <= s_cutoff)
-        out = np.fft.ifft(np.fft.fft(field_in.values, axis=1) * mult[None, :], axis=1)
-        values, _ = truncate_real(out, context="spectral third derivative")
+        values = _spectral_p3(field_in.values, grid, s_cutoff)
     elif mode == "finite_difference":
         f = field_in.values
         values = np.zeros_like(f)
@@ -79,9 +129,16 @@ def d_p3(field_in: WignerField, mode: str = "spectral",
 
 
 def nlo_correction(field_lo: WignerField, pot: Potential, t: float, dt: float,
-                   order: int = 1, mode: str = "spectral",
-                   s_cutoff: float | None = None) -> WignerField:
-    """Add the leading quantum correction to a transported field.
+                   order: int = 1, s_cutoff: float | None = None) -> WignerField:
+    """Add the leading quantum correction to a transported field:
+    f - (dt hbar^2 / 24) V'''(x) d^3f/dp^3, with the spectral third
+    derivative band-limited at ``s_cutoff`` when one is given.
+
+    The correction is computed a block of rows at a time on the calling
+    thread (transform, multiply, transform back, realness check, subtract)
+    and written into one output array, so no full-lattice complex array
+    is held.  Every row gets the operations of the whole-lattice formula
+    in the same order, so the result has the same bits.
 
     Only order = 1 is implemented: the term needs the third derivatives of
     the potential and of the field; going further would require fifth-order
@@ -90,9 +147,13 @@ def nlo_correction(field_lo: WignerField, pot: Potential, t: float, dt: float,
     if order != 1:
         raise ValueError("only the order-1 correction is implemented")
     grid = field_lo.grid
-    third = d_p3(field_lo, mode=mode, s_cutoff=s_cutoff).values
-    v3 = pot.d3(grid.x_lattice, t)[:, None]
-    values = field_lo.values - (dt * HBAR**2 / 24.0) * v3 * third
+    scale = (dt * HBAR**2 / 24.0) * pot.d3(grid.x_lattice, t)[:, None]
+    f = field_lo.values
+    values = np.empty(grid.shape())
+    for start in range(0, grid.nx, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        np.subtract(f[rows], scale[rows] * _spectral_p3(f[rows], grid, s_cutoff),
+                    out=values[rows])
     return WignerField(grid=grid, values=values, time=field_lo.time)
 
 

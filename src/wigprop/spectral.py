@@ -57,14 +57,20 @@ class SpectralStepConfig:
             raise ValueError(f"drift_mode must be one of {_DRIFT_MODES}")
 
 
-#: Most multipliers the memo holds; the oldest entry is dropped beyond it.
+#: Most arrays the memo holds; the oldest entry is dropped beyond it.
 _MEMO_SIZE = 16
 _MEMO: dict = {}
 
 
 def _memoized(key, build, static: bool = True) -> np.ndarray:
-    """build() stored under key, or built afresh when the multiplier may
-    change with time (static false) or key cannot be hashed."""
+    """build() stored under key, or built afresh when the array may change
+    with time (static false) or key cannot be hashed.
+
+    The one memo of time-independent lattice arrays: the drift and kick
+    multipliers here, and the pseudoparticle backtrack coordinates and
+    third-derivative multiplier.  A key starts with the name of what it
+    holds and carries everything the array depends on; stored arrays are
+    read-only."""
     if not static:
         return build()
     try:

@@ -129,26 +129,45 @@ class TestRunScenario:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_oracle_run_samples_each_checkpoint_once(self, tmp_path, monkeypatch):
+        self.check_sampling_passes(tmp_path, monkeypatch, "3 0 1.5",
+                                   [[0.0, 1.5, 3.0]])
+
+    def test_oracle_run_splits_checkpoints_into_passes(self, tmp_path,
+                                                       monkeypatch):
+        # more checkpoints than one sampling pass takes
+        self.check_sampling_passes(
+            tmp_path, monkeypatch,
+            " ".join(str(0.25 * k) for k in range(12, -1, -1)),
+            [[0.25 * k for k in range(8)], [0.25 * k for k in range(8, 13)]])
+
+    @staticmethod
+    def check_sampling_passes(tmp_path, monkeypatch, checkpoints, passes):
+        """An oracle run with ``checkpoints`` samples the times of each
+        of ``passes`` in one call, and each snapshot is byte-equal to
+        ``wigprop oracle field`` at its time."""
         from wigprop import oracle
-        times = []
-        sample = oracle.sample_field
+        calls = []
+        sample = oracle.sample_fields
 
-        def counting(state, t, grid):
-            times.append(t)
-            return sample(state, t, grid)
+        def counting(state, times, grid):
+            calls.append(list(times))
+            return sample(state, times, grid)
 
-        monkeypatch.setattr(oracle, "sample_field", counting)
-        text = SCENARIO_ORACLE.replace("checkpoints = 0 3", "checkpoints = 3 0 1.5")
+        monkeypatch.setattr(oracle, "sample_fields", counting)
+        text = SCENARIO_ORACLE.replace("checkpoints = 0 3",
+                                       f"checkpoints = {checkpoints}")
         outdir = run_scenario(parse_scenario_text(text), tmp_path / "run")
-        assert times == [0.0, 1.5, 3.0]
+        assert calls == passes
+        times = [t for call in calls for t in call]
+        assert times == sorted(set(times))
         # a stepped run samples only its initial field
-        times.clear()
+        calls.clear()
         run_scenario(parse_scenario_text(spectral_scenario()), tmp_path / "spec")
-        assert times == [0.0]
+        assert calls == [[0.0]]
 
         # each snapshot is the oracle field at its time, byte for byte
         monkeypatch.undo()
-        for t in (0.0, 1.5, 3.0):
+        for t in times:
             out = tmp_path / f"oracle_{t}.txt"
             res = CliRunner().invoke(main, [
                 "oracle", "field", "--t", str(t), "--nmax", "8",
@@ -374,6 +393,17 @@ class TestNonFinitePotentialParameters:
             assert res.exit_code == 3, res.output
             assert "numerical failure: step 1:" in res.output
             assert "finite" in res.output
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("method", ["lo", "nlo"])
+    def test_overflowing_force_exits_3(self, tmp_path, method):
+        # the force overflows to inf and sends backtracked points off to
+        # infinity, where the spline would read silent zeros
+        res = self._evolve(tmp_path, method, "harmonic k=1e308")
+        assert res.exit_code == 3, res.output
+        assert "numerical failure: step 1:" in res.output
+        assert "finite" in res.output
 
     def test_scenario_error_names_the_line(self, tmp_path):
         text = SCENARIO_ORACLE.replace("depth=1.0", "depth=-inf")
