@@ -432,6 +432,8 @@ class WignerFieldND:
                 f"values shape {values.shape} does not match grid {self.grid.shape()}")
         if not np.isfinite(values).all():
             raise NonFiniteFieldError("field values must be finite")
+        if not math.isfinite(self.time):
+            raise ValueError("time must be finite")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 

@@ -17,15 +17,36 @@ exactly.
 
 The multipliers depend only on the grid, dt and the mass (drift) or the
 potential and variant (kick), so each is built once and kept in a small
-bounded module-level memo that every step function consults; callers hold
-no plan object.  A kick is memoized only for a potential that declares
-``time_dependent = False`` and can be hashed; any other potential gets its
-kick rebuilt at every step time, so the memo never serves a kick built at
-another time.
+module-level memo, bounded in entries and in bytes, that every step
+function consults; callers hold no plan object.  A kick is memoized only
+for a potential that declares ``time_dependent = False`` and can be
+hashed; any other potential gets its kick rebuilt at every step time, so
+the memo never serves a kick built at another time.
+
+The separable 2-d/3-d step (``step_separable``) uses the same multipliers
+but applies each as real matrices.  Multiplying the half spectrum along an
+axis of n points by m is a circular convolution with c = irfft(m), that is
+the n x n matrix T[i, k] = c[(i - k) mod n], one for each index of the
+axes m depends on: each momentum p_j for the drift of x_j; for the kick
+along p_j, each x_j under a separable sum (whose kick phase is the 1-d
+phase of its term j) and each lattice point x under any other potential.
+A step copies the field into (p, x) order, multiplies every x_j line by
+its drift matrices with batched np.matmul, copies it back into (x, p)
+order and multiplies every p_j line by its kick matrices.  The axes are
+short by necessity, since the lattice holds n^(2d) values, and on lines
+of 32 points pocketfft's per-line overhead costs more than the extra
+arithmetic of a dense 32 x 32 product: a 32^4 step takes under a third of
+its rfft/irfft time.  The matrices of a static potential are memoized
+like the multipliers.  They hold n^3 values per axis for the drift and
+for a separable kick (256 KiB at n = 32), but n^(d+2) for the kick of a
+non-separable potential (8 MiB per axis at 32^4).  The 1-d steps keep
+their rfft/irfft code, so the command-line spectral runs compute exactly
+what they did.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -33,7 +54,7 @@ from numpy.fft import irfft, rfft
 
 from .phasespace import (HBAR, PhaseSpaceGrid, WignerField, WignerFieldND,
                          interpolate, norm, truncate_real)
-from .potentials import Potential
+from .potentials import Potential, SeparableSum
 
 _VARIANTS = ("full", "first_order")
 _DRIFT_MODES = ("spectral_shift", "interpolation")
@@ -57,20 +78,26 @@ class SpectralStepConfig:
             raise ValueError(f"drift_mode must be one of {_DRIFT_MODES}")
 
 
-#: Most arrays the memo holds; the oldest entry is dropped beyond it.
+#: Most arrays the memo holds; the oldest entries are dropped beyond it.
 _MEMO_SIZE = 16
+#: Most bytes the memo holds, likewise: room for the two 8 MiB kick
+#: matrix sets of a 32^4 step under a non-separable potential, or for
+#: eight 512^2 backtracks.
+_MEMO_BYTES = 32 * 2**20
 _MEMO: dict = {}
 
 
 def _memoized(key, build, static: bool = True) -> np.ndarray:
     """build() stored under key, or built afresh when the array may change
-    with time (static false) or key cannot be hashed.
+    with time (static false), key cannot be hashed, or the array alone
+    exceeds _MEMO_BYTES.
 
     The one memo of time-independent lattice arrays: the drift and kick
-    multipliers here, and the pseudoparticle backtrack coordinates and
-    third-derivative multiplier.  A key starts with the name of what it
-    holds and carries everything the array depends on; stored arrays are
-    read-only."""
+    multipliers and transfer matrices here, and the pseudoparticle
+    backtrack coordinates and third-derivative multiplier.  A key starts
+    with the name of what it holds and carries everything the array
+    depends on; stored arrays are read-only.  Entries are dropped oldest
+    first until both _MEMO_SIZE and _MEMO_BYTES hold."""
     if not static:
         return build()
     try:
@@ -80,8 +107,11 @@ def _memoized(key, build, static: bool = True) -> np.ndarray:
     if out is None:
         out = build()
         out.setflags(write=False)
-        if len(_MEMO) >= _MEMO_SIZE:
-            _MEMO.pop(next(iter(_MEMO)), None)
+        if out.nbytes > _MEMO_BYTES:
+            return out
+        while _MEMO and (len(_MEMO) >= _MEMO_SIZE or out.nbytes + sum(
+                a.nbytes for a in _MEMO.values()) > _MEMO_BYTES):
+            _MEMO.pop(next(iter(_MEMO)))
         _MEMO[key] = out
     return out
 
@@ -286,12 +316,19 @@ def _axis_shape(total: int, axis: int, n: int) -> list[int]:
 
 def _kick_phase_nd(grid, pot, t: float, dt: float, j: int) -> np.ndarray:
     """On-axis kick phase for axis j on the s_j >= 0 half; the result
-    broadcasts against the (x_1 ... x_d, p_1 ... p_d) field."""
+    broadcasts against the (x_1 ... x_d, p_1 ... p_d) field.
+
+    The terms of a separable sum other than term j cancel in the
+    difference, so its phase is the 1-d phase of term j on x_j alone."""
     d = grid.ndim
-    coords = [g.x_lattice.reshape(_axis_shape(2 * d, i, g.nx))
-              for i, g in enumerate(grid.axes)]
     g = grid.axes[j]
     half = g.np // 2 + 1
+    if isinstance(pot, SeparableSum):
+        shape = _axis_shape(2 * d, j, g.nx)
+        shape[d + j] = half
+        return _kick_phase(g, pot.terms[j], t, dt).reshape(shape)
+    coords = [axis.x_lattice.reshape(_axis_shape(2 * d, i, axis.nx))
+              for i, axis in enumerate(grid.axes)]
     s = g.s_lattice[:half].reshape(_axis_shape(2 * d, d + j, half))
     minus = list(coords)
     plus = list(coords)
@@ -301,6 +338,79 @@ def _kick_phase_nd(grid, pot, t: float, dt: float, j: int) -> np.ndarray:
     return _real_nyquist(np.exp(-1j * delta_v * dt / HBAR) + 0j, axis=d + j)
 
 
+def _transfer_matrices(multiplier: np.ndarray, axis: int, n: int,
+                       batch: tuple[int, ...], right: bool) -> np.ndarray:
+    """Real n x n matrices, shape batch + (n, n), one per batch index: T with
+    T @ v == irfft(multiplier * rfft(v), n) along axis, or with right its
+    transpose, which acts on row vectors from the right.  Without axis, the
+    multiplier's shape is batch with axes of size 1 inserted.
+
+    The half-spectrum multiply is a circular convolution with
+    c = irfft(multiplier), so T[i, k] = c[(i - k) mod n]."""
+    kernel = np.moveaxis(irfft(multiplier, n=n, axis=axis), axis, -1)
+    lag = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    return np.take(kernel.reshape(batch + (n,)), lag.T if right else lag, axis=-1)
+
+
+def _drift_matrices(g: PhaseSpaceGrid, dt: float, mass: float,
+                    right: bool) -> np.ndarray:
+    """The drift of one axis as one nx x nx matrix per momentum: (np, nx, nx)."""
+    return _memoized(("drift_nd", g, dt, mass, right), lambda: _transfer_matrices(
+        _drift_phase(g, dt, mass), 0, g.nx, (g.np,), right))
+
+
+def _kick_matrices(grid, pot, t: float, dt: float, j: int) -> np.ndarray:
+    """The kick along p_j as one np_j x np_j matrix per lattice point x,
+    with size 1 on the x axes the kick phase does not vary over; transposed
+    for the last axis."""
+    d = grid.ndim
+
+    def build():
+        phase = _kick_phase_nd(grid, pot, t, dt, j)
+        return _transfer_matrices(phase, d + j, grid.axes[j].np,
+                                  phase.shape[:d], right=j == d - 1)
+    return _memoized(("kick_nd", j, grid, pot, dt), build, static=_is_static(pot))
+
+
+def _apply_matrices(values: np.ndarray, mats: np.ndarray, j: int,
+                    out: np.ndarray) -> np.ndarray:
+    """values indexed (b_1 ... b_d, a_1 ... a_d), with axis a_j multiplied by
+    the matrices mats[b_1 ... b_d] (shape (..., n, n), broadcast over b),
+    written into the contiguous buffer out and returned in values' shape.
+
+    Every batch index is one small GEMM; the last axis is the row index of
+    its GEMMs, so its matrices come transposed and multiply from the right."""
+    d = values.ndim // 2
+    shape = values.shape
+    n = shape[d + j]
+    before = math.prod(shape[d:d + j])
+    if j == d - 1:
+        core = shape[:d] + (before, n)
+        np.matmul(values.reshape(core), mats, out=out.reshape(core))
+    else:
+        core = shape[:d] + (before, n, math.prod(shape[d + j + 1:]))
+        np.matmul(mats[..., None, :, :], values.reshape(core), out=out.reshape(core))
+    return out.reshape(shape)
+
+
+#: Rows per block when _swap_halves transposes: a block's strided writes
+#: stay in cache, so a 32^4 swap takes about 2 ms where numpy's
+#: transposing copy takes about 6 ms.
+_SWAP_ROWS = 32
+
+
+def _swap_halves(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(x_1 ... x_d, p_1 ... p_d) <-> (p_1 ... p_d, x_1 ... x_d), written
+    into the contiguous buffer out and returned in the swapped shape."""
+    d = values.ndim // 2
+    rows = math.prod(values.shape[:d])
+    flat = values.reshape(rows, -1)
+    swapped = out.reshape(flat.shape[::-1])
+    for i in range(0, rows, _SWAP_ROWS):
+        swapped[:, i:i + _SWAP_ROWS] = flat[i:i + _SWAP_ROWS].T
+    return out.reshape(values.shape[d:] + values.shape[:d])
+
+
 def step_separable(field_in: WignerFieldND, pot, t: float,
                    cfg: SpectralStepConfig) -> WignerFieldND:
     """Axis-by-axis drift and kick for 2-d/3-d lattices.
@@ -308,29 +418,34 @@ def step_separable(field_in: WignerFieldND, pot, t: float,
     The potential difference along each axis j uses shifts s_j e_j only,
     dropping the cross terms that couple different axes; the per-axis
     kernels commute, so sequential application realizes their product.
-    Exact when V is an additive sum of one-dimensional terms.  ``pot``
-    must expose value_nd(coords, t).
+    Exact when V is an additive sum of one-dimensional terms, and then a
+    ``SeparableSum`` must have one term per axis.  ``pot`` must expose
+    value_nd(coords, t).
     """
     grid = field_in.grid
     d = grid.ndim
     if d not in (2, 3):
         raise ValueError("separable stepping supports 2 or 3 dimensions only")
-    values = field_in.values
+    if isinstance(pot, SeparableSum) and len(pot.terms) != d:
+        raise ValueError(f"a separable sum of {len(pot.terms)} terms cannot "
+                         f"act on a {d}-d lattice")
 
-    # drift each x-axis by its conjugate momentum, with the 1-d phase
-    # placed on axes (j, d + j)
+    # two buffers, each sub-step reading one and writing the other; a fresh
+    # array per sub-step costs more in page faults than its GEMMs take
+    spare = np.empty(field_in.values.size)
+    values = _swap_halves(field_in.values, np.empty(field_in.values.size))
+
+    # drift each x_j by its conjugate momentum p_j, batched over p
     for j, g in enumerate(grid.axes):
-        phase = _drift_multiplier(g, cfg.dt, cfg.mass)
-        shape = _axis_shape(2 * d, j, phase.shape[0])
-        shape[d + j] = g.np
-        values = _apply_half(values, phase.reshape(shape), axis=j)
+        mats = _drift_matrices(g, cfg.dt, cfg.mass, right=j == d - 1)
+        values, spare = _apply_matrices(
+            values, mats.reshape(_axis_shape(d, j, g.np) + [g.nx, g.nx]), j,
+            spare), values
 
-    # kick per axis with the on-axis potential difference
+    # kick each p_j with the on-axis potential difference, batched over x
+    values, spare = _swap_halves(values, spare), values
     for j in range(d):
-        phase = _memoized(("kick_nd", j, grid, pot, cfg.dt),
-                          lambda: _kick_phase_nd(grid, pot, t, cfg.dt, j),
-                          static=_is_static(pot))
-        values = _apply_half(values, phase, axis=d + j)
+        values, spare = _apply_matrices(
+            values, _kick_matrices(grid, pot, t, cfg.dt, j), j, spare), values
 
-    values, _ = truncate_real(values, context="separable step")
     return WignerFieldND(grid=grid, values=values, time=field_in.time + cfg.dt)

@@ -7,7 +7,8 @@ from wigprop import (diff_metrics, interpolate, load_field, make_grid,
                      marginal_x, norm, save_field)
 from wigprop.oracle import (GaussianBasis, eigen_wavefunction, sample_field,
                             solve, superposition, wavefunction)
-from wigprop.phasespace import DEFAULT_GRID_SPEC, WignerField
+from wigprop.phasespace import (DEFAULT_GRID_SPEC, PhaseSpaceGridND, WignerField,
+                                WignerFieldND)
 
 DEFAULT_GRID = make_grid(*DEFAULT_GRID_SPEC)
 
@@ -224,3 +225,12 @@ class TestWignerFieldValidation:
         values[0, 0] = np.nan
         with pytest.raises(ValueError):
             WignerField(grid=DEFAULT_GRID, values=values)
+
+    @pytest.mark.parametrize("time", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time(self, time):
+        axis = make_grid(-1, 1, 4, -1, 1, 4)
+        grid_nd = PhaseSpaceGridND(axes=(axis, axis))
+        with pytest.raises(ValueError, match="time must be finite"):
+            WignerField(grid=axis, values=np.zeros(axis.shape()), time=time)
+        with pytest.raises(ValueError, match="time must be finite"):
+            WignerFieldND(grid=grid_nd, values=np.zeros(grid_nd.shape()), time=time)

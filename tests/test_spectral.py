@@ -265,6 +265,18 @@ class TestStepSeparable:
         with pytest.raises(ValueError):
             step_separable(f, pot, 0.0, SpectralStepConfig(dt=0.1))
 
+    def test_term_count_must_match_axes(self):
+        # a spare term would be ignored, and a missing one would leave
+        # its axis without a force
+        axis = make_grid(-6, 6, 4, -6, 6, 4)
+        cfg = SpectralStepConfig(dt=0.1)
+        for d, nterms in ((2, 3), (3, 1)):
+            grid = PhaseSpaceGridND(axes=(axis,) * d)
+            f = WignerFieldND(grid=grid, values=np.ones(grid.shape()))
+            pot = SeparableSum(terms=(Harmonic(k=1.0),) * nterms)
+            with pytest.raises(ValueError, match=f"{nterms} terms .* {d}-d"):
+                step_separable(f, pot, 0.0, cfg)
+
 
 class TestStepSeparable3D:
     def test_3d_factorizes_into_1d_steps(self):

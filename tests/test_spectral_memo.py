@@ -8,7 +8,8 @@ check that the memo never serves a kick built for another potential or at
 another time.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from wigprop import make_grid, spectral
 from wigprop.phasespace import (PhaseSpaceGridND, WignerField, WignerFieldND,
                                 norm)
 from wigprop.potentials import (Constant, GaussianWell, Harmonic, Linear,
-                                Potential, SeparableSum)
+                                Potential, RadialGaussianWell, SeparableSum)
 from wigprop.spectral import (SpectralStepConfig, _apply_kick, _kick_phase,
                               _kick_multiplier_first_order, drift, kick_full,
                               step_first_order, step_full, step_separable)
@@ -200,6 +201,30 @@ class TestMemoSafety:
             step_full(f, Harmonic(k=float(c)), 0.0, cfg)
         assert len(spectral._MEMO) == spectral._MEMO_SIZE
 
+    def test_memo_is_bounded_by_bytes(self, monkeypatch):
+        cfg = SpectralStepConfig(dt=0.1)
+        f = blob(GRID)
+        step_full(f, Harmonic(k=0.0), 0.0, cfg)
+        entry = max(m.nbytes for m in spectral._MEMO.values())
+        spectral._MEMO.clear()
+        monkeypatch.setattr(spectral, "_MEMO_BYTES", 3 * entry)
+        pots = [Harmonic(k=float(c)) for c in range(6)]
+        for pot in pots:
+            got = step_full(f, pot, 0.0, cfg)
+            want = reference_step(f, pot, 0.0, cfg.dt)
+            assert max_rel(got.values, want) <= 1e-12
+            assert sum(m.nbytes for m in spectral._MEMO.values()) <= 3 * entry
+        # the oldest entries went first, so the newest kicks are kept
+        kept = [key[3] for key in kick_keys()]
+        assert len(kept) >= 2 and kept == pots[-len(kept):]
+
+        # an array larger than the whole budget is used but never kept
+        spectral._MEMO.clear()
+        monkeypatch.setattr(spectral, "_MEMO_BYTES", entry - 1)
+        got = step_full(f, pots[1], 0.0, cfg)
+        assert max_rel(got.values, reference_step(f, pots[1], 0.0, cfg.dt)) <= 1e-12
+        assert spectral._MEMO == {}
+
     def test_cached_multipliers_are_read_only(self):
         step_full(blob(GRID), Harmonic(k=1.0), 0.0, SpectralStepConfig(dt=0.1))
         assert spectral._MEMO
@@ -268,3 +293,106 @@ class TestHalfSpectrumProperties:
         for after in (full, first):
             err = np.abs(after.sum(axis=1) - before).max()
             assert err <= 1e-12 * np.abs(before).max()
+
+
+# ---------------------------------------------------------------------------
+# the separable step's transfer matrices against its rfft formulation
+# ---------------------------------------------------------------------------
+
+def axis_shape(total, axis, n):
+    shape = [1] * total
+    shape[axis] = n
+    return shape
+
+
+def real_half_nyquist(phase, axis):
+    """The Nyquist bin, last on a half spectrum, kept at its real part."""
+    idx = [slice(None)] * phase.ndim
+    idx[axis] = -1
+    phase[tuple(idx)] = phase[tuple(idx)].real
+    return phase
+
+
+def on_axis_kick_phase(grid, pot, t, dt, j):
+    """exp(-i [V(x - s_j e_j / 2) - V(x + s_j e_j / 2)] dt) on the s_j >= 0
+    half from value_nd over the whole x lattice, Nyquist bin kept real."""
+    d = grid.ndim
+    coords = [g.x_lattice.reshape(axis_shape(2 * d, i, g.nx))
+              for i, g in enumerate(grid.axes)]
+    g = grid.axes[j]
+    half = g.np // 2 + 1
+    s = g.s_lattice[:half].reshape(axis_shape(2 * d, d + j, half))
+    minus, plus = list(coords), list(coords)
+    minus[j] = coords[j] - s / 2.0
+    plus[j] = coords[j] + s / 2.0
+    phase = np.exp(-1j * (pot.value_nd(minus, t) - pot.value_nd(plus, t)) * dt) + 0j
+    return real_half_nyquist(phase, axis=d + j)
+
+
+def rfft_step_separable(field, pot, t, cfg):
+    """step_separable as one rfft/irfft pair per sub-step and axis: the
+    drift multiplies the x_j half spectrum by the 1-d drift phase, the
+    kick the p_j half spectrum by the on-axis kick phase."""
+    grid = field.grid
+    d = grid.ndim
+    values = field.values
+    for j, g in enumerate(grid.axes):
+        kx = 2.0 * np.pi * np.fft.rfftfreq(g.nx, g.dx)
+        phase = real_half_nyquist(np.exp(-1j * kx[:, None] * g.p_lattice[None, :]
+                                         * cfg.dt / cfg.mass), axis=0)
+        shape = axis_shape(2 * d, j, phase.shape[0])
+        shape[d + j] = g.np
+        values = np.fft.irfft(np.fft.rfft(values, axis=j) * phase.reshape(shape),
+                              n=g.nx, axis=j)
+    for j, g in enumerate(grid.axes):
+        phase = on_axis_kick_phase(grid, pot, t, cfg.dt, j)
+        values = np.fft.irfft(np.fft.rfft(values, axis=d + j) * phase,
+                              n=g.np, axis=d + j)
+    return values
+
+
+#: Largest lattice (values per field) the separable property draws.
+SEPARABLE_CELLS = 2**18
+
+
+@st.composite
+def separable_cases(draw):
+    d = draw(st.sampled_from([2, 3]))
+    lengths = []
+    for k in range(2 * d):
+        room = SEPARABLE_CELLS // (math.prod(lengths) * 4 ** (2 * d - k - 1))
+        lengths.append(draw(st.sampled_from([n for n in (4, 8, 16, 32) if n <= room])))
+    lengths = draw(st.permutations(lengths))
+    axes = tuple(make_grid(-draw(st.floats(2.0, 12.0)), draw(st.floats(2.0, 12.0)),
+                           lengths[j],
+                           -draw(st.floats(2.0, 12.0)), draw(st.floats(2.0, 12.0)),
+                           lengths[d + j])
+                 for j in range(d))
+    grid = PhaseSpaceGridND(axes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    field = WignerFieldND(grid=grid, values=rng.random(grid.shape()))
+    terms = [draw(POTENTIALS) for _ in range(d)]
+    pot = draw(st.one_of(
+        st.just(SeparableSum(tuple(terms))),
+        st.builds(RadialGaussianWell, depth=st.floats(-2.0, 2.0),
+                  sigma=st.floats(0.3, 5.0)),
+        st.builds(lambda g, k: SeparableSum(tuple(
+            DrivenLinear(g=g) if i == k else term for i, term in enumerate(terms))),
+            st.floats(-3.0, 3.0), st.integers(0, d - 1))))
+    cfg = SpectralStepConfig(dt=draw(st.floats(1e-3, 0.5)), mass=draw(st.floats(0.2, 5.0)))
+    return field, pot, draw(st.floats(0.0, 2.0)), cfg
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(separable_cases())
+def test_separable_step_matches_rfft_formulation(case):
+    field, pot, t, cfg = case
+    before = field.values.copy()
+    # other step sizes and masses share the memo but never an entry
+    for cfg in (cfg, replace(cfg, dt=cfg.dt / 2), replace(cfg, mass=2 * cfg.mass)):
+        want = rfft_step_separable(field, pot, t, cfg)
+        for _ in range(2):      # built, then served from the memo if static
+            got = step_separable(field, pot, t, cfg)
+            assert np.abs(got.values - want).max() <= 1e-12 * np.abs(want).max()
+            assert got.time == field.time + cfg.dt
+    assert np.array_equal(field.values, before)
