@@ -19,9 +19,9 @@ import click
 import numpy as np
 
 from . import oracle, pseudoparticle, spectral
-from .phasespace import (DEFAULT_GRID_SPEC, NonFiniteFieldError,
-                         NumericalError, PhaseSpaceGrid, WignerField,
-                         diff_metrics, load_field, make_grid, norm, save_field)
+from .phasespace import (DEFAULT_GRID_SPEC, NumericalError, PhaseSpaceGrid,
+                         StepDiagnostics, WignerField, diff_metrics, evolve,
+                         load_field, make_grid, save_field)
 from .potentials import GaussianWell, parse_potential
 
 METHODS = ("spectral-full", "spectral-fo", "lo", "nlo", "oracle")
@@ -76,6 +76,7 @@ class Scenario:
     n_max: int = 10
     field_path: str | None = None
     source_text: str = dc_field(default="", repr=False)
+    lines: dict[str, int] = dc_field(default_factory=dict, repr=False)
 
 
 def _parse_float_list(raw: str) -> list[float]:
@@ -171,31 +172,50 @@ def parse_scenario_text(text: str) -> Scenario:
                   nsteps=nsteps, checkpoints=checkpoints, slices=slices,
                   mass=mass, initial_kind=initial_kind, amplitudes=amplitudes,
                   beta0_sq=beta0_sq, n_max=n_max, field_path=field_path,
-                  source_text=text)
+                  source_text=text,
+                  lines={key: lineno for (_, key), (_, lineno) in entries.items()})
     _validate_scenario(sc)
     return sc
 
 
 def _validate_scenario(sc: Scenario) -> None:
-    if not sc.t1 > sc.t0:
-        raise ConfigError("t1 must exceed t0")
-    if sc.nsteps < 1:
-        raise ConfigError("nsteps must be at least 1")
+    """Range checks; each error names the line of its key, when it has one.
+    Every check is written so that a NaN fails it."""
+    def check(ok, key: str, message: str) -> None:
+        if not ok:
+            raise ConfigError(message, sc.lines.get(key))
+
+    check(math.isfinite(sc.t0), "t0", "t0 must be finite")
+    check(math.isfinite(sc.t1), "t1", "t1 must be finite")
+    check(sc.t1 > sc.t0, "t1", "t1 must exceed t0")
+    check(sc.nsteps >= 1, "nsteps", "nsteps must be at least 1")
+    check(0 < sc.mass < math.inf, "mass", "mass must be positive and finite")
     dt = (sc.t1 - sc.t0) / sc.nsteps
     for tc in sc.checkpoints:
-        if tc < sc.t0 - 1e-9 or tc > sc.t1 + 1e-9:
-            raise ConfigError(f"checkpoint {tc} outside [{sc.t0}, {sc.t1}]")
+        check(sc.t0 - 1e-9 <= tc <= sc.t1 + 1e-9, "checkpoints",
+              f"checkpoint {tc} outside [{sc.t0}, {sc.t1}]")
         k = round((tc - sc.t0) / dt)
-        if sc.method != "oracle" and abs(sc.t0 + k * dt - tc) > 1e-9:
-            raise ConfigError(
-                f"checkpoint {tc} does not land on a step boundary (dt={dt})")
+        check(sc.method == "oracle" or abs(sc.t0 + k * dt - tc) <= 1e-9,
+              "checkpoints", f"checkpoint {tc} does not land on a step boundary "
+              f"(dt={dt})")
     for pv in sc.slices:
-        if pv < sc.grid.p_min or pv > sc.grid.p_max:
-            raise ConfigError(f"slice momentum {pv} outside grid p-bounds")
-    if sc.initial_kind == "oracle" and not isinstance(sc.potential, GaussianWell):
-        raise ConfigError("oracle initial states require potential = gaussian_well")
-    if sc.method == "oracle" and sc.initial_kind != "oracle":
-        raise ConfigError("method = oracle requires an oracle initial state")
+        check(sc.grid.p_min <= pv <= sc.grid.p_max, "slices",
+              f"slice momentum {pv} outside grid p-bounds")
+    if sc.initial_kind == "oracle":
+        check(isinstance(sc.potential, GaussianWell), "potential",
+              "oracle initial states require potential = gaussian_well")
+        check(0 < sc.beta0_sq < math.inf, "beta0_sq",
+              "beta0_sq must be positive and finite")
+        check(sc.n_max >= 2, "n_max", "n_max must be at least 2")
+        # the state is normalized by this sum, which fails to be positive
+        # and finite for a NaN or inf, all zeros, or squares that overflow
+        # or underflow
+        squares = sum(a * a for a in sc.amplitudes)
+        check(0 < squares < math.inf and len(sc.amplitudes) <= sc.n_max,
+              "amplitudes", "amplitudes must be at most n_max numbers whose "
+              "squares sum to a positive finite double")
+    check(sc.method != "oracle" or sc.initial_kind == "oracle", "method",
+          "method = oracle requires an oracle initial state")
 
 
 def parse_scenario(path) -> Scenario:
@@ -252,7 +272,7 @@ def run_scenario(sc: Scenario, outdir) -> Path:
 
     dt = (sc.t1 - sc.t0) / sc.nsteps
     want = sorted(set(round((tc - sc.t0) / dt) for tc in sc.checkpoints))
-    diag_rows: list[tuple] = []
+    diag_rows: list[StepDiagnostics] = []
     warnings: list[str] = []
 
     def emit(f: WignerField):
@@ -269,54 +289,35 @@ def run_scenario(sc: Scenario, outdir) -> Path:
             for f in oracle.sample_fields(state, times[start:start + _ORACLE_PASS],
                                           sc.grid):
                 emit(f)
-                diag_rows.append((len(diag_rows), f.time, norm(f),
-                                  float(f.values.min()), float(f.values.max())))
+                diag_rows.append(StepDiagnostics.of(len(diag_rows), f))
     else:
-        current = _initial_state(sc)
-        if 0 in want:
-            emit(current)
-        diag_rows.append((0, current.time, norm(current),
-                          float(current.values.min()), float(current.values.max())))
+        def start() -> WignerField:
+            # no local name holds the initial field, so the driver frees it
+            # after the first step, as it does every later field
+            f = _initial_state(sc)
+            if 0 in want:
+                emit(f)
+            diag_rows.append(StepDiagnostics.of(0, f))
+            return f
+
         if sc.method in ("spectral-full", "spectral-fo"):
             variant = "full" if sc.method == "spectral-full" else "first_order"
             cfg = spectral.SpectralStepConfig(dt=dt, mass=sc.mass, variant=variant)
-            stepper = lambda f, t: spectral.step(f, sc.potential, t, cfg)
+            step = lambda f, t: spectral.step(f, sc.potential, t, cfg)
         else:
-            order = 0 if sc.method == "lo" else 1
-            cutoff = None
-            if order == 1:
-                cutoff = pseudoparticle.stable_p3_cutoff(
-                    sc.grid, sc.potential, sc.t0, dt)
-
-            def stepper(f, t, _order=order, _cut=cutoff):
-                out = pseudoparticle.step_lo(f, sc.potential, t, dt, mass=sc.mass)
-                if _order == 1:
-                    out = pseudoparticle.nlo_correction(
-                        out, sc.potential, t, dt, s_cutoff=_cut)
-                return out
-
-        norm0 = norm(current)
-        for k in range(1, sc.nsteps + 1):
-            try:
-                current = stepper(current, sc.t0 + (k - 1) * dt)
-            except NonFiniteFieldError as exc:
-                raise NumericalError(f"step {k}: {exc}") from None
-            n = norm(current)
-            diag_rows.append((k, current.time, n, float(current.values.min()),
-                              float(current.values.max())))
-            if abs(n) > 1e6 * max(1.0, abs(norm0)):
-                raise NumericalError(f"norm blow-up at step {k}: {n:.3e}")
-            if norm0 != 0.0 and abs(n - norm0) > spectral.NORM_DRIFT_WARN * abs(norm0):
-                warnings.append(f"step {k}: relative norm drift "
-                                f"{abs(n - norm0) / abs(norm0):.3e}")
-            if k in want:
-                emit(current)
+            step = pseudoparticle.stepper(sc.grid, sc.potential, sc.t0, dt,
+                                          order=0 if sc.method == "lo" else 1,
+                                          mass=sc.mass)
+        result = evolve(step, start(), sc.t0, dt, sc.nsteps,
+                        on_step=lambda k, f: emit(f) if k in want else None)
+        diag_rows += result.diagnostics
+        warnings = result.warnings
 
     with open(outdir / "diagnostics.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "time", "norm", "min", "max"])
-        for row in diag_rows:
-            writer.writerow([row[0]] + [_fmt(v) for v in row[1:]])
+        for d in diag_rows:
+            writer.writerow([d.step] + [_fmt(v) for v in (d.time, d.norm, d.min, d.max)])
     if warnings:
         (outdir / "warnings.txt").write_text("\n".join(warnings) + "\n")
     return outdir
@@ -533,9 +534,9 @@ def evolve_cmd(method, potential_raw, initial_path, t0, t1, nsteps, dt,
     def body():
         nonlocal nsteps
         if dt is not None:
-            steps = (t1 - t0) / dt
-            if abs(steps - round(steps)) > 1e-9:
-                raise ConfigError("dt must divide t1 - t0 evenly")
+            steps = (t1 - t0) / dt if 0 < dt < math.inf else math.nan
+            if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9):
+                raise ConfigError("dt must be positive and divide t1 - t0 evenly")
             nsteps = int(round(steps))
         try:
             loaded = load_field(initial_path)
@@ -545,12 +546,15 @@ def evolve_cmd(method, potential_raw, initial_path, t0, t1, nsteps, dt,
             pot = parse_potential(potential_raw)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        try:
+            times = _parse_float_list(checkpoints) if checkpoints else [t1]
+            momenta = _parse_float_list(slices)
+        except ValueError as exc:
+            raise ConfigError(f"--checkpoints and --slices take numbers: {exc}"
+                              ) from None
         sc = Scenario(grid=loaded.grid, potential=pot, method=method, t0=t0,
-                      t1=t1, nsteps=nsteps,
-                      checkpoints=_parse_float_list(checkpoints) if checkpoints
-                      else [t1],
-                      slices=_parse_float_list(slices), mass=mass,
-                      initial_kind="file", field_path=initial_path,
+                      t1=t1, nsteps=nsteps, checkpoints=times, slices=momenta,
+                      mass=mass, initial_kind="file", field_path=initial_path,
                       source_text=f"# generated by 'wigprop evolve'\n")
         _validate_scenario(sc)
         run_scenario(sc, outdir)

@@ -2,9 +2,9 @@
 
 Uniform rectangular (x, p) lattices with the conjugate s-lattice derived
 from the momentum axis, plus the field container and the shared operations
-every propagator needs: norm, marginals, interpolation, difference metrics
-and plain-text serialization.  All quantities are dimensionless with
-hbar = 1.
+every propagator needs: norm, the stepping driver, marginals,
+interpolation, difference metrics and plain-text serialization.  All
+quantities are dimensionless with hbar = 1.
 """
 
 from __future__ import annotations
@@ -176,6 +176,76 @@ def norm(field: WignerField) -> float:
     return float(field.values.sum() * g.dx * g.dp)
 
 
+@dataclass(frozen=True)
+class StepDiagnostics:
+    step: int
+    time: float
+    norm: float
+    min: float
+    max: float
+
+    @classmethod
+    def of(cls, step: int, field: WignerField) -> StepDiagnostics:
+        """The row of ``field``, the state after step ``step``."""
+        return cls(step=step, time=field.time, norm=norm(field),
+                   min=float(field.values.min()), max=float(field.values.max()))
+
+
+@dataclass
+class EvolveResult:
+    field: WignerField
+    diagnostics: list[StepDiagnostics]
+    warnings: list[str]
+
+
+#: Relative norm drift above which evolve() records a warning.
+NORM_DRIFT_WARN = 1e-6
+
+
+def step_size(t0: float, t1: float, nsteps: int) -> float:
+    """(t1 - t0) / nsteps, after checking that nsteps >= 1 and t1 > t0."""
+    if nsteps < 1:
+        raise ValueError("nsteps must be at least 1")
+    if not t1 > t0:
+        raise ValueError("t1 must exceed t0")
+    return (t1 - t0) / nsteps
+
+
+def evolve(step, field: WignerField, t0: float, dt: float, nsteps: int,
+           on_step=None) -> EvolveResult:
+    """Apply ``step(field, t)`` nsteps times, the k-th at t = t0 + (k-1) dt,
+    with one ``StepDiagnostics`` row per step.
+
+    The one stepping loop of every propagator and command.  A relative norm
+    drift beyond NORM_DRIFT_WARN is recorded as a warning, not an error (a
+    field that leaves the lattice loses norm at its edges).  A norm beyond
+    1e6 times max(1, |initial norm|) raises ``NumericalError``, and so does
+    a step that raises ``NonFiniteFieldError``; both messages name the
+    step.  ``on_step(k, field)`` is called after the k-th step's checks.
+
+    Only the latest field is referenced here, so a caller that keeps no
+    reference to the initial field has it freed after the first step.
+    """
+    rows: list[StepDiagnostics] = []
+    warnings: list[str] = []
+    norm0 = norm(field)
+    for k in range(1, nsteps + 1):
+        try:
+            field = step(field, t0 + (k - 1) * dt)
+        except NonFiniteFieldError as exc:
+            raise NumericalError(f"step {k}: {exc}") from None
+        rows.append(StepDiagnostics.of(k, field))
+        n = rows[-1].norm
+        if abs(n) > 1e6 * max(1.0, abs(norm0)):
+            raise NumericalError(f"norm blow-up at step {k}: {n:.3e}")
+        if norm0 != 0.0 and abs(n - norm0) > NORM_DRIFT_WARN * abs(norm0):
+            warnings.append(
+                f"step {k}: relative norm drift {abs(n - norm0) / abs(norm0):.3e}")
+        if on_step is not None:
+            on_step(k, field)
+    return EvolveResult(field=field, diagnostics=rows, warnings=warnings)
+
+
 def marginal_x(field: WignerField) -> np.ndarray:
     """Position density rho(x_i) = (dp / 2*pi*hbar) * sum_j f(x_i, p_j)."""
     g = field.grid
@@ -258,9 +328,6 @@ def by_rows(fn, n: int) -> None:
             raise error
 
 
-_INTERP_ORDER = {"bicubic": 3, "bilinear": 1}
-
-
 def _spline_coefficients(values: np.ndarray) -> np.ndarray:
     """Cubic B-spline coefficients of a lattice, as ``map_coordinates``
     computes them with ``prefilter=True, mode="constant"``: filtered along
@@ -277,35 +344,31 @@ def _spline_coefficients(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _evaluate(field: WignerField, method: str, shape: tuple, coords) -> np.ndarray:
-    """The field's spline at the lattice coordinates ``coords(rows)``
+def _evaluate(field: WignerField, shape: tuple, coords) -> np.ndarray:
+    """The field's cubic spline at the lattice coordinates ``coords(rows)``
     returns for each block of rows of an output of ``shape`` (at least
     2-d); out-of-grid points give 0."""
     # imported here so that commands which never interpolate do not load
     # scipy.ndimage (about 0.3 s at process start)
     from scipy.ndimage import map_coordinates
 
-    if method not in _INTERP_ORDER:
-        raise ValueError(f"unknown interpolation method {method!r}")
-    order = _INTERP_ORDER[method]
-    coeffs = _spline_coefficients(field.values) if order > 1 else field.values
+    coeffs = _spline_coefficients(field.values)
     out = np.empty(shape)
     by_rows(lambda rows: map_coordinates(
-        coeffs, coords(rows), output=out[rows], order=order, mode="constant",
+        coeffs, coords(rows), output=out[rows], order=3, mode="constant",
         cval=0.0, prefilter=False), shape[0])
     return out
 
 
-def at_lattice_coordinates(field: WignerField, coords: np.ndarray,
-                           method: str = "bicubic") -> np.ndarray:
+def at_lattice_coordinates(field: WignerField, coords: np.ndarray) -> np.ndarray:
     """Interpolate the field at lattice coordinates: ``coords[0]`` holds
     (x - x_min) / dx and ``coords[1]`` holds (p - p_min) / dp, each at
     least 2-d.  Gives the bits ``interpolate`` gives at those (x, p)."""
-    return _evaluate(field, method, coords.shape[1:], lambda rows: coords[:, rows])
+    return _evaluate(field, coords.shape[1:], lambda rows: coords[:, rows])
 
 
-def interpolate(field: WignerField, x, p, method: str = "bicubic"):
-    """Interpolate the field at arbitrary (x, p) points.
+def interpolate(field: WignerField, x, p):
+    """Bicubic spline interpolation of the field at arbitrary (x, p) points.
 
     Points outside the grid bounds return 0 (fields are treated as
     compactly supported).  ``x`` and ``p`` broadcast against each other;
@@ -315,8 +378,8 @@ def interpolate(field: WignerField, x, p, method: str = "bicubic"):
     ``by_rows``, over blocks of the leading axis of the broadcast points
     (a 1-d list of points is one block), and each block's lattice
     coordinates are computed and freed with it.  Each value is computed
-    exactly as one ``map_coordinates(..., mode="constant")`` call over all
-    points computes it, whatever the number of CPUs.
+    exactly as one ``map_coordinates(..., order=3, mode="constant")`` call
+    over all points computes it, whatever the number of CPUs.
     """
     g = field.grid
     x_min, dx, p_min, dp = g.x_min, g.dx, g.p_min, g.dp
@@ -324,7 +387,7 @@ def interpolate(field: WignerField, x, p, method: str = "bicubic"):
     flat = xs.ndim == 1
     if flat:
         xs, ps = xs[None], ps[None]
-    out = _evaluate(field, method, xs.shape,
+    out = _evaluate(field, xs.shape,
                     lambda rows: [(xs[rows] - x_min) / dx, (ps[rows] - p_min) / dp])
     if np.ndim(x) == 0 and np.ndim(p) == 0:
         return float(out[0, 0])

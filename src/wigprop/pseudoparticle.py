@@ -18,13 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .phasespace import (_BLOCK_ROWS, HBAR, NonFiniteFieldError,
+from .phasespace import (_BLOCK_ROWS, HBAR, EvolveResult, NonFiniteFieldError,
                          NumericalError, PhaseSpaceGrid, WignerField,
-                         at_lattice_coordinates, norm, truncate_real,
+                         at_lattice_coordinates, step_size, truncate_real,
                          write_rows)
+from .phasespace import evolve as _drive
 from .potentials import Potential
-from .spectral import (NORM_DRIFT_WARN, EvolveResult, StepDiagnostics,
-                       _is_static, _memoized)
+from .spectral import _is_static, _memoized
 
 
 def _backtrack_coordinates(grid: PhaseSpaceGrid, pot: Potential, t: float,
@@ -52,11 +52,11 @@ def _backtrack_coordinates(grid: PhaseSpaceGrid, pot: Potential, t: float,
 
 
 def step_lo(field_in: WignerField, pot: Potential, t: float, dt: float,
-            mass: float = 1.0, method: str = "bicubic") -> WignerField:
+            mass: float = 1.0) -> WignerField:
     """Lowest-order step on the fixed lattice.
 
-    Each node (x, p) takes the interpolated old value at the backtracked
-    point (x - p dt/m, p + V'(x0) dt) with x0 = x - p dt/m.  The force is
+    Each node (x, p) takes the bicubic-interpolated old value at the
+    backtracked point (x - p dt/m, p + V'(x0) dt) with x0 = x - p dt/m.  The force is
     evaluated at the backtracked position, not at the output node: that
     makes the one-step map exactly area-preserving (backward symplectic
     Euler), while the output-node force inflates phase-space volumes by
@@ -75,7 +75,7 @@ def step_lo(field_in: WignerField, pot: Potential, t: float, dt: float,
     coords = _memoized(("backtrack", grid, pot, dt, mass),
                        lambda: _backtrack_coordinates(grid, pot, t, dt, mass),
                        static=_is_static(pot))
-    values = at_lattice_coordinates(field_in, coords, method)
+    values = at_lattice_coordinates(field_in, coords)
     return WignerField(grid=grid, values=values, time=field_in.time + dt)
 
 
@@ -104,28 +104,14 @@ def _spectral_p3(values: np.ndarray, grid: PhaseSpaceGrid,
     return third
 
 
-def d_p3(field_in: WignerField, mode: str = "spectral",
-         s_cutoff: float | None = None) -> WignerField:
-    """Third momentum derivative of the field.
-
-    spectral: multiply the p-spectrum by (i s / hbar)^3; optionally zero
-    all modes with |s| > s_cutoff (band limiting).  The unpaired Nyquist
-    mode is always dropped, as for any odd-order spectral derivative.
-    finite_difference: 5-point centered stencil, exact for cubics; the
-    two-node bands at the p-boundaries are left at zero.
+def d_p3(field_in: WignerField, s_cutoff: float | None = None) -> WignerField:
+    """Third momentum derivative of the field: the p-spectrum times
+    (i s / hbar)^3, with every mode of |s| > s_cutoff zeroed when a cutoff
+    is given (band limiting).  The unpaired Nyquist mode is always dropped,
+    as for any odd-order spectral derivative.
     """
-    grid = field_in.grid
-    if mode == "spectral":
-        values = _spectral_p3(field_in.values, grid, s_cutoff)
-    elif mode == "finite_difference":
-        f = field_in.values
-        values = np.zeros_like(f)
-        h3 = grid.dp**3
-        values[:, 2:-2] = (-f[:, :-4] + 2.0 * f[:, 1:-3]
-                           - 2.0 * f[:, 3:-1] + f[:, 4:]) / (2.0 * h3)
-    else:
-        raise ValueError("mode must be 'spectral' or 'finite_difference'")
-    return WignerField(grid=grid, values=values, time=field_in.time)
+    return WignerField(grid=field_in.grid, time=field_in.time,
+                       values=_spectral_p3(field_in.values, field_in.grid, s_cutoff))
 
 
 def nlo_correction(field_lo: WignerField, pot: Potential, t: float, dt: float,
@@ -173,46 +159,28 @@ def stable_p3_cutoff(grid: PhaseSpaceGrid, pot: Potential, t: float, dt: float,
     return min(s_max, (24.0 * safety / (dt * v3max)) ** (1.0 / 3.0))
 
 
-def evolve(field_in: WignerField, pot: Potential, t0: float, t1: float,
-           nsteps: int, order: int = 0, mass: float = 1.0,
-           method: str = "bicubic", s_cutoff: float | str | None = "auto"
-           ) -> EvolveResult:
-    """Repeated pseudoparticle stepping with per-step diagnostics.
-
-    order = 0 runs the plain transported step; order = 1 corrects each
-    transported field before it seeds the next step.  s_cutoff 'auto'
-    band-limits the third derivative at the stability bound; None applies
-    no band limit (safe only on coarse momentum lattices).
-    """
-    if nsteps < 1:
-        raise ValueError("nsteps must be at least 1")
-    if not t1 > t0:
-        raise ValueError("t1 must exceed t0")
+def stepper(grid: PhaseSpaceGrid, pot: Potential, t0: float, dt: float,
+            order: int = 0, mass: float = 1.0):
+    """The step ``f, t -> f at t + dt`` of a run from t0: the transported
+    step (order 0, ``lo``), or with order 1 (``nlo``) the transported field
+    corrected before it seeds the next step, its third derivative
+    band-limited at the stability bound at t0."""
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
-    dt = (t1 - t0) / nsteps
-    cutoff = None
-    if order == 1 and s_cutoff == "auto":
-        cutoff = stable_p3_cutoff(field_in.grid, pot, t0, dt)
-    elif isinstance(s_cutoff, (int, float)):
-        cutoff = float(s_cutoff)
-    result = EvolveResult(field=field_in)
-    norm0 = norm(field_in)
-    current = field_in
-    for k in range(nsteps):
-        t = t0 + k * dt
-        current = step_lo(current, pot, t, dt, mass=mass, method=method)
-        if order == 1:
-            current = nlo_correction(current, pot, t, dt, s_cutoff=cutoff)
-        n = norm(current)
-        result.diagnostics.append(StepDiagnostics(
-            step=k + 1, time=current.time, norm=n,
-            min=float(current.values.min()), max=float(current.values.max())))
-        if norm0 != 0.0 and abs(n - norm0) > NORM_DRIFT_WARN * abs(norm0):
-            result.warnings.append(
-                f"step {k + 1}: relative norm drift {abs(n - norm0) / abs(norm0):.3e}")
-    result.field = current
-    return result
+    if order == 0:
+        return lambda f, t: step_lo(f, pot, t, dt, mass=mass)
+    cutoff = stable_p3_cutoff(grid, pot, t0, dt)
+    return lambda f, t: nlo_correction(step_lo(f, pot, t, dt, mass=mass),
+                                       pot, t, dt, s_cutoff=cutoff)
+
+
+def evolve(field_in: WignerField, pot: Potential, t0: float, t1: float,
+           nsteps: int, order: int = 0, mass: float = 1.0) -> EvolveResult:
+    """``phasespace.evolve`` of the order-``order`` ``stepper`` from t0 to
+    t1 in nsteps steps of (t1 - t0) / nsteps."""
+    dt = step_size(t0, t1, nsteps)
+    return _drive(stepper(field_in.grid, pot, t0, dt, order, mass),
+                  field_in, t0, dt, nsteps)
 
 
 # ---------------------------------------------------------------------------

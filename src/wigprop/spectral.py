@@ -47,17 +47,19 @@ what they did.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .phasespace import (HBAR, PhaseSpaceGrid, WignerField, WignerFieldND,
-                         interpolate, norm, truncate_real)
+# NORM_DRIFT_WARN and StepDiagnostics are re-exported with EvolveResult
+from .phasespace import (HBAR, NORM_DRIFT_WARN, EvolveResult, PhaseSpaceGrid,
+                         StepDiagnostics, WignerField, WignerFieldND,
+                         step_size, truncate_real)
+from .phasespace import evolve as _drive
 from .potentials import Potential, SeparableSum
 
 _VARIANTS = ("full", "first_order")
-_DRIFT_MODES = ("spectral_shift", "interpolation")
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,6 @@ class SpectralStepConfig:
     dt: float
     mass: float = 1.0
     variant: str = "full"
-    drift_mode: str = "spectral_shift"
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -74,8 +75,6 @@ class SpectralStepConfig:
             raise ValueError("mass must be positive")
         if self.variant not in _VARIANTS:
             raise ValueError(f"variant must be one of {_VARIANTS}")
-        if self.drift_mode not in _DRIFT_MODES:
-            raise ValueError(f"drift_mode must be one of {_DRIFT_MODES}")
 
 
 #: Most arrays the memo holds; the oldest entries are dropped beyond it.
@@ -155,24 +154,12 @@ def _spectral_shift_rows(values: np.ndarray, grid: PhaseSpaceGrid,
                          context="spectral drift")
 
 
-def drift(field_in: WignerField, dt: float, mass: float = 1.0,
-          drift_mode: str = "spectral_shift") -> WignerField:
-    """Free-streaming substitution: row at momentum p shifts by p*dt/m in x.
-
-    spectral_shift applies the exact phase in the x-conjugate domain and
-    wraps periodically; interpolation resamples with out-of-bounds = 0 and
-    therefore leaks norm at the edges instead of wrapping.
-    """
-    grid = field_in.grid
-    if drift_mode == "spectral_shift":
-        values, _ = _spectral_shift_rows(field_in.values, grid, dt, mass)
-    elif drift_mode == "interpolation":
-        xq = grid.x_lattice[:, None] - grid.p_lattice[None, :] * (dt / mass)
-        pq = np.broadcast_to(grid.p_lattice[None, :], grid.shape())
-        values = interpolate(field_in, xq, pq)
-    else:
-        raise ValueError(f"drift_mode must be one of {_DRIFT_MODES}")
-    return WignerField(grid=grid, values=values, time=field_in.time)
+def drift(field_in: WignerField, dt: float, mass: float = 1.0) -> WignerField:
+    """Free-streaming substitution: row at momentum p shifts by p*dt/m in x,
+    through the exact phase in the x-conjugate domain, wrapping
+    periodically."""
+    values, _ = _spectral_shift_rows(field_in.values, field_in.grid, dt, mass)
+    return WignerField(grid=field_in.grid, values=values, time=field_in.time)
 
 
 def _delta_v(grid: PhaseSpaceGrid, pot: Potential, t: float) -> np.ndarray:
@@ -220,14 +207,19 @@ def kick_full(field_in: WignerField, pot: Potential, t: float,
     return WignerField(grid=field_in.grid, values=values, time=field_in.time)
 
 
+def _drift_kick(field_in: WignerField, pot: Potential, t: float,
+                cfg: SpectralStepConfig, variant: str) -> WignerField:
+    drifted = drift(field_in, cfg.dt, cfg.mass)
+    values, _ = _apply_kick(drifted.values,
+                            _kick_multiplier(field_in.grid, pot, t, cfg.dt, variant))
+    return WignerField(grid=field_in.grid, values=values,
+                       time=field_in.time + cfg.dt)
+
+
 def step_full(field_in: WignerField, pot: Potential, t: float,
               cfg: SpectralStepConfig) -> WignerField:
     """One full explicit step: drift, then kick; time advances by cfg.dt."""
-    drifted = drift(field_in, cfg.dt, cfg.mass, cfg.drift_mode)
-    values, _ = _apply_kick(drifted.values,
-                            _kick_multiplier(field_in.grid, pot, t, cfg.dt, "full"))
-    return WignerField(grid=field_in.grid, values=values,
-                       time=field_in.time + cfg.dt)
+    return _drift_kick(field_in, pot, t, cfg, "full")
 
 
 def step_first_order(field_in: WignerField, pot: Potential, t: float,
@@ -237,11 +229,7 @@ def step_first_order(field_in: WignerField, pot: Potential, t: float,
     Valid while dt * |V| / hbar stays well below one; the full variant has
     no such restriction.
     """
-    drifted = drift(field_in, cfg.dt, cfg.mass, cfg.drift_mode)
-    values, _ = _apply_kick(drifted.values, _kick_multiplier(
-        field_in.grid, pot, t, cfg.dt, "first_order"))
-    return WignerField(grid=field_in.grid, values=values,
-                       time=field_in.time + cfg.dt)
+    return _drift_kick(field_in, pot, t, cfg, "first_order")
 
 
 def step(field_in: WignerField, pot: Potential, t: float,
@@ -252,56 +240,12 @@ def step(field_in: WignerField, pot: Potential, t: float,
     return step_first_order(field_in, pot, t, cfg)
 
 
-@dataclass(frozen=True)
-class StepDiagnostics:
-    step: int
-    time: float
-    norm: float
-    min: float
-    max: float
-
-
-@dataclass
-class EvolveResult:
-    field: WignerField
-    diagnostics: list[StepDiagnostics] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-
-
-#: Relative norm drift above which evolve() records a warning.
-NORM_DRIFT_WARN = 1e-6
-
-
 def evolve(field_in: WignerField, pot: Potential, t0: float, t1: float,
            nsteps: int, cfg: SpectralStepConfig) -> EvolveResult:
-    """Repeated stepping from t0 to t1 with per-step diagnostics.
-
-    The step size is (t1 - t0) / nsteps; cfg.dt is overridden accordingly.
-    Norm drift beyond NORM_DRIFT_WARN (relative) is recorded as a warning,
-    not an error, because the interpolation drift mode loses norm by design
-    when the field touches the boundary.
-    """
-    if nsteps < 1:
-        raise ValueError("nsteps must be at least 1")
-    if not t1 > t0:
-        raise ValueError("t1 must exceed t0")
-    dt = (t1 - t0) / nsteps
-    cfg = replace(cfg, dt=dt)
-    result = EvolveResult(field=field_in)
-    norm0 = norm(field_in)
-    current = field_in
-    for k in range(nsteps):
-        t = t0 + k * dt
-        current = step(current, pot, t, cfg)
-        n = norm(current)
-        result.diagnostics.append(StepDiagnostics(
-            step=k + 1, time=current.time, norm=n,
-            min=float(current.values.min()), max=float(current.values.max())))
-        if norm0 != 0.0 and abs(n - norm0) > NORM_DRIFT_WARN * abs(norm0):
-            result.warnings.append(
-                f"step {k + 1}: relative norm drift {abs(n - norm0) / abs(norm0):.3e}")
-    result.field = current
-    return result
+    """``phasespace.evolve`` of ``step`` from t0 to t1 in nsteps steps of
+    (t1 - t0) / nsteps, which overrides cfg.dt."""
+    cfg = replace(cfg, dt=step_size(t0, t1, nsteps))
+    return _drive(lambda f, t: step(f, pot, t, cfg), field_in, t0, cfg.dt, nsteps)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from wigprop.cli import (ConfigError, compare_runs, main, parse_scenario_text,
-                         run_scenario)
+from wigprop.cli import (_SECTION_KEYS, ConfigError, compare_runs, main,
+                         parse_scenario_text, run_scenario)
 from wigprop.phasespace import load_field
 
 SCENARIO_ORACLE = """\
@@ -417,6 +417,71 @@ class TestNonFinitePotentialParameters:
         assert "line 10" in res.output
 
 
+def _with(text, key, value):
+    """text with ``key = value``: in place of the key's line, or else as
+    the first line of the key's section."""
+    lines = text.splitlines()
+    keys = [line.split("=")[0].strip() for line in lines]
+    if key in keys:
+        lines[keys.index(key)] = f"{key} = {value}"
+    else:
+        section = next(name for name, names in _SECTION_KEYS.items() if key in names)
+        lines.insert(lines.index(f"[{section}]") + 1, f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+class TestBadValuesExit2:
+    """Out-of-range and non-finite values are configuration errors (exit 2)
+    that name their scenario line, not a traceback (exit 1), a numerical
+    failure (exit 3) or a silently wrong run (exit 0)."""
+
+    @pytest.mark.parametrize("method, key, value", [
+        ("spectral-full", "mass", "0"), ("spectral-full", "mass", "nan"),
+        ("lo", "mass", "0"), ("lo", "mass", "nan"),
+        ("spectral-full", "slices", "nan"),
+        ("spectral-full", "checkpoints", "0 nan"),
+        ("spectral-full", "t1", "inf"),
+        ("spectral-full", "amplitudes", "0 0"),
+        ("spectral-full", "amplitudes", "nan 1"),
+        ("spectral-full", "n_max", "-1"),
+        ("spectral-full", "beta0_sq", "nan"),
+        ("spectral-full", "amplitudes", "1 " * 9),
+        ("spectral-full", "amplitudes", "1e200 1e200"),
+        ("spectral-full", "amplitudes", "1e-200 1e-200"),
+        ("oracle", "amplitudes", "0 0"),
+    ])
+    def test_scenario_value(self, tmp_path, method, key, value):
+        text = _with(SCENARIO_ORACLE.replace("method = oracle", f"method = {method}"),
+                     key, value)
+        line = next(i for i, raw in enumerate(text.splitlines(), start=1)
+                    if raw.startswith(f"{key} ="))
+        scenario = tmp_path / "bad.txt"
+        scenario.write_text(text)
+        res = CliRunner().invoke(main, ["run", str(scenario), "-o",
+                                        str(tmp_path / "out")])
+        assert res.exit_code == 2, res.output
+        assert f"config error: line {line}: " in res.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("options", [
+        ("--method", "lo", "--mass", "-1"),
+        ("--method", "spectral-full", "--dt", "0"),
+        ("--method", "spectral-full", "--dt", "nan"),
+        ("--method", "spectral-full", "--checkpoints", "0 x"),
+    ])
+    def test_evolve_option(self, tmp_path, options):
+        runner = CliRunner()
+        field_path = tmp_path / "f0.txt"
+        runner.invoke(main, ["oracle", "field", "--nmax", "8",
+                             "--grid", "-8 8 64 -4 4 64", "-o", str(field_path)])
+        res = runner.invoke(main, [
+            "evolve", "--potential", "gaussian_well", "-i", str(field_path),
+            "--t1", "0.5", "--steps", "5", *options, "-o", str(tmp_path / "run")])
+        assert res.exit_code == 2, res.output
+        assert "config error" in res.output
+        assert not (tmp_path / "run").exists()
+
+
 class TestShippedScenarios:
     """The scenario files in scenarios/ must run and reproduce the
     benchmark slice extrema."""
@@ -497,3 +562,30 @@ class TestAllMethodsRun:
         field = load_field(outdir / "field_t0.500000.txt")
         assert np.isfinite(field.values).all()
         assert np.abs(field.values).max() > 0.1
+
+
+class TestRunEqualsLibrary:
+    @pytest.mark.parametrize("method", ["spectral-fo", "lo", "nlo"])
+    def test_diagnostics_and_final_field(self, tmp_path, method):
+        # wigprop run steps through the library's own evolve: same rows
+        # (as the CSV rounds them) and the same final field, bit for bit
+        from wigprop import pseudoparticle, spectral
+        from wigprop.cli import _fmt, _initial_state
+        text = SCENARIO_ORACLE.replace("method = oracle", f"method = {method}") \
+            .replace("t1 = 3", "t1 = 0.5").replace("nsteps = 30", "nsteps = 5") \
+            .replace("checkpoints = 0 3", "checkpoints = 0.5")
+        sc = parse_scenario_text(text)
+        outdir = run_scenario(sc, tmp_path / method)
+        f0 = _initial_state(sc)
+        if method == "spectral-fo":
+            cfg = spectral.SpectralStepConfig(dt=0.1, variant="first_order")
+            res = spectral.evolve(f0, sc.potential, 0.0, 0.5, 5, cfg)
+        else:
+            res = pseudoparticle.evolve(f0, sc.potential, 0.0, 0.5, 5,
+                                        order=0 if method == "lo" else 1)
+        rows = (outdir / "diagnostics.csv").read_text().splitlines()[2:]
+        assert rows == [",".join([str(d.step)] + [_fmt(v) for v in (
+            d.time, d.norm, d.min, d.max)]) for d in res.diagnostics]
+        final = load_field(outdir / "field_t0.500000.txt")
+        assert final.time == res.field.time
+        assert final.values.tobytes() == res.field.values.tobytes()

@@ -100,8 +100,6 @@ class TestInterpolate:
         for i, j in ((0, 0), (5, 11), (15, 15), (8, 3)):
             got = interpolate(f, g.x_lattice[i], g.p_lattice[j])
             assert got == pytest.approx(f.values[i, j], rel=1e-12, abs=1e-12)
-            got_lin = interpolate(f, g.x_lattice[i], g.p_lattice[j], method="bilinear")
-            assert got_lin == pytest.approx(f.values[i, j], rel=1e-14, abs=1e-14)
 
     def test_out_of_bounds_is_zero(self):
         f = gaussian_field(DEFAULT_GRID)
@@ -116,21 +114,6 @@ class TestInterpolate:
         got = interpolate(f, xm[:, None], pm[None, :])
         want = 2.0 * np.exp(-xm[:, None] ** 2 / 4.0 - pm[None, :] ** 2)
         assert np.abs(got - want).max() < 1e-6
-
-    def test_bilinear_is_less_accurate_but_sane(self):
-        f = gaussian_field(DEFAULT_GRID, amp=2.0)
-        g = DEFAULT_GRID
-        xq, pq = 0.5 * g.dx + 1.0, 0.5 * g.dp
-        want = 2.0 * np.exp(-xq**2 / 4.0 - pq**2)
-        cubic = interpolate(f, xq, pq)
-        linear = interpolate(f, xq, pq, method="bilinear")
-        assert abs(cubic - want) < abs(linear - want)
-        assert abs(linear - want) < 1e-3
-
-    def test_unknown_method_rejected(self):
-        f = gaussian_field(DEFAULT_GRID)
-        with pytest.raises(ValueError):
-            interpolate(f, 0.0, 0.0, method="quintic")
 
 
 class TestDiffMetrics:
