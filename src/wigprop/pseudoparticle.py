@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .phasespace import (_BLOCK_ROWS, HBAR, EvolveResult, NonFiniteFieldError,
-                         NumericalError, PhaseSpaceGrid, WignerField,
-                         at_lattice_coordinates, step_size, truncate_real,
-                         write_rows)
+from .phasespace import (_BLOCK_ROWS, HBAR, REALNESS_TOL, EvolveResult,
+                         NonFiniteFieldError, NumericalError, PhaseSpaceGrid,
+                         WignerField, at_lattice_coordinates, step_size,
+                         truncate_real, write_rows)
 from .phasespace import evolve as _drive
 from .potentials import Potential
 from .spectral import _is_static, _memoized
@@ -88,18 +88,25 @@ def _p3_multiplier(grid: PhaseSpaceGrid, s_cutoff: float | None) -> np.ndarray:
     return mult
 
 
+def _realness_tol(values: np.ndarray) -> float:
+    """``REALNESS_TOL`` times max(1, max|f|): the rounding residue of a
+    transform grows with the field's size, and a unit-scale field keeps
+    the absolute bound."""
+    return REALNESS_TOL * max(1.0, float(values.max()), -float(values.min()))
+
+
 def _spectral_p3(values: np.ndarray, grid: PhaseSpaceGrid,
-                 s_cutoff: float | None) -> np.ndarray:
+                 s_cutoff: float | None, tol: float) -> np.ndarray:
     """Third momentum derivative of lattice rows: the p-spectrum times
     (i s / hbar)^3, with the unpaired Nyquist mode dropped (as for any
     odd-order spectral derivative) and, given ``s_cutoff``, every mode
     with |s| > s_cutoff zeroed.  Raises ``NumericalError`` when the result
-    is not real to ``REALNESS_TOL``.  Rows are independent, so a block of
-    rows gets the bits the whole lattice would give it."""
+    is not real to ``tol``.  Rows are independent, so a block of rows gets
+    the bits the whole lattice would give it."""
     spectrum = np.fft.fft(values, axis=1)
     spectrum *= _memoized(("p3", grid, s_cutoff),
                           lambda: _p3_multiplier(grid, s_cutoff))
-    third, _ = truncate_real(np.fft.ifft(spectrum, axis=1),
+    third, _ = truncate_real(np.fft.ifft(spectrum, axis=1), tol=tol,
                              context="spectral third derivative")
     return third
 
@@ -110,8 +117,10 @@ def d_p3(field_in: WignerField, s_cutoff: float | None = None) -> WignerField:
     is given (band limiting).  The unpaired Nyquist mode is always dropped,
     as for any odd-order spectral derivative.
     """
+    f = field_in.values
     return WignerField(grid=field_in.grid, time=field_in.time,
-                       values=_spectral_p3(field_in.values, field_in.grid, s_cutoff))
+                       values=_spectral_p3(f, field_in.grid, s_cutoff,
+                                           _realness_tol(f)))
 
 
 def nlo_correction(field_lo: WignerField, pot: Potential, t: float, dt: float,
@@ -135,10 +144,11 @@ def nlo_correction(field_lo: WignerField, pot: Potential, t: float, dt: float,
     grid = field_lo.grid
     scale = (dt * HBAR**2 / 24.0) * pot.d3(grid.x_lattice, t)[:, None]
     f = field_lo.values
+    tol = _realness_tol(f)
     values = np.empty(grid.shape())
     for start in range(0, grid.nx, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        np.subtract(f[rows], scale[rows] * _spectral_p3(f[rows], grid, s_cutoff),
+        np.subtract(f[rows], scale[rows] * _spectral_p3(f[rows], grid, s_cutoff, tol),
                     out=values[rows])
     return WignerField(grid=grid, values=values, time=field_lo.time)
 

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 from wigprop.cli import (_SECTION_KEYS, ConfigError, compare_runs, main,
                          parse_scenario_text, run_scenario)
-from wigprop.phasespace import load_field
+from wigprop.phasespace import WignerField, load_field, make_grid, save_field
 
 SCENARIO_ORACLE = """\
 [grid]
@@ -430,6 +430,42 @@ def _with(text, key, value):
     return "\n".join(lines) + "\n"
 
 
+class TestNloRealness:
+    """The realness check of the nlo third derivative is relative to the
+    field's size and, like every numerical failure of a step, names the
+    step."""
+
+    def test_large_contained_field_runs_nlo(self, tmp_path):
+        # the realness bound of the third derivative scales with the
+        # field: a contained field times 1e7 leaves a residue of about
+        # 2e-7, far below 1e-10 times its size
+        runner = CliRunner()
+        runner.invoke(main, ["oracle", "field", "--nmax", "8", "--grid",
+                             "-8 8 64 -4 4 64", "-o", str(tmp_path / "f.txt")])
+        f = load_field(tmp_path / "f.txt")
+        save_field(WignerField(grid=f.grid, values=1e7 * f.values),
+                   tmp_path / "big.txt")
+        res = runner.invoke(main, [
+            "evolve", "--method", "nlo", "--potential",
+            "gaussian_well depth=1.0 sigma=3.0", "-i", str(tmp_path / "big.txt"),
+            "--t1", "0.5", "--steps", "5", "-o", str(tmp_path / "run")])
+        assert res.exit_code == 0, res.output
+
+    def test_uncontained_field_fails_nlo_naming_the_step(self, tmp_path):
+        # white noise on a fine momentum lattice fills the whole s-band,
+        # which a potential without third derivative leaves uncut: the
+        # residue of its third derivative is about 1e-7 times its size
+        grid = make_grid(-4, 4, 8, -1, 1, 512)
+        noise = np.random.default_rng(0).standard_normal(grid.shape())
+        save_field(WignerField(grid=grid, values=noise), tmp_path / "noise.txt")
+        res = CliRunner().invoke(main, [
+            "evolve", "--method", "nlo", "--potential", "harmonic k=1",
+            "-i", str(tmp_path / "noise.txt"), "--t1", "0.5", "--steps", "5",
+            "-o", str(tmp_path / "run")])
+        assert res.exit_code == 3, res.output
+        assert "numerical failure: step 1: imaginary residue" in res.output
+
+
 class TestBadValuesExit2:
     """Out-of-range and non-finite values are configuration errors (exit 2)
     that name their scenario line, not a traceback (exit 1), a numerical
@@ -549,6 +585,41 @@ class TestShippedRunBytes:
                 "method = spectral-full", f"method = {case}")
         outdir = run_scenario(parse_scenario_text(text), tmp_path / "run")
         assert tree_sha256(outdir) == self.DIGESTS[case]
+
+
+class TestShippedTranscriptionBytes:
+    """The shipped oracle scenario's last snapshot transcribed to an
+    ensemble, and that ensemble deposited back with ``--dfunc-m 0``, byte
+    for byte.
+
+    The digests were recorded with numpy 2.4.6 and scipy 1.17.1; other
+    versions may round some transcendental or FFT results differently.
+    """
+
+    DIGESTS = {
+        "ensemble":
+            "92d9784c164dca78e8e3e3b2db5075785dd6c894187fc15fd66eed3b89fe5625",
+        "field":
+            "1a5005185be7fe74d64e7bf4523d16992562132699fc802a51e3a13bb51e56f5",
+    }
+
+    def test_transcription_sha256(self, tmp_path):
+        root = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
+        outdir = run_scenario(parse_scenario_text(
+            (root / "gaussian_well_oracle.txt").read_text()), tmp_path / "run")
+        files = {"ensemble": tmp_path / "ens.txt", "field": tmp_path / "back.txt"}
+        runner = CliRunner()
+        res = runner.invoke(main, [
+            "transcribe", "--to", "ensemble", "-i",
+            str(outdir / "field_t3.000000.txt"), "-o", str(files["ensemble"])])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(main, [
+            "transcribe", "--to", "field", "-i", str(files["ensemble"]),
+            "--dfunc-m", "0", "--grid", "-10 10 256 -6.4 6.4 256",
+            "-o", str(files["field"])])
+        assert res.exit_code == 0, res.output
+        assert {name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for name, path in files.items()} == self.DIGESTS
 
 
 class TestAllMethodsRun:

@@ -85,6 +85,15 @@ def test_non_finite_step_names_the_step():
     assert not isinstance(info.value, NonFiniteFieldError)
 
 
+def test_numerical_error_of_a_step_names_the_step():
+    def step(f, t):
+        if t > 0.05:
+            raise NumericalError("imaginary residue 1e-3 exceeds 1e-10")
+        return scaling(1.0)(f, t)
+    with pytest.raises(NumericalError, match="^step 2: imaginary residue 1e-3"):
+        evolve(step, blob(), 0.0, 0.1, 5)
+
+
 def test_norm_loss_warns_with_its_drift():
     res = evolve(scaling(0.5), blob(), 0.0, 0.1, 2)
     assert res.warnings == ["step 1: relative norm drift 5.000e-01",

@@ -78,6 +78,9 @@ def test_cli_import_loads_no_scipy(tmp_path):
     # concurrent.futures (which loads logging) imported with it
     assert not {"concurrent.futures", "logging"} & loaded
     assert threads == 1
+    # the %.17g writer is loaded by the first write, and its tables come
+    # from Python ints alone
+    assert not {"wigprop._format17", "fractions", "decimal"} & loaded
     # the benchmark and its tracer read these from sys.modules after the
     # import, so they stay eager
     assert {"wigprop.oracle", "wigprop.pseudoparticle",
@@ -99,6 +102,7 @@ def test_oracle_run_and_transcription_load_no_scipy(tmp_path):
         ["compare", "run", "run"]), tmp_path)
     assert (tmp_path / "back.txt").exists() and (tmp_path / "f.txt").exists()
     assert scipy_modules(loaded) == set()
+    assert not {"fractions", "decimal"} & loaded
 
 
 def test_oracle_solve_starts_no_thread(tmp_path):

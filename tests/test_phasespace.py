@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from wigprop import (diff_metrics, interpolate, load_field, make_grid,
                      marginal_x, norm, save_field)
+from wigprop import _format17, phasespace
 from wigprop.oracle import (GaussianBasis, eigen_wavefunction, sample_field,
                             solve, superposition, wavefunction)
 from wigprop.phasespace import (DEFAULT_GRID_SPEC, PhaseSpaceGridND, WignerField,
@@ -196,6 +199,82 @@ class TestSerialization:
         path.write_text("not a field\n")
         with pytest.raises(ValueError):
             load_field(path)
+
+
+def per_value(table):
+    """The reference bytes of ``write_rows``: each value through
+    ``f"{v:.17g}"``, one at a time."""
+    return "".join(" ".join(f"{v:.17g}" for v in row) + "\n" for row in table)
+
+
+def written(table):
+    out = io.StringIO()
+    phasespace.write_rows(out, table)
+    return out.getvalue()
+
+
+def powers_of_ten_and_neighbours(lo, hi):
+    """10**k (correctly rounded) and the doubles on either side of it."""
+    return [v for k in range(lo, hi + 1) for v in (
+        np.nextafter(float(f"1e{k}"), 0.0), float(f"1e{k}"),
+        np.nextafter(float(f"1e{k}"), np.inf))]
+
+
+class TestWriteRows:
+    """The vectorized ``%.17g`` kernel against per-value formatting."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 4), cols=st.integers(1, 600))
+    def test_equals_per_value_formatting(self, data, rows, cols):
+        table = data.draw(arrays(np.float64, (rows, cols), elements=st.floats()))
+        assert written(table) == per_value(table)
+
+    def test_random_bit_patterns_across_kernel_calls(self):
+        # 60,000 values: several kernel calls, every class of double
+        bits = np.random.default_rng(11).integers(
+            0, 2**64, size=(100, 600), dtype=np.uint64, endpoint=False)
+        table = bits.view(np.float64)
+        assert table.size > 3 * _format17.BLOCK
+        assert written(table) == per_value(table)
+
+    @pytest.mark.parametrize("values", [
+        # signed zeros, subnormals, the smallest normal, the largest double
+        [0.0, -0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+         1.7976931348623157e308],
+        # the switches between fixed and scientific notation
+        [1e-5, 1e-4, 1e16, 1e17, 99999999999999984.0, 9.9999999999999995e-5],
+        # rounding ties at the 17th digit
+        [1000000000000000.25, 4503599627370495.5],
+        # integers, and values with their point inside the digits
+        [10.0, 123456.0, 100.5, 12345678901234567.0, 0.5, 9.5, 0.1],
+    ])
+    def test_fixed_cases(self, values):
+        table = np.array([values, [-v for v in values]])
+        assert written(table) == per_value(table)
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        values = powers_of_ten_and_neighbours(-300, 300)
+        table = np.array([values, [-v for v in values]]).reshape(-1, 6)
+        assert written(table) == per_value(table)
+
+    def test_each_fallback_route_fires(self, monkeypatch):
+        ties = [1000000000000000.25, -1000000000000000.25]
+        out_of_range = [1e-300, -1e300, 5e-324, 2.2250738585072014e-308,
+                        np.nan, np.inf, -np.inf]
+        decided = [0.0, -0.0, 1.0, 0.1, 1e-280, 1e280, 123.25, -1e-16,
+                   4503599627370495.5]
+        x = np.array(decided + ties + out_of_range)
+        _, slow = _format17.format_records(x)
+        assert slow.tolist() == list(range(len(decided), len(x)))
+        assert written(x[None]) == per_value(x[None])
+        # a decade guess two off is not settled by the one correction the
+        # kernel makes: those values go to % as well
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + 2.0)
+        values = np.array([0.5, 3.0, 1e-16, 2e200])
+        _, slow = _format17.format_records(values)
+        assert slow.tolist() == [0, 1, 2, 3]
+        assert written(values[None]) == per_value(values[None])
 
 
 class TestWignerFieldValidation:
