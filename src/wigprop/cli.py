@@ -187,10 +187,12 @@ def _validate_scenario(sc: Scenario) -> None:
 
     check(math.isfinite(sc.t0), "t0", "t0 must be finite")
     check(math.isfinite(sc.t1), "t1", "t1 must be finite")
-    check(sc.t1 > sc.t0, "t1", "t1 must exceed t0")
-    check(sc.nsteps >= 1, "nsteps", "nsteps must be at least 1")
+    check(1 <= sc.nsteps <= sys.maxsize, "nsteps", "nsteps must be from 1 to sys.maxsize")
     check(0 < sc.mass < math.inf, "mass", "mass must be positive and finite")
+    # t1 > t0, and a normal dt keeps (tc - t0) / dt finite for every tc
     dt = (sc.t1 - sc.t0) / sc.nsteps
+    check(sys.float_info.min <= dt < math.inf, "t1", f"the step (t1 - t0) / nsteps "
+          f"= {dt:g} must be positive, finite and not subnormal")
     for tc in sc.checkpoints:
         check(sc.t0 - 1e-9 <= tc <= sc.t1 + 1e-9, "checkpoints",
               f"checkpoint {tc} outside [{sc.t0}, {sc.t1}]")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -58,18 +59,29 @@ class PhaseSpaceGrid:
     p_max: float
     np: int
 
+    #: the one-axis case of ``PhaseSpaceGridND``: ``axes`` is the grid itself
+    ndim = 1
+
     def __post_init__(self):
         for name in ("x_min", "x_max", "p_min", "p_max"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if not self.x_max > self.x_min:
-            raise ValueError("x_max must exceed x_min")
-        if not self.p_max > self.p_min:
-            raise ValueError("p_max must exceed p_min")
         for name in ("nx", "np"):
+            # counts past sys.maxsize index no array (and past 1e308 overflow dx)
             count = getattr(self, name)
-            if count < 4 or not _is_power_of_two(count):
-                raise ValueError(f"{name} must be a power of two >= 4, got {count}")
+            if not (4 <= count <= sys.maxsize and _is_power_of_two(count)):
+                raise ValueError(f"{name} must be a power of two >= 4 and "
+                                 f"<= sys.maxsize, got {count}")
+        # needs max > min, and finite bounds not so far apart that dx overflows
+        # nor so close that dp underflows to 0 or 1/ds overflows
+        if not (0 < self.dx < math.inf and 0 < self.dp < math.inf
+                and math.isfinite(self.ds)):
+            raise ValueError("x_max > x_min and p_max > p_min must give "
+                             "spacings dx, dp and ds that are positive and finite")
+
+    @property
+    def axes(self) -> tuple[PhaseSpaceGrid]:
+        return (self,)
 
     @property
     def dx(self) -> float:
@@ -124,9 +136,10 @@ DEFAULT_GRID_SPEC = (-8.0, 8.0, 256, -4.0, 4.0, 256)
 
 @dataclass(frozen=True)
 class WignerField:
-    """Real-valued samples f(x_i, p_j) on a grid at one instant."""
+    """Real-valued samples f(x_1 ... x_d, p_1 ... p_d) on a grid of any
+    dimension (f(x_i, p_j) on a ``PhaseSpaceGrid``) at one instant."""
 
-    grid: PhaseSpaceGrid
+    grid: PhaseSpaceGrid | PhaseSpaceGridND
     values: np.ndarray
     time: float = 0.0
 
@@ -166,14 +179,17 @@ def truncate_real(values: np.ndarray, *, tol: float = REALNESS_TOL,
 
 
 def norm(field: WignerField) -> float:
-    """Phase-space integral dx*dp*sum(f).
+    """Phase-space integral: sum(f) times dx*dp of each axis in turn, on a
+    grid of any dimension.
 
     For the Wigner transform convention used throughout (no 1/2*pi*hbar
     prefactor), a unit-normalized wavefunction well contained in the grid
-    gives 2*pi*hbar.
+    gives (2*pi*hbar)^d.
     """
-    g = field.grid
-    return float(field.values.sum() * g.dx * g.dp)
+    out = field.values.sum()
+    for g in field.grid.axes:
+        out = out * g.dx * g.dp
+    return float(out)
 
 
 @dataclass(frozen=True)
@@ -345,51 +361,40 @@ def _spline_coefficients(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _evaluate(field: WignerField, shape: tuple, coords) -> np.ndarray:
-    """The field's cubic spline at the lattice coordinates ``coords(rows)``
-    returns for each block of rows of an output of ``shape`` (at least
-    2-d); out-of-grid points give 0."""
+def at_lattice_coordinates(field: WignerField, coords: np.ndarray) -> np.ndarray:
+    """The field's cubic spline at lattice coordinates: ``coords[0]`` holds
+    (x - x_min) / dx and ``coords[1]`` holds (p - p_min) / dp, each at
+    least 2-d; out-of-grid points give 0.  The prefilter and evaluation run
+    on all CPUs through ``by_rows``, over blocks of the leading axis, and
+    each value has the bits of one ``map_coordinates(..., order=3,
+    mode="constant")`` call over all points, whatever the number of CPUs."""
     # imported here so that commands which never interpolate do not load
     # scipy.ndimage (about 0.3 s at process start)
     from scipy.ndimage import map_coordinates
 
     coeffs = _spline_coefficients(field.values)
-    out = np.empty(shape)
+    out = np.empty(coords.shape[1:])
     by_rows(lambda rows: map_coordinates(
-        coeffs, coords(rows), output=out[rows], order=3, mode="constant",
-        cval=0.0, prefilter=False), shape[0])
+        coeffs, coords[:, rows], output=out[rows], order=3, mode="constant",
+        cval=0.0, prefilter=False), len(out))
     return out
 
 
-def at_lattice_coordinates(field: WignerField, coords: np.ndarray) -> np.ndarray:
-    """Interpolate the field at lattice coordinates: ``coords[0]`` holds
-    (x - x_min) / dx and ``coords[1]`` holds (p - p_min) / dp, each at
-    least 2-d.  Gives the bits ``interpolate`` gives at those (x, p)."""
-    return _evaluate(field, coords.shape[1:], lambda rows: coords[:, rows])
-
-
 def interpolate(field: WignerField, x, p):
-    """Bicubic spline interpolation of the field at arbitrary (x, p) points.
+    """Bicubic spline interpolation of the field at arbitrary (x, p) points,
+    through ``at_lattice_coordinates``.
 
     Points outside the grid bounds return 0 (fields are treated as
     compactly supported).  ``x`` and ``p`` broadcast against each other;
-    scalars in, scalar out.
-
-    The spline prefilter and the evaluation run on all CPUs through
-    ``by_rows``, over blocks of the leading axis of the broadcast points
-    (a 1-d list of points is one block), and each block's lattice
-    coordinates are computed and freed with it.  Each value is computed
-    exactly as one ``map_coordinates(..., order=3, mode="constant")`` call
-    over all points computes it, whatever the number of CPUs.
+    scalars in, scalar out.  A 1-d list of points is one block of rows.
     """
     g = field.grid
-    x_min, dx, p_min, dp = g.x_min, g.dx, g.p_min, g.dp
     xs, ps = np.broadcast_arrays(*np.atleast_1d(x, p))
     flat = xs.ndim == 1
     if flat:
         xs, ps = xs[None], ps[None]
-    out = _evaluate(field, xs.shape,
-                    lambda rows: [(xs[rows] - x_min) / dx, (ps[rows] - p_min) / dp])
+    out = at_lattice_coordinates(
+        field, np.stack([(xs - g.x_min) / g.dx, (ps - g.p_min) / g.dp]))
     if np.ndim(x) == 0 and np.ndim(p) == 0:
         return float(out[0, 0])
     return out[0] if flat else out
@@ -496,31 +501,7 @@ class PhaseSpaceGridND:
     def shape(self) -> tuple[int, ...]:
         return tuple(g.nx for g in self.axes) + tuple(g.np for g in self.axes)
 
-    def cell_volume(self) -> float:
-        out = 1.0
-        for g in self.axes:
-            out *= g.dx * g.dp
-        return out
 
-
-@dataclass(frozen=True)
-class WignerFieldND:
-    grid: PhaseSpaceGridND
-    values: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=float)
-        if values.shape != self.grid.shape():
-            raise ValueError(
-                f"values shape {values.shape} does not match grid {self.grid.shape()}")
-        if not np.isfinite(values).all():
-            raise NonFiniteFieldError("field values must be finite")
-        if not math.isfinite(self.time):
-            raise ValueError("time must be finite")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-
-def norm_nd(field: WignerFieldND) -> float:
-    return float(field.values.sum() * field.grid.cell_volume())
+# one field type and one norm serve every dimension; the N-d names remain
+WignerFieldND = WignerField
+norm_nd = norm

@@ -35,6 +35,9 @@ class Potential:
     def value(self, x, t: float = 0.0):
         raise NotImplementedError
 
+    def value_nd(self, coords, t: float = 0.0):
+        return self.value(coords[0], t)
+
     def grad(self, x, t: float = 0.0):
         raise NotImplementedError
 

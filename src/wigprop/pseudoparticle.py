@@ -26,6 +26,11 @@ from .phasespace import evolve as _drive
 from .potentials import Potential
 from .spectral import _is_static, _memoized
 
+#: The factor |dt V''' s^3 / 24| at the ``stable_p3_cutoff`` band edge.
+P3_SAFETY = 0.25
+#: Particles, and distinct stencil offsets, ``deposit`` handles per block.
+_DEPOSIT_CHUNK = 4096
+
 
 def _backtrack_coordinates(grid: PhaseSpaceGrid, pot: Potential, t: float,
                            dt: float, mass: float) -> np.ndarray:
@@ -124,7 +129,7 @@ def d_p3(field_in: WignerField, s_cutoff: float | None = None) -> WignerField:
 
 
 def nlo_correction(field_lo: WignerField, pot: Potential, t: float, dt: float,
-                   order: int = 1, s_cutoff: float | None = None) -> WignerField:
+                   s_cutoff: float | None = None) -> WignerField:
     """Add the leading quantum correction to a transported field:
     f - (dt hbar^2 / 24) V'''(x) d^3f/dp^3, with the spectral third
     derivative band-limited at ``s_cutoff`` when one is given.
@@ -135,12 +140,10 @@ def nlo_correction(field_lo: WignerField, pot: Potential, t: float, dt: float,
     is held.  Every row gets the operations of the whole-lattice formula
     in the same order, so the result has the same bits.
 
-    Only order = 1 is implemented: the term needs the third derivatives of
+    Only the first order exists: the term needs the third derivatives of
     the potential and of the field; going further would require fifth-order
     lattice derivatives that amplify noise faster than they add accuracy.
     """
-    if order != 1:
-        raise ValueError("only the order-1 correction is implemented")
     grid = field_lo.grid
     scale = (dt * HBAR**2 / 24.0) * pot.d3(grid.x_lattice, t)[:, None]
     f = field_lo.values
@@ -153,20 +156,20 @@ def nlo_correction(field_lo: WignerField, pot: Potential, t: float, dt: float,
     return WignerField(grid=grid, values=values, time=field_lo.time)
 
 
-def stable_p3_cutoff(grid: PhaseSpaceGrid, pot: Potential, t: float, dt: float,
-                     safety: float = 0.25) -> float:
+def stable_p3_cutoff(grid: PhaseSpaceGrid, pot: Potential, t: float,
+                     dt: float) -> float:
     """Largest s-band for which the correction loop cannot self-amplify.
 
     One corrected step multiplies the p-spectrum at wavenumber s by
     1 + i dt V''' s^3 / 24 (per x); the band where |dt V''' s^3 / 24|
     exceeds one grows without bound under iteration.  The returned cutoff
-    caps that factor at ``safety``.
+    caps that factor at ``P3_SAFETY``.
     """
     v3max = float(np.abs(pot.d3(grid.x_lattice, t)).max())
     s_max = float(np.abs(grid.s_lattice).max())
     if v3max == 0.0:
         return s_max
-    return min(s_max, (24.0 * safety / (dt * v3max)) ** (1.0 / 3.0))
+    return min(s_max, (24.0 * P3_SAFETY / (dt * v3max)) ** (1.0 / 3.0))
 
 
 def stepper(grid: PhaseSpaceGrid, pot: Potential, t0: float, dt: float,
@@ -351,7 +354,7 @@ def _stencil_weights(frac: np.ndarray, offsets: np.ndarray, delta: float,
 
 
 def _axis_stencils(pos: np.ndarray, lo: float, delta: float,
-                   params: DFunctionParams, chunk: int):
+                   params: DFunctionParams):
     """Nearest node, stencil offsets, and the weight table with each
     particle's row in it, along one axis.  Weights depend only on the
     particle's offset from its node, so each distinct offset is solved
@@ -363,14 +366,13 @@ def _axis_stencils(pos: np.ndarray, lo: float, delta: float,
     frac = (pos - (lo + delta * centre)) / delta
     fracs, row = np.unique(frac, return_inverse=True)
     table = np.concatenate([
-        _stencil_weights(fracs[s:s + chunk], offsets, delta, params)
-        for s in range(0, len(fracs), chunk)])
+        _stencil_weights(fracs[s:s + _DEPOSIT_CHUNK], offsets, delta, params)
+        for s in range(0, len(fracs), _DEPOSIT_CHUNK)])
     return centre, offsets, table, row
 
 
 def deposit(ensemble: Ensemble, grid: PhaseSpaceGrid,
-            params_r: DFunctionParams, params_p: DFunctionParams,
-            time: float = 0.0, chunk: int = 4096) -> WignerField:
+            params_r: DFunctionParams, params_p: DFunctionParams) -> WignerField:
     """Scatter particles onto a lattice through the separable kernel
     D(x - r_i) D(p - p_i) weighted by f_L dr dp.
 
@@ -386,18 +388,19 @@ def deposit(ensemble: Ensemble, grid: PhaseSpaceGrid,
 
     Particles are processed in a fixed order and accumulated sequentially
     (``np.bincount``), so the result is deterministic.  Kernel tails are
-    truncated where they fall below double precision.
+    truncated where they fall below double precision.  An ensemble carries
+    no time, so the field is at time 0.
     """
     if len(ensemble) == 0:
-        return WignerField(grid=grid, values=np.zeros(grid.shape()), time=time)
+        return WignerField(grid=grid, values=np.zeros(grid.shape()))
 
     ci, off_i, table_i, row_i = _axis_stencils(ensemble.r, grid.x_min, grid.dx,
-                                               params_r, chunk)
+                                               params_r)
     cj, off_j, table_j, row_j = _axis_stencils(ensemble.p, grid.p_min, grid.dp,
-                                               params_p, chunk)
+                                               params_p)
     flat = np.zeros(grid.nx * grid.np)
-    for start in range(0, len(ensemble), chunk):
-        sl = slice(start, start + chunk)
+    for start in range(0, len(ensemble), _DEPOSIT_CHUNK):
+        sl = slice(start, start + _DEPOSIT_CHUNK)
         w = ensemble.f_l[sl] * ensemble.dr[sl] * ensemble.dp[sl]
         ii = ci[sl, None] + off_i[None, :]                    # (n, wi)
         jj = cj[sl, None] + off_j[None, :]                    # (n, wj)
@@ -411,7 +414,7 @@ def deposit(ensemble: Ensemble, grid: PhaseSpaceGrid,
                  + np.clip(jj, 0, grid.np - 1)[:, None, :])
         flat += np.bincount(index.ravel(), weights=contrib.ravel(),
                             minlength=flat.size)
-    return WignerField(grid=grid, values=flat.reshape(grid.shape()), time=time)
+    return WignerField(grid=grid, values=flat.reshape(grid.shape()))
 
 
 # ---------------------------------------------------------------------------

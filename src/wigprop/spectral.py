@@ -54,8 +54,8 @@ from numpy.fft import irfft, rfft
 
 # NORM_DRIFT_WARN and StepDiagnostics are re-exported with EvolveResult
 from .phasespace import (HBAR, NORM_DRIFT_WARN, EvolveResult, PhaseSpaceGrid,
-                         StepDiagnostics, WignerField, WignerFieldND,
-                         step_size, truncate_real)
+                         StepDiagnostics, WignerField, step_size,
+                         truncate_real)
 from .phasespace import evolve as _drive
 from .potentials import Potential, SeparableSum
 
@@ -143,15 +143,11 @@ def _drift_phase(grid: PhaseSpaceGrid, dt: float, mass: float) -> np.ndarray:
     return _real_nyquist(np.exp(-1j * kx[:, None] * shift[None, :]), axis=0)
 
 
-def _drift_multiplier(grid: PhaseSpaceGrid, dt: float, mass: float) -> np.ndarray:
-    return _memoized(("drift", grid, dt, mass), lambda: _drift_phase(grid, dt, mass))
-
-
 def _spectral_shift_rows(values: np.ndarray, grid: PhaseSpaceGrid,
                          dt: float, mass: float) -> tuple[np.ndarray, float]:
     """values(x - p*dt/m, p) via an x-FFT phase, periodic wrap."""
-    return truncate_real(_apply_half(values, _drift_multiplier(grid, dt, mass), axis=0),
-                         context="spectral drift")
+    phase = _memoized(("drift", grid, dt, mass), lambda: _drift_phase(grid, dt, mass))
+    return truncate_real(_apply_half(values, phase, axis=0), context="spectral drift")
 
 
 def drift(field_in: WignerField, dt: float, mass: float = 1.0) -> WignerField:
@@ -162,16 +158,41 @@ def drift(field_in: WignerField, dt: float, mass: float = 1.0) -> WignerField:
     return WignerField(grid=field_in.grid, values=values, time=field_in.time)
 
 
-def _delta_v(grid: PhaseSpaceGrid, pot: Potential, t: float) -> np.ndarray:
-    """V(x - s/2) - V(x + s/2) on the s >= 0 half, shape (nx, np//2 + 1)."""
-    x = grid.x_lattice[:, None]
-    s = grid.s_lattice[None, :grid.np // 2 + 1]
-    return pot.value(x - s / 2.0, t) - pot.value(x + s / 2.0, t)
+def _axis_shape(total: int, axis: int, n: int) -> list[int]:
+    shape = [1] * total
+    shape[axis] = n
+    return shape
 
 
-def _kick_phase(grid: PhaseSpaceGrid, pot: Potential, t: float,
-                dt: float) -> np.ndarray:
-    return _real_nyquist(np.exp(-1j * _delta_v(grid, pot, t) * dt / HBAR), axis=1)
+def _delta_v(grid, pot, t: float, j: int = 0) -> np.ndarray:
+    """V(x - s_j e_j / 2) - V(x + s_j e_j / 2) on the s_j >= 0 half, shaped
+    to broadcast against the (x_1 ... x_d, p_1 ... p_d) field: on a 1-d
+    grid, (nx, np//2 + 1).
+
+    The terms of a separable sum other than term j cancel in the
+    difference, so its difference is the 1-d one of term j on x_j alone."""
+    d = grid.ndim
+    g = grid.axes[j]
+    half = g.np // 2 + 1
+    if isinstance(pot, SeparableSum):
+        shape = _axis_shape(2 * d, j, g.nx)
+        shape[d + j] = half
+        return _delta_v(g, pot.terms[j], t).reshape(shape)
+    coords = [axis.x_lattice.reshape(_axis_shape(2 * d, i, axis.nx))
+              for i, axis in enumerate(grid.axes)]
+    s = g.s_lattice[:half].reshape(_axis_shape(2 * d, d + j, half))
+    minus = list(coords)
+    plus = list(coords)
+    minus[j] = coords[j] - s / 2.0
+    plus[j] = coords[j] + s / 2.0
+    return pot.value_nd(minus, t) - pot.value_nd(plus, t)
+
+
+def _kick_phase(grid, pot, t: float, dt: float, j: int = 0) -> np.ndarray:
+    """The kick phase exp(-i dV dt / hbar) along p_j, with dV from
+    ``_delta_v``."""
+    return _real_nyquist(np.exp(-1j * _delta_v(grid, pot, t, j) * dt / HBAR),
+                         axis=grid.ndim + j)
 
 
 def _kick_multiplier_first_order(grid: PhaseSpaceGrid, pot: Potential, t: float,
@@ -209,11 +230,10 @@ def kick_full(field_in: WignerField, pot: Potential, t: float,
 
 def _drift_kick(field_in: WignerField, pot: Potential, t: float,
                 cfg: SpectralStepConfig, variant: str) -> WignerField:
-    drifted = drift(field_in, cfg.dt, cfg.mass)
-    values, _ = _apply_kick(drifted.values,
-                            _kick_multiplier(field_in.grid, pot, t, cfg.dt, variant))
-    return WignerField(grid=field_in.grid, values=values,
-                       time=field_in.time + cfg.dt)
+    grid = field_in.grid
+    drifted, _ = _spectral_shift_rows(field_in.values, grid, cfg.dt, cfg.mass)
+    values, _ = _apply_kick(drifted, _kick_multiplier(grid, pot, t, cfg.dt, variant))
+    return WignerField(grid=grid, values=values, time=field_in.time + cfg.dt)
 
 
 def step_full(field_in: WignerField, pot: Potential, t: float,
@@ -252,36 +272,6 @@ def evolve(field_in: WignerField, pot: Potential, t0: float, t1: float,
 # separable multi-dimensional stepping
 # ---------------------------------------------------------------------------
 
-def _axis_shape(total: int, axis: int, n: int) -> list[int]:
-    shape = [1] * total
-    shape[axis] = n
-    return shape
-
-
-def _kick_phase_nd(grid, pot, t: float, dt: float, j: int) -> np.ndarray:
-    """On-axis kick phase for axis j on the s_j >= 0 half; the result
-    broadcasts against the (x_1 ... x_d, p_1 ... p_d) field.
-
-    The terms of a separable sum other than term j cancel in the
-    difference, so its phase is the 1-d phase of term j on x_j alone."""
-    d = grid.ndim
-    g = grid.axes[j]
-    half = g.np // 2 + 1
-    if isinstance(pot, SeparableSum):
-        shape = _axis_shape(2 * d, j, g.nx)
-        shape[d + j] = half
-        return _kick_phase(g, pot.terms[j], t, dt).reshape(shape)
-    coords = [axis.x_lattice.reshape(_axis_shape(2 * d, i, axis.nx))
-              for i, axis in enumerate(grid.axes)]
-    s = g.s_lattice[:half].reshape(_axis_shape(2 * d, d + j, half))
-    minus = list(coords)
-    plus = list(coords)
-    minus[j] = coords[j] - s / 2.0
-    plus[j] = coords[j] + s / 2.0
-    delta_v = pot.value_nd(minus, t) - pot.value_nd(plus, t)
-    return _real_nyquist(np.exp(-1j * delta_v * dt / HBAR) + 0j, axis=d + j)
-
-
 def _transfer_matrices(multiplier: np.ndarray, axis: int, n: int,
                        batch: tuple[int, ...], right: bool) -> np.ndarray:
     """Real n x n matrices, shape batch + (n, n), one per batch index: T with
@@ -310,7 +300,7 @@ def _kick_matrices(grid, pot, t: float, dt: float, j: int) -> np.ndarray:
     d = grid.ndim
 
     def build():
-        phase = _kick_phase_nd(grid, pot, t, dt, j)
+        phase = _kick_phase(grid, pot, t, dt, j)
         return _transfer_matrices(phase, d + j, grid.axes[j].np,
                                   phase.shape[:d], right=j == d - 1)
     return _memoized(("kick_nd", j, grid, pot, dt), build, static=_is_static(pot))
@@ -355,8 +345,8 @@ def _swap_halves(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out.reshape(values.shape[d:] + values.shape[:d])
 
 
-def step_separable(field_in: WignerFieldND, pot, t: float,
-                   cfg: SpectralStepConfig) -> WignerFieldND:
+def step_separable(field_in: WignerField, pot, t: float,
+                   cfg: SpectralStepConfig) -> WignerField:
     """Axis-by-axis drift and kick for 2-d/3-d lattices.
 
     The potential difference along each axis j uses shifts s_j e_j only,
@@ -392,4 +382,4 @@ def step_separable(field_in: WignerFieldND, pot, t: float,
         values, spare = _apply_matrices(
             values, _kick_matrices(grid, pot, t, cfg.dt, j), j, spare), values
 
-    return WignerFieldND(grid=grid, values=values, time=field_in.time + cfg.dt)
+    return WignerField(grid=grid, values=values, time=field_in.time + cfg.dt)

@@ -1,9 +1,14 @@
 import hashlib
 import pathlib
 
+import math
+import sys
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wigprop.cli import (_SECTION_KEYS, ConfigError, compare_runs, main,
                          parse_scenario_text, run_scenario)
@@ -516,6 +521,135 @@ class TestBadValuesExit2:
         assert res.exit_code == 2, res.output
         assert "config error" in res.output
         assert not (tmp_path / "run").exists()
+
+
+#: A time range whose step (t1 - t0) / nsteps is not finite, or is zero.
+BAD_TIME_RANGES = [("-1e308", "1e308"), ("0", "5e-324")]
+
+#: Grid bounds that are finite but whose extent overflows.
+OVERFLOWING_GRID = "-1e308 1e308 64 -4 4 64"
+
+
+class TestBadTimeRangesAndGrids:
+    """A step (t1 - t0) / nsteps that is not a finite positive double, or a
+    grid whose spacings are not, is a configuration error (exit 2), not a
+    traceback (exit 1) or a run that ends in a numerical failure (exit 3)."""
+
+    @pytest.mark.parametrize("t0, t1", BAD_TIME_RANGES)
+    def test_run_names_the_t1_line(self, tmp_path, t0, t1):
+        text = _with(_with(spectral_scenario(), "t0", t0), "t1", t1)
+        text = _with(text, "checkpoints", t1)
+        line = text.splitlines().index(f"t1 = {t1}") + 1
+        scenario = tmp_path / "bad.txt"
+        scenario.write_text(text)
+        res = CliRunner().invoke(main, ["run", str(scenario), "-o",
+                                        str(tmp_path / "out")])
+        assert res.exit_code == 2, res.output
+        assert f"config error: line {line}: the step (t1 - t0) / nsteps" in res.output
+        assert not (tmp_path / "out").exists()
+
+    def test_run_rejects_overflowing_grid(self, tmp_path):
+        text = _with(_with(spectral_scenario(), "x_min", "-1e308"), "x_max", "1e308")
+        scenario = tmp_path / "bad.txt"
+        scenario.write_text(text)
+        res = CliRunner().invoke(main, ["run", str(scenario), "-o",
+                                        str(tmp_path / "out")])
+        assert res.exit_code == 2, res.output
+        assert "config error: grid:" in res.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("t0, t1", BAD_TIME_RANGES)
+    def test_evolve(self, tmp_path, t0, t1):
+        runner = CliRunner()
+        field_path = tmp_path / "f0.txt"
+        runner.invoke(main, ["oracle", "field", "--nmax", "8",
+                             "--grid", "-8 8 64 -4 4 64", "-o", str(field_path)])
+        res = runner.invoke(main, [
+            "evolve", "--method", "spectral-full", "--potential", "gaussian_well",
+            "-i", str(field_path), "--t0", t0, "--t1", t1, "--steps", "5",
+            "-o", str(tmp_path / "run")])
+        assert res.exit_code == 2, res.output
+        assert "config error: the step (t1 - t0) / nsteps" in res.output
+        assert not (tmp_path / "run").exists()
+
+    def test_oracle_field_rejects_overflowing_grid(self, tmp_path):
+        res = CliRunner().invoke(main, ["oracle", "field", "--grid", OVERFLOWING_GRID,
+                                        "-o", str(tmp_path / "f.txt")])
+        assert res.exit_code == 2, res.output
+        assert "config error: x_max > x_min" in res.output
+        assert not (tmp_path / "f.txt").exists()
+
+
+# ---------------------------------------------------------------------------
+# the scenario parser over generated input
+# ---------------------------------------------------------------------------
+
+#: The valid value of every scenario key.
+VALID_VALUES = {
+    "x_min": "-8", "x_max": "8", "nx": "64", "p_min": "-4", "p_max": "4",
+    "np": "64", "potential": "gaussian_well depth=1.0 sigma=3.0",
+    "state": "oracle", "amplitudes": "1 1", "beta0_sq": "1.0", "n_max": "8",
+    "method": "spectral-full", "t0": "0", "t1": "0.6", "nsteps": "6",
+    "checkpoints": "0 0.6", "slices": "0 0.6", "mass": "1.0",
+}
+
+#: Values at and beyond the edges of what a double or a count can hold,
+#: and tokens that are not numbers at all.
+NASTY_VALUES = st.one_of(
+    st.sampled_from([
+        "1e308", "-1e308", "5e-324", "-5e-324", "2.2250738585072014e-308",
+        "nan", "-nan", "inf", "-inf", "1e999", "0", "-0.0", "1", "-1", "4",
+        str(10**400), str(-10**400), str(2**1100), str(2**64), "9" * 5000,
+        "x", "", "1e", "0x10", "1,", ",", "=", "1 nan", "1 1e308 -1e308",
+        "oracle", "file", "file missing.txt", "lo", "nlo",
+        "gaussian_well sigma=5e-324", "gaussian_well depth=1e308",
+        "harmonic k=-1", "linear g=nan", "constant c", "gaussian_well sigma=0",
+    ]),
+    st.floats().map(repr),
+    st.integers(min_value=-2**1100, max_value=2**1100).map(str),
+    st.text(max_size=12),
+)
+
+
+def _scenario_text(values: dict) -> str:
+    lines = []
+    for section, keys in _SECTION_KEYS.items():
+        lines.append(f"[{section}]")
+        lines += [f"{key} = {values[key]}" for key in sorted(keys) if key in values]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def scenario_texts(draw):
+    values = dict(VALID_VALUES)
+    for key in sorted(values):
+        choice = draw(st.sampled_from(["keep", "keep", "nasty", "drop"]))
+        if choice == "nasty":
+            values[key] = draw(NASTY_VALUES)
+        elif choice == "drop":
+            del values[key]
+    return _scenario_text(values)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(scenario_texts())
+@example(_scenario_text({**VALID_VALUES, "t0": "-1e308", "t1": "1e308"}))
+@example(_scenario_text({**VALID_VALUES, "t0": "0", "t1": "5e-324",
+                         "checkpoints": "5e-324"}))
+@example(_scenario_text({**VALID_VALUES, "x_min": "-1e308", "x_max": "1e308"}))
+@example(_scenario_text({**VALID_VALUES, "nsteps": str(10**400)}))
+@example(_scenario_text({**VALID_VALUES, "nx": str(2**1100)}))
+def test_parser_raises_only_config_errors(text):
+    """Any scenario text either parses to a runnable scenario (finite
+    positive spacings and step) or raises ConfigError; nothing else."""
+    try:
+        sc = parse_scenario_text(text)
+    except ConfigError:
+        return
+    for g in sc.grid.axes:
+        assert 0 < g.dx < math.inf and 0 < g.dp < math.inf and math.isfinite(g.ds)
+    assert sys.float_info.min <= (sc.t1 - sc.t0) / sc.nsteps < math.inf
+    assert 0 < sc.mass < math.inf
 
 
 class TestShippedScenarios:

@@ -45,13 +45,37 @@ class TestMakeGrid:
         (1, 0, 4, 0, 1, 4),       # reversed x bounds
         (0, 1, 4, 1, 1, 4),       # degenerate p bounds
         (0, np.inf, 4, 0, 1, 4),  # non-finite bound
+        (-1e308, 1e308, 4, 0, 1, 4),  # finite bounds, dx overflows
+        (0, 1, 4, -1e308, 1e308, 4),  # finite bounds, dp overflows
+        (0, 1, 4, 0, 5e-324, 4),  # dp underflows to 0
+        (0, 1, 4, 0, 1e-310, 4),  # dp subnormal, ds overflows
+        (0, 1, 2**1100, 0, 1, 4),  # a power of two no double holds
     ])
     def test_rejects_bad_input(self, args):
         with pytest.raises(ValueError):
             make_grid(*args)
 
+    def test_one_axis_interface(self):
+        # a 1-d grid is the one-axis case of PhaseSpaceGridND
+        g = make_grid(-8, 8, 16, -4, 4, 8)
+        assert g.ndim == PhaseSpaceGridND((g,)).ndim == 1
+        assert g.axes == PhaseSpaceGridND((g,)).axes == (g,)
+        assert g.shape() == PhaseSpaceGridND((g,)).shape()
+
 
 class TestNorm:
+    def test_one_norm_for_every_dimension(self):
+        assert WignerFieldND is WignerField and phasespace.norm_nd is norm
+        axis = make_grid(-8, 8, 16, -4, 4, 8)
+        rng = np.random.default_rng(3)
+        a, b = rng.random(axis.shape()), rng.random(axis.shape())
+        field_2d = WignerField(grid=PhaseSpaceGridND((axis, axis)),
+                               values=np.einsum("ac,bd->abcd", a, b))
+        want = norm(WignerField(grid=axis, values=a)) * norm(WignerField(grid=axis, values=b))
+        assert norm(field_2d) == pytest.approx(want, rel=1e-13)
+        # on one axis it is (sum * dx) * dp, in that order
+        assert norm(WignerField(grid=axis, values=a)) == float(a.sum() * axis.dx * axis.dp)
+
     def test_zero_field(self):
         f = WignerField(grid=DEFAULT_GRID, values=np.zeros(DEFAULT_GRID.shape()))
         assert norm(f) == 0.0

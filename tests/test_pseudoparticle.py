@@ -73,11 +73,6 @@ class TestNloCorrection:
         out = nlo_correction(f, Harmonic(k=2.0), 0.0, 0.1)
         np.testing.assert_array_equal(out.values, f.values)
 
-    def test_higher_orders_rejected(self):
-        f = blob(GRID)
-        with pytest.raises(ValueError):
-            nlo_correction(f, GaussianWell(), 0.0, 0.1, order=2)
-
     def test_odd_in_potential(self):
         f = blob(GRID, x0=1.0)
         plus = nlo_correction(f, GaussianWell(depth=1.0, sigma=3.0), 0.0, 0.1)

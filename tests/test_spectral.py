@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wigprop import make_grid
 from wigprop.phasespace import (PhaseSpaceGridND, WignerField, WignerFieldND,
@@ -287,3 +289,56 @@ class TestStepSeparable3D:
         want = np.einsum("ad,be,cf->abcdef", *(p.values for p in parts))
         np.testing.assert_allclose(f3.values, want, atol=1e-12)
         assert norm_nd(f3) == pytest.approx(norm0, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# time reversal: the inverse sub-steps in reverse order undo a full step
+# ---------------------------------------------------------------------------
+
+POTENTIALS_1D = st.one_of(
+    st.builds(Constant, c=st.floats(-5.0, 5.0)),
+    st.builds(Linear, g=st.floats(-3.0, 3.0)),
+    st.builds(Harmonic, k=st.floats(0.0, 4.0)),
+    st.builds(GaussianWell, depth=st.floats(-2.0, 2.0), sigma=st.floats(0.5, 5.0)))
+
+
+@st.composite
+def reversible_cases(draw):
+    """A sum of Gaussians contained in the grid with no content at either
+    Nyquist bin (3 to 6 cells wide, at least 9 widths from every edge),
+    and a dt small enough that the drifted field has none along p either:
+    the Nyquist multipliers are kept at their real parts, so they are not
+    unimodular and would not invert."""
+    half_x, half_p = draw(st.floats(4.0, 12.0)), draw(st.floats(2.0, 8.0))
+    grid = make_grid(-half_x, half_x, draw(st.sampled_from([128, 256])),
+                     -half_p, half_p, draw(st.sampled_from([128, 256])))
+    x = grid.x_lattice[:, None]
+    p = grid.p_lattice[None, :]
+    values = np.zeros(grid.shape())
+    widths = []
+    for _ in range(draw(st.integers(1, 3))):
+        sx = draw(st.floats(3.0, 6.0)) * grid.dx
+        sp = draw(st.floats(4.0, 6.0)) * grid.dp
+        x0 = draw(st.floats(-1.0, 1.0)) * (half_x - 9 * sx)
+        p0 = draw(st.floats(-1.0, 1.0)) * (half_p - 9 * sp)
+        amp = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.1, 2.0))
+        values += amp * np.exp(
+            -(x - x0) ** 2 / (2 * sx**2) - (p - p0) ** 2 / (2 * sp**2))
+        widths.append(sx)
+    mass = draw(st.floats(0.2, 5.0))
+    # with dt / m <= sx / (4 dp), each drifted Gaussian is at least about
+    # 2.8 cells wide along p at every x
+    dt = draw(st.floats(0.01, 1.0)) * min(0.5, mass * min(widths) / (4 * grid.dp))
+    cfg = SpectralStepConfig(dt=dt, mass=mass)
+    return WignerField(grid=grid, values=values), draw(POTENTIALS_1D), \
+        draw(st.floats(0.0, 2.0)), cfg
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(reversible_cases())
+def test_step_full_is_time_reversible(case):
+    f, pot, t, cfg = case
+    forward = step_full(f, pot, t, cfg)
+    back = drift(kick_full(forward, pot, t, -cfg.dt), -cfg.dt, cfg.mass)
+    scale = np.abs(f.values).max()
+    assert np.abs(back.values - f.values).max() <= 1e-12 * scale
