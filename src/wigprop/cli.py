@@ -21,7 +21,7 @@ import numpy as np
 from . import oracle, pseudoparticle, spectral
 from .phasespace import (DEFAULT_GRID_SPEC, NumericalError, PhaseSpaceGrid,
                          StepDiagnostics, WignerField, diff_metrics, evolve,
-                         load_field, make_grid, save_field)
+                         load_field, make_grid, save_field, step_size)
 from .potentials import GaussianWell, parse_potential
 
 METHODS = ("spectral-full", "spectral-fo", "lo", "nlo", "oracle")
@@ -186,13 +186,12 @@ def _validate_scenario(sc: Scenario) -> None:
             raise ConfigError(message, sc.lines.get(key))
 
     check(math.isfinite(sc.t0), "t0", "t0 must be finite")
-    check(math.isfinite(sc.t1), "t1", "t1 must be finite")
     check(1 <= sc.nsteps <= sys.maxsize, "nsteps", "nsteps must be from 1 to sys.maxsize")
     check(0 < sc.mass < math.inf, "mass", "mass must be positive and finite")
-    # t1 > t0, and a normal dt keeps (tc - t0) / dt finite for every tc
-    dt = (sc.t1 - sc.t0) / sc.nsteps
-    check(sys.float_info.min <= dt < math.inf, "t1", f"the step (t1 - t0) / nsteps "
-          f"= {dt:g} must be positive, finite and not subnormal")
+    try:
+        dt = step_size(sc.t0, sc.t1, sc.nsteps)
+    except ValueError as exc:
+        raise ConfigError(str(exc), sc.lines.get("t1")) from None
     for tc in sc.checkpoints:
         check(sc.t0 - 1e-9 <= tc <= sc.t1 + 1e-9, "checkpoints",
               f"checkpoint {tc} outside [{sc.t0}, {sc.t1}]")
@@ -208,7 +207,8 @@ def _validate_scenario(sc: Scenario) -> None:
               "oracle initial states require potential = gaussian_well")
         check(0 < sc.beta0_sq < math.inf, "beta0_sq",
               "beta0_sq must be positive and finite")
-        check(sc.n_max >= 2, "n_max", "n_max must be at least 2")
+        check(2 <= sc.n_max <= oracle.N_MAX_SOLVABLE, "n_max", "n_max must be "
+              f"from 2 to {oracle.N_MAX_SOLVABLE}; larger bases cannot be solved")
         # the state is normalized by this sum, which fails to be positive
         # and finite for a NaN or inf, all zeros, or squares that overflow
         # or underflow
@@ -268,11 +268,11 @@ def _write_slice(outdir: Path, field: WignerField, p_want: float, method: str) -
 
 def run_scenario(sc: Scenario, outdir) -> Path:
     """Execute a scenario and write snapshots, slice tables and diagnostics."""
+    dt = step_size(sc.t0, sc.t1, sc.nsteps)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "scenario.txt").write_text(sc.source_text)
 
-    dt = (sc.t1 - sc.t0) / sc.nsteps
     want = sorted(set(round((tc - sc.t0) / dt) for tc in sc.checkpoints))
     diag_rows: list[StepDiagnostics] = []
     warnings: list[str] = []
@@ -524,22 +524,14 @@ def oracle_field_cmd(time, sigma, beta0sq, nmax, amplitudes, grid_raw, out):
 @click.option("--t0", type=float, default=0.0, show_default=True)
 @click.option("--t1", type=float, required=True)
 @click.option("--steps", "nsteps", type=int, required=True)
-@click.option("--dt", type=float, default=None,
-              help="Alternative to --steps: step size (must divide t1 - t0).")
 @click.option("--checkpoints", default=None, help="Times to snapshot (default: t1).")
 @click.option("--slices", default="0 0.3 0.6", show_default=True)
 @click.option("--mass", type=float, default=1.0, show_default=True)
 @click.option("-o", "--outdir", required=True, type=click.Path())
-def evolve_cmd(method, potential_raw, initial_path, t0, t1, nsteps, dt,
+def evolve_cmd(method, potential_raw, initial_path, t0, t1, nsteps,
                checkpoints, slices, mass, outdir):
     """Propagate a field file and write a run directory."""
     def body():
-        nonlocal nsteps
-        if dt is not None:
-            steps = (t1 - t0) / dt if 0 < dt < math.inf else math.nan
-            if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9):
-                raise ConfigError("dt must be positive and divide t1 - t0 evenly")
-            nsteps = int(round(steps))
         try:
             loaded = load_field(initial_path)
         except (OSError, ValueError) as exc:

@@ -30,8 +30,9 @@ from .phasespace import (NumericalError, PhaseSpaceGrid, WignerField, by_rows,
 #: Cholesky pivots below this abort the solve.
 CHOLESKY_PIVOT_MIN = 1e-12
 
-#: Max |Im| tolerated when assembling the (hermitian) double sum.
-HERMITICITY_TOL = 1e-10
+#: Largest n_max that ``solve`` accepts, for every beta0_sq: from n_max = 12
+#: on, a pivot of the overlap matrix falls below CHOLESKY_PIVOT_MIN.
+N_MAX_SOLVABLE = 11
 
 
 class ConditioningError(NumericalError):

@@ -219,12 +219,15 @@ NORM_DRIFT_WARN = 1e-6
 
 
 def step_size(t0: float, t1: float, nsteps: int) -> float:
-    """(t1 - t0) / nsteps, after checking that nsteps >= 1 and t1 > t0."""
+    """dt = (t1 - t0) / nsteps, after checking that nsteps >= 1 and that dt
+    is positive, finite and normal, which keeps every (tc - t0) / dt finite."""
     if nsteps < 1:
         raise ValueError("nsteps must be at least 1")
-    if not t1 > t0:
-        raise ValueError("t1 must exceed t0")
-    return (t1 - t0) / nsteps
+    dt = (t1 - t0) / nsteps
+    if not sys.float_info.min <= dt < math.inf:
+        raise ValueError(f"the step (t1 - t0) / nsteps = {dt:g} must be "
+                         "positive, finite and not subnormal")
+    return dt
 
 
 def evolve(step, field: WignerField, t0: float, dt: float, nsteps: int,

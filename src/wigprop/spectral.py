@@ -1,19 +1,19 @@
 """Explicit spectral propagator: drift-kick split steps through the
-conjugate s-lattice.
+conjugate s-lattice, on lattices of 1, 2 or 3 dimensions.
 
 One step advances the field by dt in two exact sub-maps: free streaming
-along x (each constant-p row translated by p*dt/m) and a momentum kernel
-applied per x-column (multiply the p-spectrum by the unimodular phase
-exp(-i [V(x - s/2) - V(x + s/2)] dt / hbar)).  The phase is conjugate-
-symmetric under s -> -s because the potential difference is odd in s, and
-the drift phase exp(-i kx p dt/m) is conjugate-symmetric under kx -> -kx,
-so real fields stay real.  Each sub-map therefore runs on half spectra:
-numpy.fft.rfft along the transformed axis, a multiply by the n//2 + 1
-non-negative-frequency bins of the multiplier, and irfft back, so the
-field is real at every stage.  The unpaired Nyquist bin is kept at the
-real part of its multiplier for the same reason.  The s = 0 component is
-untouched by the kick, which conserves the momentum marginal at every x
-exactly.
+along every x_j (each constant-p line translated by p_j*dt/m) and a
+momentum kernel along every p_j (multiply the p_j-spectrum by the
+unimodular phase exp(-i [V(x - s_j e_j/2) - V(x + s_j e_j/2)] dt / hbar),
+or by its first-order truncation in the ``first_order`` variant).  The
+phase is conjugate-symmetric under s -> -s because the potential
+difference is odd in s, and the drift phase exp(-i kx p dt/m) is
+conjugate-symmetric under kx -> -kx, so real fields stay real.  Each
+sub-map therefore multiplies half spectra: the n//2 + 1 non-negative-
+frequency bins of the multiplier, with the unpaired Nyquist bin kept at
+the real part of its multiplier for the same reason.  The s = 0 component
+is untouched by the kick, which conserves the momentum marginal at every
+x exactly.  One step body serves every dimension and both variants.
 
 The multipliers depend only on the grid, dt and the mass (drift) or the
 potential and variant (kick), so each is built once and kept in a small
@@ -23,25 +23,25 @@ for a potential that declares ``time_dependent = False`` and can be
 hashed; any other potential gets its kick rebuilt at every step time, so
 the memo never serves a kick built at another time.
 
-The separable 2-d/3-d step (``step_separable``) uses the same multipliers
-but applies each as real matrices.  Multiplying the half spectrum along an
-axis of n points by m is a circular convolution with c = irfft(m), that is
-the n x n matrix T[i, k] = c[(i - k) mod n], one for each index of the
-axes m depends on: each momentum p_j for the drift of x_j; for the kick
-along p_j, each x_j under a separable sum (whose kick phase is the 1-d
-phase of its term j) and each lattice point x under any other potential.
-A step copies the field into (p, x) order, multiplies every x_j line by
-its drift matrices with batched np.matmul, copies it back into (x, p)
-order and multiplies every p_j line by its kick matrices.  The axes are
-short by necessity, since the lattice holds n^(2d) values, and on lines
-of 32 points pocketfft's per-line overhead costs more than the extra
-arithmetic of a dense 32 x 32 product: a 32^4 step takes under a third of
-its rfft/irfft time.  The matrices of a static potential are memoized
-like the multipliers.  They hold n^3 values per axis for the drift and
-for a separable kick (256 KiB at n = 32), but n^(d+2) for the kick of a
-non-separable potential (8 MiB per axis at 32^4).  The 1-d steps keep
-their rfft/irfft code, so the command-line spectral runs compute exactly
-what they did.
+The grid's dimension picks how the multipliers are applied.  On a 1-d
+lattice a sub-map is numpy.fft.rfft along its axis, the multiply and irfft
+back, so the field is real at every stage; on a 2-d/3-d lattice it is a
+product of real matrices.  Multiplying the half spectrum along an axis of
+n points by m is a circular convolution with c = irfft(m), that is the
+n x n matrix T[i, k] = c[(i - k) mod n], one for each index of the axes
+m depends on: each momentum p_j for the drift of x_j; for the kick along
+p_j, each x_j under a separable sum (whose kick multiplier is the 1-d one
+of its term j) and each lattice point x under any other potential.  A step
+copies the field into (p, x) order, multiplies every x_j line by its drift
+matrices with batched np.matmul, copies it back into (x, p) order and
+multiplies every p_j line by its kick matrices.  The axes are short by
+necessity, since the lattice holds n^(2d) values, and on lines of 32
+points pocketfft's per-line overhead costs more than the extra arithmetic
+of a dense 32 x 32 product: a 32^4 step takes under a third of its
+rfft/irfft time.  The matrices of a static potential are memoized like the
+multipliers.  They hold n^3 values per axis for the drift and for a
+separable kick (256 KiB at n = 32), but n^(d+2) for the kick of a
+non-separable potential (8 MiB per axis at 32^4).
 """
 
 from __future__ import annotations
@@ -136,10 +136,11 @@ def _apply_half(values: np.ndarray, multiplier: np.ndarray, axis: int) -> np.nda
     return irfft(spectrum, n=values.shape[axis], axis=axis)
 
 
-def _drift_phase(grid: PhaseSpaceGrid, dt: float, mass: float) -> np.ndarray:
+def _drift_phase(grid, dt: float, mass: float) -> np.ndarray:
     """exp(-i kx p dt/m) on the kx >= 0 half, shape (nx//2 + 1, np)."""
-    kx = 2.0 * np.pi * np.fft.rfftfreq(grid.nx, grid.dx)
-    shift = grid.p_lattice * dt / mass
+    g = grid.axes[0]
+    kx = 2.0 * np.pi * np.fft.rfftfreq(g.nx, g.dx)
+    shift = g.p_lattice * dt / mass
     return _real_nyquist(np.exp(-1j * kx[:, None] * shift[None, :]), axis=0)
 
 
@@ -195,18 +196,28 @@ def _kick_phase(grid, pot, t: float, dt: float, j: int = 0) -> np.ndarray:
                          axis=grid.ndim + j)
 
 
-def _kick_multiplier_first_order(grid: PhaseSpaceGrid, pot: Potential, t: float,
-                                 dt: float) -> np.ndarray:
+def _kick_multiplier_first_order(grid, pot, t: float, dt: float,
+                                 j: int = 0) -> np.ndarray:
     # truncating the kernel phase at first order in dt is the convolution
     # of the drifted field with the odd potential-difference transform
-    return _real_nyquist(1.0 - 1j * _delta_v(grid, pot, t) * dt / HBAR + 0j, axis=1)
+    return _real_nyquist(1.0 - 1j * _delta_v(grid, pot, t, j) * dt / HBAR + 0j,
+                         axis=grid.ndim + j)
 
 
-def _kick_multiplier(grid: PhaseSpaceGrid, pot: Potential, t: float, dt: float,
-                     variant: str) -> np.ndarray:
+def _kick_multiplier(grid, pot, t: float, dt: float, variant: str,
+                     j: int = 0) -> np.ndarray:
+    """The variant's kick along p_j: its half-spectrum multiplier on a 1-d
+    grid, else one np_j x np_j transfer matrix per lattice point x (size 1 on
+    the x axes the multiplier does not vary over; transposed for the last)."""
     build = _kick_phase if variant == "full" else _kick_multiplier_first_order
-    return _memoized(("kick", variant, grid, pot, dt),
-                     lambda: build(grid, pot, t, dt), static=_is_static(pot))
+    d = grid.ndim
+
+    def multiplier():
+        m = build(grid, pot, t, dt, j)
+        return m if d == 1 else _transfer_matrices(m, d + j, grid.axes[j].np,
+                                                   m.shape[:d], right=j == d - 1)
+    return _memoized(("kick" if d == 1 else "kick_nd", variant, grid, pot, dt, j),
+                     multiplier, static=_is_static(pot))
 
 
 def _apply_kick(values: np.ndarray, multiplier: np.ndarray) -> tuple[np.ndarray, float]:
@@ -228,11 +239,47 @@ def kick_full(field_in: WignerField, pot: Potential, t: float,
     return WignerField(grid=field_in.grid, values=values, time=field_in.time)
 
 
-def _drift_kick(field_in: WignerField, pot: Potential, t: float,
-                cfg: SpectralStepConfig, variant: str) -> WignerField:
+def _drift_kick(field_in: WignerField, pot, t: float, cfg: SpectralStepConfig,
+                variant: str) -> WignerField:
+    """Drift every x_j by p_j dt/m, then kick every p_j with the variant's
+    multiplier, by rfft/irfft on a 1-d lattice and by matrices on a larger one.
+
+    The potential difference along each axis j uses shifts s_j e_j only,
+    dropping the cross terms that couple different axes; the per-axis
+    kernels commute, so sequential application realizes their product.
+    Exact when V is an additive sum of one-dimensional terms, and then a
+    ``SeparableSum`` must have one term per axis."""
     grid = field_in.grid
-    drifted, _ = _spectral_shift_rows(field_in.values, grid, cfg.dt, cfg.mass)
-    values, _ = _apply_kick(drifted, _kick_multiplier(grid, pot, t, cfg.dt, variant))
+    d = grid.ndim
+    if isinstance(pot, SeparableSum) and len(pot.terms) != d:
+        raise ValueError(f"a separable sum of {len(pot.terms)} terms cannot "
+                         f"act on a {d}-d lattice")
+    if d == 1:
+        drifted, _ = _spectral_shift_rows(field_in.values, grid, cfg.dt, cfg.mass)
+        values, _ = _apply_kick(drifted, _kick_multiplier(grid, pot, t, cfg.dt, variant))
+        return WignerField(grid=grid, values=values, time=field_in.time + cfg.dt)
+
+    # two buffers, each sub-step reading one and writing the other; a fresh
+    # array per sub-step costs more in page faults than its GEMMs take
+    spare = np.empty(field_in.values.size)
+    values = _swap_halves(field_in.values, np.empty(field_in.values.size))
+
+    # drift each x_j by its conjugate momentum p_j, batched over p
+    for j, g in enumerate(grid.axes):
+        right = j == d - 1
+        mats = _memoized(("drift_nd", g, cfg.dt, cfg.mass, right),
+                         lambda: _transfer_matrices(_drift_phase(g, cfg.dt, cfg.mass),
+                                                    0, g.nx, (g.np,), right))
+        values, spare = _apply_matrices(
+            values, mats.reshape(_axis_shape(d, j, g.np) + [g.nx, g.nx]), j,
+            spare), values
+
+    # kick each p_j with the on-axis potential difference, batched over x
+    values, spare = _swap_halves(values, spare), values
+    for j in range(d):
+        values, spare = _apply_matrices(
+            values, _kick_multiplier(grid, pot, t, cfg.dt, variant, j), j,
+            spare), values
     return WignerField(grid=grid, values=values, time=field_in.time + cfg.dt)
 
 
@@ -269,7 +316,7 @@ def evolve(field_in: WignerField, pot: Potential, t0: float, t1: float,
 
 
 # ---------------------------------------------------------------------------
-# separable multi-dimensional stepping
+# transfer matrices of the 2-d/3-d steps
 # ---------------------------------------------------------------------------
 
 def _transfer_matrices(multiplier: np.ndarray, axis: int, n: int,
@@ -284,26 +331,6 @@ def _transfer_matrices(multiplier: np.ndarray, axis: int, n: int,
     kernel = np.moveaxis(irfft(multiplier, n=n, axis=axis), axis, -1)
     lag = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
     return np.take(kernel.reshape(batch + (n,)), lag.T if right else lag, axis=-1)
-
-
-def _drift_matrices(g: PhaseSpaceGrid, dt: float, mass: float,
-                    right: bool) -> np.ndarray:
-    """The drift of one axis as one nx x nx matrix per momentum: (np, nx, nx)."""
-    return _memoized(("drift_nd", g, dt, mass, right), lambda: _transfer_matrices(
-        _drift_phase(g, dt, mass), 0, g.nx, (g.np,), right))
-
-
-def _kick_matrices(grid, pot, t: float, dt: float, j: int) -> np.ndarray:
-    """The kick along p_j as one np_j x np_j matrix per lattice point x,
-    with size 1 on the x axes the kick phase does not vary over; transposed
-    for the last axis."""
-    d = grid.ndim
-
-    def build():
-        phase = _kick_phase(grid, pot, t, dt, j)
-        return _transfer_matrices(phase, d + j, grid.axes[j].np,
-                                  phase.shape[:d], right=j == d - 1)
-    return _memoized(("kick_nd", j, grid, pot, dt), build, static=_is_static(pot))
 
 
 def _apply_matrices(values: np.ndarray, mats: np.ndarray, j: int,
@@ -347,39 +374,7 @@ def _swap_halves(values: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def step_separable(field_in: WignerField, pot, t: float,
                    cfg: SpectralStepConfig) -> WignerField:
-    """Axis-by-axis drift and kick for 2-d/3-d lattices.
-
-    The potential difference along each axis j uses shifts s_j e_j only,
-    dropping the cross terms that couple different axes; the per-axis
-    kernels commute, so sequential application realizes their product.
-    Exact when V is an additive sum of one-dimensional terms, and then a
-    ``SeparableSum`` must have one term per axis.  ``pot`` must expose
-    value_nd(coords, t).
-    """
-    grid = field_in.grid
-    d = grid.ndim
-    if d not in (2, 3):
+    """``step`` on 2-d/3-d lattices only; ``pot`` must expose value_nd."""
+    if field_in.grid.ndim not in (2, 3):
         raise ValueError("separable stepping supports 2 or 3 dimensions only")
-    if isinstance(pot, SeparableSum) and len(pot.terms) != d:
-        raise ValueError(f"a separable sum of {len(pot.terms)} terms cannot "
-                         f"act on a {d}-d lattice")
-
-    # two buffers, each sub-step reading one and writing the other; a fresh
-    # array per sub-step costs more in page faults than its GEMMs take
-    spare = np.empty(field_in.values.size)
-    values = _swap_halves(field_in.values, np.empty(field_in.values.size))
-
-    # drift each x_j by its conjugate momentum p_j, batched over p
-    for j, g in enumerate(grid.axes):
-        mats = _drift_matrices(g, cfg.dt, cfg.mass, right=j == d - 1)
-        values, spare = _apply_matrices(
-            values, mats.reshape(_axis_shape(d, j, g.np) + [g.nx, g.nx]), j,
-            spare), values
-
-    # kick each p_j with the on-axis potential difference, batched over x
-    values, spare = _swap_halves(values, spare), values
-    for j in range(d):
-        values, spare = _apply_matrices(
-            values, _kick_matrices(grid, pot, t, cfg.dt, j), j, spare), values
-
-    return WignerField(grid=grid, values=values, time=field_in.time + cfg.dt)
+    return _drift_kick(field_in, pot, t, cfg, cfg.variant)

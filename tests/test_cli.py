@@ -10,6 +10,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wigprop import oracle
 from wigprop.cli import (_SECTION_KEYS, ConfigError, compare_runs, main,
                          parse_scenario_text, run_scenario)
 from wigprop.phasespace import WignerField, load_field, make_grid, save_field
@@ -280,22 +281,6 @@ class TestCommands:
         assert res.exit_code == 0, res.output
         assert (tmp_path / "lo_run" / "field_t0.500000.txt").exists()
 
-    def test_evolve_dt_option(self, tmp_path):
-        runner = CliRunner()
-        field_path = tmp_path / "f0.txt"
-        runner.invoke(main, ["oracle", "field", "--nmax", "8",
-                             "--grid", "-8 8 64 -4 4 64", "-o", str(field_path)])
-        res = runner.invoke(main, [
-            "evolve", "--method", "spectral-full", "--potential",
-            "gaussian_well", "-i", str(field_path), "--t1", "0.4",
-            "--steps", "1", "--dt", "0.1", "-o", str(tmp_path / "run")])
-        assert res.exit_code == 0, res.output
-        res = runner.invoke(main, [
-            "evolve", "--method", "spectral-full", "--potential",
-            "gaussian_well", "-i", str(field_path), "--t1", "0.45",
-            "--steps", "1", "--dt", "0.1", "-o", str(tmp_path / "run2")])
-        assert res.exit_code == 2
-
     def test_transcribe_roundtrip(self, tmp_path):
         runner = CliRunner()
         field_path = tmp_path / "f0.txt"
@@ -485,6 +470,8 @@ class TestBadValuesExit2:
         ("spectral-full", "amplitudes", "0 0"),
         ("spectral-full", "amplitudes", "nan 1"),
         ("spectral-full", "n_max", "-1"),
+        ("spectral-full", "n_max", "12"),
+        ("spectral-full", "n_max", str(10**30)),
         ("spectral-full", "beta0_sq", "nan"),
         ("spectral-full", "amplitudes", "1 " * 9),
         ("spectral-full", "amplitudes", "1e200 1e200"),
@@ -506,8 +493,8 @@ class TestBadValuesExit2:
 
     @pytest.mark.parametrize("options", [
         ("--method", "lo", "--mass", "-1"),
-        ("--method", "spectral-full", "--dt", "0"),
-        ("--method", "spectral-full", "--dt", "nan"),
+        ("--method", "spectral-full", "--t0", "nan"),
+        ("--method", "lo", "--slices", "9"),
         ("--method", "spectral-full", "--checkpoints", "0 x"),
     ])
     def test_evolve_option(self, tmp_path, options):
@@ -639,6 +626,7 @@ def scenario_texts(draw):
 @example(_scenario_text({**VALID_VALUES, "x_min": "-1e308", "x_max": "1e308"}))
 @example(_scenario_text({**VALID_VALUES, "nsteps": str(10**400)}))
 @example(_scenario_text({**VALID_VALUES, "nx": str(2**1100)}))
+@example(_scenario_text({**VALID_VALUES, "n_max": str(10**30)}))
 def test_parser_raises_only_config_errors(text):
     """Any scenario text either parses to a runnable scenario (finite
     positive spacings and step) or raises ConfigError; nothing else."""
@@ -650,6 +638,7 @@ def test_parser_raises_only_config_errors(text):
         assert 0 < g.dx < math.inf and 0 < g.dp < math.inf and math.isfinite(g.ds)
     assert sys.float_info.min <= (sc.t1 - sc.t0) / sc.nsteps < math.inf
     assert 0 < sc.mass < math.inf
+    assert sc.initial_kind != "oracle" or 2 <= sc.n_max <= oracle.N_MAX_SOLVABLE
 
 
 class TestShippedScenarios:

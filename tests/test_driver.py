@@ -123,3 +123,15 @@ def test_transport_through_the_boundary_warns_every_step():
     res = spectral.evolve(f, Constant(c=0.0), 0.0, 2.0, 10,
                           spectral.SpectralStepConfig(dt=0.2))
     assert res.warnings == []
+
+
+@pytest.mark.parametrize("t0, t1, nsteps", [(0.0, 5e-324, 30), (-1e308, 1e308, 5)])
+def test_module_evolves_refuse_a_step_that_is_not_normal(t0, t1, nsteps):
+    # a subnormal step (here 0.0 after the division) would step 30 times
+    # without moving the time; an infinite one would end in a non-finite field
+    f = blob()
+    with pytest.raises(ValueError, match=r"the step \(t1 - t0\) / nsteps"):
+        spectral.evolve(f, GaussianWell(), t0, t1, nsteps,
+                        spectral.SpectralStepConfig(dt=0.1))
+    with pytest.raises(ValueError, match=r"the step \(t1 - t0\) / nsteps"):
+        pseudoparticle.evolve(f, GaussianWell(), t0, t1, nsteps)

@@ -4,7 +4,8 @@ import scipy.linalg
 from scipy.integrate import quad
 
 from wigprop import make_grid
-from wigprop.oracle import (ConditioningError, GaussianBasis, SuperpositionState,
+from wigprop.oracle import (N_MAX_SOLVABLE, ConditioningError, GaussianBasis,
+                            SuperpositionState,
                             basis_coefficients, eigen_wavefunction,
                             kinetic_matrix, numeric_wigner, overlap_matrix,
                             potential_matrix, sample_field, solve,
@@ -140,6 +141,15 @@ class TestSolve:
     def test_overconditioned_basis_fails_loudly(self):
         with pytest.raises(ConditioningError, match="pivot"):
             solve(GaussianBasis(n_max=20), SIGMA)
+
+    @pytest.mark.parametrize("beta0_sq", [0.1, 1.0, 7.0])
+    def test_largest_solvable_basis(self, beta0_sq):
+        # the bound a scenario's n_max is checked against: the overlap
+        # matrix depends only on index ratios, so it holds for any beta0_sq
+        solution = solve(GaussianBasis(beta0_sq=beta0_sq, n_max=N_MAX_SOLVABLE), SIGMA)
+        assert solution.min_pivot >= 1e-12
+        with pytest.raises(ConditioningError, match="pivot"):
+            solve(GaussianBasis(beta0_sq=beta0_sq, n_max=N_MAX_SOLVABLE + 1), SIGMA)
 
     def test_min_pivot_reported(self):
         solution = solve(GaussianBasis(), SIGMA)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,8 @@ from wigprop.phasespace import (PhaseSpaceGridND, WignerField, WignerFieldND,
 from wigprop.potentials import (Constant, GaussianWell, Harmonic, Linear,
                                 RadialGaussianWell, SeparableSum)
 from wigprop.spectral import (SpectralStepConfig, StepDiagnostics, drift,
-                              evolve, kick_full, step_first_order, step_full,
-                              step_separable)
+                              evolve, kick_full, step, step_first_order,
+                              step_full, step_separable)
 
 GRID = make_grid(-8, 8, 256, -8, 8, 256)
 
@@ -266,10 +268,11 @@ class TestStepSeparable:
 
 
 class TestStepSeparable3D:
-    def test_3d_factorizes_into_1d_steps(self):
+    @pytest.mark.parametrize("variant", ["full", "first_order"])
+    def test_3d_factorizes_into_1d_steps(self, variant):
         # separable potential + product initial data: the 3-d sweep must
-        # equal the outer product of 1-d full steps exactly, which pins the
-        # axis indexing without any resolution requirement
+        # equal the outer product of 1-d steps of the same variant exactly,
+        # which pins the axis indexing without any resolution requirement
         axis = make_grid(-6, 6, 8, -6, 6, 8)
         grid_3d = PhaseSpaceGridND(axes=(axis, axis, axis))
         rng = np.random.default_rng(21)
@@ -280,15 +283,77 @@ class TestStepSeparable3D:
         values = np.einsum("ad,be,cf->abcdef", *(p.values for p in parts))
         f3 = WignerFieldND(grid=grid_3d, values=values)
         pot3 = SeparableSum(terms=pots)
-        cfg = SpectralStepConfig(dt=0.07)
+        cfg = SpectralStepConfig(dt=0.07, variant=variant)
         norm0 = norm_nd(f3)
         for k in range(3):
             f3 = step_separable(f3, pot3, k * cfg.dt, cfg)
-            parts = [step_full(p, pots[j], k * cfg.dt, cfg)
+            parts = [step(p, pots[j], k * cfg.dt, cfg)
                      for j, p in enumerate(parts)]
         want = np.einsum("ad,be,cf->abcdef", *(p.values for p in parts))
         np.testing.assert_allclose(f3.values, want, atol=1e-12)
         assert norm_nd(f3) == pytest.approx(norm0, rel=1e-10)
+
+
+def random_field_nd(d, n, seed=5):
+    axis = make_grid(-6, 6, n, -5, 5, n)
+    grid = PhaseSpaceGridND(axes=(axis,) * d)
+    values = np.random.default_rng(seed).random(grid.shape())
+    return WignerFieldND(grid=grid, values=values)
+
+
+ND_POTENTIALS = {
+    2: [SeparableSum((Harmonic(k=1.0), GaussianWell(depth=1.0, sigma=2.0))),
+        RadialGaussianWell(depth=1.0, sigma=2.0)],
+    3: [SeparableSum((Linear(g=0.5), Harmonic(k=1.0), GaussianWell(depth=1.0, sigma=2.0))),
+        RadialGaussianWell(depth=1.0, sigma=2.0)],
+}
+
+
+class TestStepAnyDimension:
+    """``step``, ``step_full``, ``step_first_order`` and ``evolve`` take
+    2-d/3-d fields through the same body as ``step_separable``."""
+
+    @pytest.mark.parametrize("variant", ["full", "first_order"])
+    @pytest.mark.parametrize("d, n, which", [(2, 16, 0), (2, 16, 1), (3, 8, 0), (3, 8, 1)])
+    def test_step_and_evolve_equal_step_separable(self, d, n, which, variant):
+        f = random_field_nd(d, n)
+        pot = ND_POTENTIALS[d][which]
+        cfg = SpectralStepConfig(dt=0.1, variant=variant)
+        want = step_separable(f, pot, 0.3, cfg)
+        by_name = step_full if variant == "full" else step_first_order
+        for got in (step(f, pot, 0.3, cfg), by_name(f, pot, 0.3, cfg)):
+            assert np.array_equal(got.values, want.values)
+            assert got.time == want.time
+
+        res = evolve(f, pot, 0.2, 0.5, 3, cfg)
+        want = f
+        dt = (0.5 - 0.2) / 3
+        for k in range(3):
+            want = step_separable(want, pot, 0.2 + k * dt, replace(cfg, dt=dt))
+        assert np.array_equal(res.field.values, want.values)
+        assert len(res.diagnostics) == 3
+
+    def test_one_axis_product_grid_steps_as_its_axis(self):
+        axis = make_grid(-6, 6, 32, -5, 5, 32)
+        f = random_field_nd(1, 32)
+        pot, cfg = GaussianWell(depth=1.0, sigma=2.0), SpectralStepConfig(dt=0.1)
+        got = step(f, pot, 0.0, cfg)
+        want = step(WignerField(grid=axis, values=f.values), pot, 0.0, cfg)
+        assert got.grid == f.grid and np.array_equal(got.values, want.values)
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+    def test_variants_differ_by_the_kick_truncation(self, d, n):
+        f = random_field_nd(d, n)
+        pot = ND_POTENTIALS[d][1]
+
+        def gap(dt):
+            full = step(f, pot, 0.0, SpectralStepConfig(dt=dt)).values
+            first = step(f, pot, 0.0, SpectralStepConfig(dt=dt, variant="first_order"))
+            return np.abs(full - first.values).max() / np.abs(full).max()
+        # the first-order kernel drops terms of order (dt dV)^2, so halving
+        # dt quarters the gap
+        assert 0 < gap(0.05) < 1e-3
+        assert gap(0.025) / gap(0.05) == pytest.approx(0.25, rel=0.2)
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,21 @@ class TestMemoSafety:
             assert max_rel(got.values, want) <= 1e-12
         assert len(kick_keys()) == 3
 
+    @pytest.mark.parametrize("pot", [RadialGaussianWell(depth=1.0, sigma=2.0),
+                                     SeparableSum((Harmonic(k=1.0), Linear(g=0.5)))])
+    def test_separable_variants_never_share_an_entry(self, pot):
+        axis = make_grid(-6, 6, 8, -6, 6, 8)
+        grid = PhaseSpaceGridND((axis, axis))
+        f = WignerFieldND(grid=grid, values=np.random.default_rng(3).random(grid.shape()))
+        for _ in range(2):      # the second pass is served from the memo
+            for variant in ("full", "first_order"):
+                cfg = SpectralStepConfig(dt=0.1, variant=variant)
+                got = spectral.step(f, pot, 0.0, cfg)
+                want = rfft_step_separable(f, pot, 0.0, cfg)
+                assert max_rel(got.values, want) <= 1e-12
+        # one matrix set per axis and variant
+        assert len(kick_keys()) == 4
+
     def test_unhashable_potential_is_rebuilt(self):
         pot = UnhashableWell(depth=1.0)
         cfg = SpectralStepConfig(dt=0.1)
@@ -313,9 +328,10 @@ def real_half_nyquist(phase, axis):
     return phase
 
 
-def on_axis_kick_phase(grid, pot, t, dt, j):
-    """exp(-i [V(x - s_j e_j / 2) - V(x + s_j e_j / 2)] dt) on the s_j >= 0
-    half from value_nd over the whole x lattice, Nyquist bin kept real."""
+def on_axis_kick_phase(grid, pot, t, dt, j, variant="full"):
+    """exp(-i [V(x - s_j e_j / 2) - V(x + s_j e_j / 2)] dt), or its first-order
+    truncation, on the s_j >= 0 half from value_nd over the whole x lattice,
+    Nyquist bin kept real."""
     d = grid.ndim
     coords = [g.x_lattice.reshape(axis_shape(2 * d, i, g.nx))
               for i, g in enumerate(grid.axes)]
@@ -325,14 +341,18 @@ def on_axis_kick_phase(grid, pot, t, dt, j):
     minus, plus = list(coords), list(coords)
     minus[j] = coords[j] - s / 2.0
     plus[j] = coords[j] + s / 2.0
-    phase = np.exp(-1j * (pot.value_nd(minus, t) - pot.value_nd(plus, t)) * dt) + 0j
+    delta_v = pot.value_nd(minus, t) - pot.value_nd(plus, t)
+    if variant == "full":
+        phase = np.exp(-1j * delta_v * dt) + 0j
+    else:
+        phase = 1.0 - 1j * delta_v * dt + 0j
     return real_half_nyquist(phase, axis=d + j)
 
 
 def rfft_step_separable(field, pot, t, cfg):
     """step_separable as one rfft/irfft pair per sub-step and axis: the
     drift multiplies the x_j half spectrum by the 1-d drift phase, the
-    kick the p_j half spectrum by the on-axis kick phase."""
+    kick the p_j half spectrum by the variant's on-axis kick multiplier."""
     grid = field.grid
     d = grid.ndim
     values = field.values
@@ -345,7 +365,7 @@ def rfft_step_separable(field, pot, t, cfg):
         values = np.fft.irfft(np.fft.rfft(values, axis=j) * phase.reshape(shape),
                               n=g.nx, axis=j)
     for j, g in enumerate(grid.axes):
-        phase = on_axis_kick_phase(grid, pot, t, cfg.dt, j)
+        phase = on_axis_kick_phase(grid, pot, t, cfg.dt, j, cfg.variant)
         values = np.fft.irfft(np.fft.rfft(values, axis=d + j) * phase,
                               n=g.np, axis=d + j)
     return values
@@ -379,7 +399,8 @@ def separable_cases(draw):
         st.builds(lambda g, k: SeparableSum(tuple(
             DrivenLinear(g=g) if i == k else term for i, term in enumerate(terms))),
             st.floats(-3.0, 3.0), st.integers(0, d - 1))))
-    cfg = SpectralStepConfig(dt=draw(st.floats(1e-3, 0.5)), mass=draw(st.floats(0.2, 5.0)))
+    cfg = SpectralStepConfig(dt=draw(st.floats(1e-3, 0.5)), mass=draw(st.floats(0.2, 5.0)),
+                             variant=draw(st.sampled_from(["full", "first_order"])))
     return field, pot, draw(st.floats(0.0, 2.0)), cfg
 
 
