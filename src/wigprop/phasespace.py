@@ -330,11 +330,13 @@ def by_rows(fn, n: int) -> None:
     single block it is one plain call ``fn(slice(0, n))``.  ``fn`` must
     write only its own rows, must not call ``by_rows`` itself (its blocks
     would wait on the pool they run in), and should spend its time in
-    code that releases the GIL and keeps no shared state (numpy ufuncs,
-    scipy.ndimage kernels).  When every row is computed without reference
-    to the others, the result has the same bits for any number of CPUs.
-    Returns once every block has finished; the first exception, in block
-    order, is raised to the caller.
+    code that releases the GIL and keeps no shared state (numpy calls on
+    blocks large enough that the GIL is rarely handed over; the oracle's
+    pair sum and the spline evaluation).
+    When every row is computed without reference to the others, the
+    result has the same bits for any number of CPUs.  Returns once every
+    block has finished; the first exception, in block order, is raised to
+    the caller.
     """
     if n <= _BLOCK_ROWS or _worker_count() < 2:
         fn(slice(0, n))
@@ -348,44 +350,167 @@ def by_rows(fn, n: int) -> None:
             raise error
 
 
-def _spline_coefficients(values: np.ndarray) -> np.ndarray:
-    """Cubic B-spline coefficients of a lattice, as ``map_coordinates``
-    computes them with ``prefilter=True, mode="constant"``: filtered along
-    x, then along p, one lattice line at a time."""
-    from scipy.ndimage import spline_filter1d
+# ---------------------------------------------------------------------------
+# bicubic spline interpolation, with the bits of scipy.ndimage's
+# map_coordinates(order=3, mode="constant", cval=0.0) and its prefilter
+# ---------------------------------------------------------------------------
 
-    out = np.empty_like(values)
-    by_rows(lambda cols: spline_filter1d(values[:, cols], 3, axis=0,
-                                         output=out[:, cols], mode="constant"),
-            values.shape[1])
-    by_rows(lambda rows: spline_filter1d(out[rows], 3, axis=1,
-                                         output=out[rows], mode="constant"),
-            values.shape[0])
+#: The pole of the cubic B-spline prefilter (Unser, IEEE Signal Process.
+#: Mag. 16(6), 22, 1999), sqrt(3) - 2 as scipy.ndimage spells it; the
+#: correctly rounded sqrt(3) - 2 is one ulp away and gives other bits.
+_SPLINE_POLE = -0.2679491924311227
+
+
+def _prefilter(c: np.ndarray) -> None:
+    """Cubic B-spline prefilter along axis 0 of ``c``, in place.
+
+    Every column is one line, filtered as ``spline_filter1d(line, 3,
+    mode="constant")`` filters it: multiplied by the gain, then the causal
+    and the anticausal recursion, each started as for mirror-symmetric
+    ends, with the same operations in the same order.  All lines advance
+    together, one lattice node at a time.
+    """
+    z = _SPLINE_POLE
+    n = len(c)
+    c *= (1.0 - z) * (1.0 - 1.0 / z)
+    # causal start: c[0] + z^(n-1) c[n-1], plus z^i (c[i] + z^(n-1) c[n-1-i])
+    # for i = 1 ... n-2 in turn, z^i a running product; over 1 - z^(2n-2)
+    z_n1 = z ** (n - 1)
+    terms = np.multiply(c[n - 2:0:-1], z_n1)
+    terms += c[1:n - 1]
+    terms *= np.multiply.accumulate(np.full(n - 2, z)).reshape(
+        (n - 2,) + (1,) * (c.ndim - 1))
+    start = c[n - 1] * z_n1
+    start += c[0]
+    for term in terms:
+        start += term
+    np.divide(start, 1.0 - z_n1 * z_n1, out=c[0])
+    rows = list(c)
+    scratch = start
+    for prev, row in zip(rows, rows[1:]):
+        np.multiply(prev, z, out=scratch)
+        row += scratch
+    # anticausal start (z c[n-2] + c[n-1]) z / (z^2 - 1)
+    np.multiply(rows[-2], z, out=scratch)
+    scratch += rows[-1]
+    scratch *= z
+    np.divide(scratch, z * z - 1.0, out=rows[-1])
+    for after, row in zip(rows[:0:-1], rows[-2::-1]):
+        np.subtract(after, row, out=row)
+        row *= z
+
+
+def _spline_coefficients(values: np.ndarray) -> np.ndarray:
+    """Cubic B-spline coefficients of an (nx, np) lattice, prefiltered
+    along x and then along p, stored transposed in an (np + 7, nx + 3)
+    array: coefficient (i, j) at [j + 1, i + 1].  Rows and columns 0,
+    n + 1 and n + 2 of each axis mirror lattice indices 1, n - 2 and
+    n - 3 (the stencil indices -1, n and n + 1 of ``map_coordinates``),
+    and the last four rows are zero: the stencil of a point off the grid.
+    """
+    nx, n_p = values.shape
+    c = values.copy()
+    _prefilter(c)
+    out = np.zeros((n_p + 7, nx + 3))
+    core = out[1:n_p + 1, 1:nx + 1]
+    core[...] = c.T
+    _prefilter(core)
+    for n, lines in ((n_p, out[:n_p + 3]), (nx, out[:n_p + 3].T)):
+        lines[0], lines[n + 1], lines[n + 2] = lines[2], lines[n - 1], lines[n - 2]
     return out
 
 
-def at_lattice_coordinates(field: WignerField, coords: np.ndarray) -> np.ndarray:
-    """The field's cubic spline at lattice coordinates: ``coords[0]`` holds
-    (x - x_min) / dx and ``coords[1]`` holds (p - p_min) / dp, each at
-    least 2-d; out-of-grid points give 0.  The prefilter and evaluation run
-    on all CPUs through ``by_rows``, over blocks of the leading axis, and
-    each value has the bits of one ``map_coordinates(..., order=3,
-    mode="constant")`` call over all points, whatever the number of CPUs."""
-    # imported here so that commands which never interpolate do not load
-    # scipy.ndimage (about 0.3 s at process start)
-    from scipy.ndimage import map_coordinates
+def _spline_stencil(shape: tuple[int, int], cx: np.ndarray,
+                    cp: np.ndarray) -> np.ndarray:
+    """Lattice coordinates ``cx`` = (x - x_min) / dx and ``cp`` = (p - p_min)
+    / dp of points on an (nx, np) lattice, in the form the spline
+    evaluation reads: [0] is the flat index in ``_spline_coefficients``'s
+    array of each point's 4 x 4 stencil corner, [1] and [2] are
+    cx - floor(cx) and cp - floor(cp).  A point off [0, nx - 1] x
+    [0, np - 1] (NaN included) gets the zero stencil and offsets 0."""
+    nx, n_p = shape
+    cx, cp = np.broadcast_arrays(cx, cp)
+    out = np.zeros((3,) + cx.shape)
+    inside = (cx >= 0) & (cx <= nx - 1) & (cp >= 0) & (cp <= n_p - 1)
+    corner_x = np.floor(cx, out=np.zeros(cx.shape), where=inside)
+    np.floor(cp, out=out[0], where=inside)
+    np.subtract(cx, corner_x, out=out[1], where=inside)
+    np.subtract(cp, out[0], out=out[2], where=inside)
+    out[0] *= nx + 3
+    out[0] += corner_x
+    out[0][~inside] = (n_p + 3) * (nx + 3)
+    return out
 
+
+#: Most points per call of the spline sum: its temporaries stay in cache
+#: (a 512^2 lattice in one call takes over twice as long), while each of
+#: its numpy calls is long enough that two threads gain from sharing the
+#: GIL (in 8192-point calls they lose).
+_SPLINE_BLOCK = 16384
+
+
+def _spline_sum(coeffs: np.ndarray, stencil: np.ndarray) -> np.ndarray:
+    """The spline at the points of a (3, n) ``stencil``: the sum from +0.0
+    of (coefficient * x weight) * p weight over the 16 stencil nodes, x
+    offset outer and p offset inner, with the weights of offset y and
+    z = 1 - y from the next node, z^3/6, (y^2 (y - 2) 3 + 4)/6,
+    (z^2 (z - 2) 3 + 4)/6 and 1 minus those three, in the order and
+    arithmetic of ``map_coordinates``."""
+    y = stencil[1:]
+    z = 1.0 - y
+    zz = z * z
+    w = np.empty((4,) + y.shape)
+    np.divide(zz * z, 6.0, out=w[0])
+    np.divide(y * y * (y - 2.0) * 3.0 + 4.0, 6.0, out=w[1])
+    np.divide(zz * (z - 2.0) * 3.0 + 4.0, 6.0, out=w[2])
+    np.subtract(1.0, w[0], out=w[3])
+    w[3] -= w[1]
+    w[3] -= w[2]
+    width = coeffs.shape[1]
+    flat = coeffs.reshape(-1)
+    corner = stencil[0].astype(np.intp)
+    out = np.zeros(len(corner))
+    term = np.empty(len(corner))
+    for a in range(4):
+        for b in range(4):
+            # every stencil node lies in the array, so "clip" never clips;
+            # it spares the buffered copy that "raise" makes with ``out``
+            np.take(flat[a + b * width:], corner, out=term, mode="clip")
+            term *= w[a, 0]
+            term *= w[b, 1]
+            out += term
+    return out
+
+
+def at_lattice_coordinates(field: WignerField, stencil: np.ndarray) -> np.ndarray:
+    """The field's cubic spline at points given by their ``_spline_stencil``,
+    of shape (3,) + S with S at least 2-d; returns shape S, with +0.0 at
+    points off the grid.
+
+    Each value has the bits of one ``scipy.ndimage.map_coordinates(...,
+    order=3, mode="constant", cval=0.0)`` call over the field, with no
+    scipy involved.  The prefilter runs on the calling thread: its
+    recursions are thousands of short numpy calls, which on a pool would
+    contend for the GIL.  The evaluation runs on all CPUs through
+    ``by_rows``, over blocks of S's leading axis, with the same bits for
+    any number of CPUs."""
     coeffs = _spline_coefficients(field.values)
-    out = np.empty(coords.shape[1:])
-    by_rows(lambda rows: map_coordinates(
-        coeffs, coords[:, rows], output=out[rows], order=3, mode="constant",
-        cval=0.0, prefilter=False), len(out))
+    out = np.empty(stencil.shape[1:])
+
+    def rows(sl):
+        points = stencil[:, sl].reshape(3, -1)
+        values = out[sl].reshape(-1)
+        for start in range(0, len(values), _SPLINE_BLOCK):
+            block = slice(start, start + _SPLINE_BLOCK)
+            values[block] = _spline_sum(coeffs, points[:, block])
+
+    by_rows(rows, len(out))
     return out
 
 
 def interpolate(field: WignerField, x, p):
     """Bicubic spline interpolation of the field at arbitrary (x, p) points,
-    through ``at_lattice_coordinates``.
+    through ``at_lattice_coordinates`` on a stencil built for this call.
 
     Points outside the grid bounds return 0 (fields are treated as
     compactly supported).  ``x`` and ``p`` broadcast against each other;
@@ -396,8 +521,8 @@ def interpolate(field: WignerField, x, p):
     flat = xs.ndim == 1
     if flat:
         xs, ps = xs[None], ps[None]
-    out = at_lattice_coordinates(
-        field, np.stack([(xs - g.x_min) / g.dx, (ps - g.p_min) / g.dp]))
+    out = at_lattice_coordinates(field, _spline_stencil(
+        g.shape(), (xs - g.x_min) / g.dx, (ps - g.p_min) / g.dp))
     if np.ndim(x) == 0 and np.ndim(p) == 0:
         return float(out[0, 0])
     return out[0] if flat else out

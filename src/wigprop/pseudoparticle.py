@@ -20,8 +20,8 @@ import numpy as np
 
 from .phasespace import (_BLOCK_ROWS, HBAR, REALNESS_TOL, EvolveResult,
                          NonFiniteFieldError, NumericalError, PhaseSpaceGrid,
-                         WignerField, at_lattice_coordinates, step_size,
-                         truncate_real, write_rows)
+                         WignerField, _spline_stencil, at_lattice_coordinates,
+                         step_size, truncate_real, write_rows)
 from .phasespace import evolve as _drive
 from .potentials import Potential
 from .spectral import _is_static, _memoized
@@ -32,14 +32,15 @@ P3_SAFETY = 0.25
 _DEPOSIT_CHUNK = 4096
 
 
-def _backtrack_coordinates(grid: PhaseSpaceGrid, pot: Potential, t: float,
-                           dt: float, mass: float) -> np.ndarray:
-    """Lattice coordinates (x0 - x_min) / dx and (p0 - p_min) / dp of the
-    backtracked points, stacked along a new first axis.
+def _backtrack_stencil(grid: PhaseSpaceGrid, pot: Potential, t: float,
+                       dt: float, mass: float) -> np.ndarray:
+    """The spline stencil (``phasespace._spline_stencil``) of the
+    backtracked points, from their lattice coordinates (x0 - x_min) / dx
+    and (p0 - p_min) / dp.
 
-    Raises ``NonFiniteFieldError`` when any of them is not finite (a force
-    that overflows), which the spline evaluation would otherwise turn into
-    silent zeros.
+    Raises ``NonFiniteFieldError`` when any coordinate is not finite (a
+    force that overflows), which the spline evaluation would otherwise
+    turn into silent zeros.
     """
     x = grid.x_lattice[:, None]
     p = grid.p_lattice[None, :]
@@ -53,7 +54,7 @@ def _backtrack_coordinates(grid: PhaseSpaceGrid, pot: Potential, t: float,
     if not np.isfinite(coords).all():
         raise NonFiniteFieldError(
             f"backtracked points at t={t:g} must be finite (the force overflows)")
-    return coords
+    return _spline_stencil(grid.shape(), coords[0], coords[1])
 
 
 def step_lo(field_in: WignerField, pot: Potential, t: float, dt: float,
@@ -67,20 +68,22 @@ def step_lo(field_in: WignerField, pot: Potential, t: float, dt: float,
     Euler), while the output-node force inflates phase-space volumes by
     O(dt^2) per step and visibly shrinks structures over long runs.
 
-    The lattice coordinates of the backtracked points are built on the
-    calling thread.  For a static (``time_dependent = False``) hashable
-    potential they depend only on (grid, potential, dt, mass), so they are
-    built once and kept in the bounded memo of ``spectral`` under that key;
-    any other potential gets them rebuilt at every step.  Non-finite
-    coordinates raise ``NonFiniteFieldError``.  The spline prefilter and
-    the evaluation run on all CPUs, with the same result bits for any
-    number of them, from the memo or not.
+    The spline stencil of the backtracked points (each one's stencil
+    corner and its two fractional offsets, one (3, nx, np) array) is
+    built on the calling thread.  For a static (``time_dependent =
+    False``) hashable potential it depends only on (grid, potential, dt,
+    mass), so it is built once and kept in the bounded memo of
+    ``spectral`` under that key; any other potential gets it rebuilt at
+    every step.  Non-finite backtracked points raise
+    ``NonFiniteFieldError``.  A step is then one spline prefilter, on the
+    calling thread, and one evaluation over the stencil, on all CPUs, with
+    the same result bits for any number of them, from the memo or not.
     """
     grid = field_in.grid
-    coords = _memoized(("backtrack", grid, pot, dt, mass),
-                       lambda: _backtrack_coordinates(grid, pot, t, dt, mass),
-                       static=_is_static(pot))
-    values = at_lattice_coordinates(field_in, coords)
+    stencil = _memoized(("backtrack", grid, pot, dt, mass),
+                        lambda: _backtrack_stencil(grid, pot, t, dt, mass),
+                        static=_is_static(pot))
+    values = at_lattice_coordinates(field_in, stencil)
     return WignerField(grid=grid, values=values, time=field_in.time + dt)
 
 

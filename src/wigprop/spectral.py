@@ -81,7 +81,7 @@ class SpectralStepConfig:
 _MEMO_SIZE = 16
 #: Most bytes the memo holds, likewise: room for the two 8 MiB kick
 #: matrix sets of a 32^4 step under a non-separable potential, or for
-#: eight 512^2 backtracks.
+#: five 512^2 backtrack stencils of 6 MiB.
 _MEMO_BYTES = 32 * 2**20
 _MEMO: dict = {}
 
@@ -93,7 +93,7 @@ def _memoized(key, build, static: bool = True) -> np.ndarray:
 
     The one memo of time-independent lattice arrays: the drift and kick
     multipliers and transfer matrices here, and the pseudoparticle
-    backtrack coordinates and third-derivative multiplier.  A key starts
+    backtrack stencils and third-derivative multiplier.  A key starts
     with the name of what it holds and carries everything the array
     depends on; stored arrays are read-only.  Entries are dropped oldest
     first until both _MEMO_SIZE and _MEMO_BYTES hold."""
@@ -151,10 +151,19 @@ def _spectral_shift_rows(values: np.ndarray, grid: PhaseSpaceGrid,
     return truncate_real(_apply_half(values, phase, axis=0), context="spectral drift")
 
 
+def _one_dimensional(field_in: WignerField, name: str) -> None:
+    """Raise ``ValueError`` unless the field lives on a 1-d lattice."""
+    d = field_in.grid.ndim
+    if d != 1:
+        raise ValueError(f"{name} steps 1-d lattices only, not a {d}-d one; "
+                         f"a {d}-d field steps through spectral.step")
+
+
 def drift(field_in: WignerField, dt: float, mass: float = 1.0) -> WignerField:
     """Free-streaming substitution: row at momentum p shifts by p*dt/m in x,
     through the exact phase in the x-conjugate domain, wrapping
-    periodically."""
+    periodically.  A 1-d sub-step: an N-d field raises ``ValueError``."""
+    _one_dimensional(field_in, "drift")
     values, _ = _spectral_shift_rows(field_in.values, field_in.grid, dt, mass)
     return WignerField(grid=field_in.grid, values=values, time=field_in.time)
 
@@ -232,8 +241,10 @@ def kick_full(field_in: WignerField, pot: Potential, t: float,
     Per x-column: transform p -> s, multiply exp(-i dV(x, s) dt / hbar)
     with dV(x, s) = V(x - s/2, t) - V(x + s/2, t), transform back.  This
     is the complex form of the cosine/sine transform pair; the real part
-    of the product reproduces that pair term by term.
+    of the product reproduces that pair term by term.  A 1-d sub-step: an
+    N-d field raises ``ValueError``.
     """
+    _one_dimensional(field_in, "kick_full")
     values, _ = _apply_kick(field_in.values,
                             _kick_multiplier(field_in.grid, pot, t, dt, "full"))
     return WignerField(grid=field_in.grid, values=values, time=field_in.time)

@@ -687,6 +687,8 @@ class TestShippedRunBytes:
 
     The digests were recorded with numpy 2.4.6 and scipy 1.17.1; other
     versions may round some transcendental or FFT results differently.
+    The ``lo`` and ``nlo`` bytes depend on numpy only: their bicubic
+    backtrack reproduces scipy.ndimage's arithmetic without calling it.
     """
 
     DIGESTS = {

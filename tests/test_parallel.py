@@ -1,9 +1,10 @@
 """The lattice kernels that run on all CPUs give the same bits on one.
 
-``phasespace.by_rows`` splits the spline prefilter, the spline evaluation
-and the oracle's pair sum into blocks of rows.  With the worker count
-set to 1 every kernel is one plain call over the whole lattice, which is
-the reference the pooled path must reproduce bit for bit.
+``phasespace.by_rows`` splits the spline evaluation of ``step_lo`` and
+``interpolate`` and the oracle's pair sum into blocks of rows; the spline
+prefilter runs on the calling thread.  With the worker count set to 1
+every kernel is one plain call over the whole lattice, which is the
+reference the pooled path must reproduce bit for bit.
 """
 
 import concurrent.futures

@@ -4,8 +4,8 @@ import pytest
 from wigprop import make_grid
 from wigprop.oracle import wigner_dp3_at
 from wigprop.phasespace import (NumericalError, WignerField,
-                                diff_metrics, norm)
-from wigprop.potentials import Constant, GaussianWell, Harmonic
+                                diff_metrics, norm, save_field)
+from wigprop.potentials import Constant, GaussianWell, Harmonic, Linear
 from wigprop.pseudoparticle import (DFunctionParams, Ensemble, auto_alpha,
                                     d_function, d_p3, deposit, evolve,
                                     load_ensemble, nlo_correction,
@@ -65,6 +65,26 @@ class TestStepLo:
                                           (p0 - GRID.p_min) / GRID.dp],
                                order=3, mode="constant", cval=0.0)
         np.testing.assert_array_equal(step_lo(f, pot, 0.0, dt).values, want)
+
+    def test_points_off_the_grid_save_as_zero_not_minus_zero(self, tmp_path):
+        # %.17g writes -0.0 as "-0"; the spline sum starts from +0.0, so no
+        # node gives -0.0, not even one whose terms all round to -0.0, as
+        # they do on a field of the smallest negative subnormal
+        grid = make_grid(-8, 8, 32, -4, 4, 32)
+        x = grid.x_lattice[:, None]
+        p = grid.p_lattice[None, :]
+        f = WignerField(grid=grid, values=np.full(grid.shape(), -5e-324))
+        pot, dt = Linear(g=-5.0), 0.5
+        out = step_lo(f, pot, 0.0, dt).values
+        x0 = x - p * dt
+        p0 = p + pot.grad(x0, 0.0) * dt
+        off_x = (x0 < grid.x_min) | (x0 > grid.x_lattice[-1])
+        off_p = (p0 < grid.p_min) | (p0 > grid.p_lattice[-1])
+        assert (off_x & ~off_p).any() and (off_p & ~off_x).any()
+        assert (out[off_x | off_p] == 0).all()
+        save_field(WignerField(grid=grid, values=out), tmp_path / "f.txt")
+        tokens = (tmp_path / "f.txt").read_bytes().split()
+        assert b"-0" not in tokens and b"0" in tokens
 
 
 class TestNloCorrection:

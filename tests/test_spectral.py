@@ -254,6 +254,23 @@ class TestStepSeparable:
         with pytest.raises(ValueError):
             step_separable(f, pot, 0.0, SpectralStepConfig(dt=0.1))
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_one_dimensional_sub_steps_reject_nd_fields(self, d):
+        # both transform along array axes 0 and 1, which on an N-d field
+        # are x_1 and x_2, so they must refuse it rather than kick along x_2
+        axis = make_grid(-6, 6, 8, -6, 6, 8)
+        grid = PhaseSpaceGridND(axes=(axis,) * d)
+        f = WignerFieldND(grid=grid, values=np.ones(grid.shape()))
+        pot = SeparableSum(terms=(Harmonic(k=1.0), GaussianWell(),
+                                  Linear(g=0.5))[:d])
+        with pytest.raises(ValueError, match=f"kick_full .* {d}-d"):
+            kick_full(f, pot, 0.0, 0.1)
+        with pytest.raises(ValueError, match=f"drift .* {d}-d"):
+            drift(f, 0.1)
+        # the step itself leaves a p-constant field of a static sum unchanged
+        kicked = step(f, pot, 0.0, SpectralStepConfig(dt=0.1))
+        np.testing.assert_allclose(kicked.values, f.values, atol=1e-12)
+
     def test_term_count_must_match_axes(self):
         # a spare term would be ignored, and a missing one would leave
         # its axis without a force
