@@ -502,6 +502,8 @@ def oracle_field_cmd(time, sigma, beta0sq, nmax, amplitudes, grid_raw, out):
     """Write the analytic Wigner field at time t."""
     def body():
         grid = _parse_grid_option(grid_raw)
+        if not math.isfinite(time):
+            raise ConfigError(f"--t must be finite, got {time!r}")
         try:
             amps = [float(v) for v in amplitudes.replace(",", " ").split()]
             basis = oracle.GaussianBasis(beta0_sq=beta0sq, n_max=nmax)
@@ -595,6 +597,15 @@ def transcribe_cmd(target, in_path, out, dfunc_m, dfunc_alpha, grid_raw):
                 if not 0 < alpha_r < math.inf:
                     raise ConfigError("--dfunc-alpha must be 'auto' or a positive "
                                       f"finite number, got {dfunc_alpha!r}")
+                # a kernel reaching past the grid has a stencil of more nodes
+                # than the lattice (about 1e301 at alpha 1e-300)
+                reach = pseudoparticle.kernel_reach(
+                    pseudoparticle.DFunctionParams(alpha=alpha_r, order=dfunc_m))
+                extent = min(grid.x_max - grid.x_min, grid.p_max - grid.p_min)
+                if not reach <= extent:
+                    raise ConfigError(
+                        f"--dfunc-alpha {dfunc_alpha} gives a kernel reach of "
+                        f"{reach:g}, more than the grid's extent {extent:g}")
             f = pseudoparticle.deposit(
                 ens, grid,
                 pseudoparticle.DFunctionParams(alpha=alpha_r, order=dfunc_m),

@@ -26,6 +26,7 @@ import numpy as np
 
 from .phasespace import (NumericalError, PhaseSpaceGrid, WignerField, by_rows,
                          truncate_real)
+from .potentials import check_sigma
 
 #: Cholesky pivots below this abort the solve.
 CHOLESKY_PIVOT_MIN = 1e-12
@@ -90,8 +91,7 @@ def kinetic_matrix(basis: GaussianBasis) -> np.ndarray:
 
 def potential_matrix(basis: GaussianBasis, sigma: float) -> np.ndarray:
     """Matrix elements of -exp(-x^2 / 2 sigma^2) in the Gaussian basis."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    check_sigma(sigma)
     bn2 = basis.betas_sq[:, None]
     bm2 = basis.betas_sq[None, :]
     bn = basis.betas[:, None]

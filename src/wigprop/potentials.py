@@ -18,6 +18,7 @@ and rebuilds the kick of a driven one at every step time.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +98,21 @@ class Harmonic(Potential):
         return np.zeros_like(np.asarray(x, dtype=float))
 
 
+def check_sigma(sigma: float) -> None:
+    """Raise ``ValueError`` unless the Gaussian width ``sigma`` is positive
+    and sigma^2, sigma^4 and sigma^6, the powers the wells and their
+    derivatives divide by, are finite and normal (sigma from about 1e-51
+    to 1e51).  A NaN fails too."""
+    try:
+        s2 = sigma ** 2
+        powers = (s2, s2 ** 2, s2 ** 3)
+    except OverflowError:               # a Python float power past 1e308
+        powers = (math.inf,)
+    if not (sigma > 0 and all(sys.float_info.min <= v < math.inf for v in powers)):
+        raise ValueError(f"sigma must be positive with sigma^2, sigma^4 and "
+                         f"sigma^6 finite and not subnormal, got {sigma!r}")
+
+
 @dataclass(frozen=True)
 class GaussianWell(Potential):
     """Attractive well V(x) = -depth * exp(-x^2 / (2 sigma^2))."""
@@ -106,8 +122,7 @@ class GaussianWell(Potential):
     time_dependent = False
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        check_sigma(self.sigma)
 
     def value(self, x, t: float = 0.0):
         x = np.asarray(x, dtype=float)
@@ -155,8 +170,7 @@ class RadialGaussianWell:
     time_dependent = False
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        check_sigma(self.sigma)
 
     def value_nd(self, coords, t: float = 0.0):
         r2 = sum(np.asarray(c, dtype=float) ** 2 for c in coords)

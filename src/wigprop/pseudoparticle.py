@@ -75,9 +75,9 @@ def step_lo(field_in: WignerField, pot: Potential, t: float, dt: float,
     mass), so it is built once and kept in the bounded memo of
     ``spectral`` under that key; any other potential gets it rebuilt at
     every step.  Non-finite backtracked points raise
-    ``NonFiniteFieldError``.  A step is then one spline prefilter, on the
-    calling thread, and one evaluation over the stencil, on all CPUs, with
-    the same result bits for any number of them, from the memo or not.
+    ``NonFiniteFieldError``.  A step is then one spline prefilter and one
+    evaluation over the stencil, both on the calling thread, with the
+    same result bits from the memo or not.
     """
     grid = field_in.grid
     stencil = _memoized(("backtrack", grid, pot, dt, mass),
@@ -300,7 +300,8 @@ def to_ensemble(field_in: WignerField) -> Ensemble:
                     dr=np.full(n, grid.dx), dp=np.full(n, grid.dp))
 
 
-def _kernel_reach(params: DFunctionParams) -> float:
+def kernel_reach(params: DFunctionParams) -> float:
+    """Distance from a particle beyond which its kernel is not deposited."""
     # envelope exp(-(alpha u)^2 / 2) times a degree-2M polynomial is far
     # below double precision once |alpha u| > 9 + 2M
     return (9.0 + 2.0 * params.order) / params.alpha
@@ -362,7 +363,7 @@ def _axis_stencils(pos: np.ndarray, lo: float, delta: float,
     particle's row in it, along one axis.  Weights depend only on the
     particle's offset from its node, so each distinct offset is solved
     once (a single row for particles on lattice nodes)."""
-    half = int(np.ceil(_kernel_reach(params) / delta))
+    half = int(np.ceil(kernel_reach(params) / delta))
     offsets = np.arange(-half, half + 1)
     centre = np.rint((pos - lo) / delta).astype(int)
     # form the node as the lattice does, so an on-node particle sits at 0

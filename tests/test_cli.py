@@ -338,10 +338,12 @@ class TestCommands:
 
     @pytest.mark.parametrize("option, value", [
         ("--dfunc-m", "-1"), ("--dfunc-alpha", "0"), ("--dfunc-alpha", "-2"),
-        ("--dfunc-alpha", "nan"), ("--dfunc-alpha", "inf")])
+        ("--dfunc-alpha", "nan"), ("--dfunc-alpha", "inf"),
+        ("--dfunc-alpha", "1e-300")])
     def test_transcribe_bad_kernel_option_exits_2(self, tmp_path, option, value):
-        # a negative order or a non-positive or non-finite width is bad
-        # input (exit 2 naming the option), not a traceback
+        # a negative order, a non-positive or non-finite width, or a kernel
+        # reaching past the grid (its stencil would span about 1e301
+        # cells) is bad input (exit 2 naming the option), not a traceback
         res = self._transcribe_one_particle(tmp_path, option, value)
         assert res.exit_code == 2, res.output
         assert "config error" in res.output and option in res.output
@@ -394,6 +396,25 @@ class TestNonFinitePotentialParameters:
         assert res.exit_code == 3, res.output
         assert "numerical failure: step 1:" in res.output
         assert "finite" in res.output
+
+    @pytest.mark.parametrize("method, sigma", [
+        ("nlo", "1e60"), ("lo", "1e60"), ("spectral-full", "1e200"),
+        ("nlo", "1e-200")])
+    def test_sigma_with_overflowing_powers_exits_2(self, tmp_path, method, sigma):
+        # sigma^6 (the third derivative) overflows, or sigma^2 underflows
+        # to 0: bad input, not an OverflowError traceback or an exit 3
+        res = self._evolve(tmp_path, method, f"gaussian_well sigma={sigma}")
+        assert res.exit_code == 2, res.output
+        assert "config error: sigma must be positive" in res.output
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "field"])
+    def test_oracle_sigma_with_overflowing_powers_exits_2(self, tmp_path, command):
+        out = ["-o", str(tmp_path / "f.txt")] if command == "field" else []
+        res = CliRunner().invoke(main, ["oracle", command, "--sigma", "1e200", *out])
+        assert res.exit_code == 2, res.output
+        assert "config error: sigma must be positive" in res.output
+        assert not (tmp_path / "f.txt").exists()
 
     def test_scenario_error_names_the_line(self, tmp_path):
         text = SCENARIO_ORACLE.replace("depth=1.0", "depth=-inf")
@@ -477,6 +498,8 @@ class TestBadValuesExit2:
         ("spectral-full", "amplitudes", "1e200 1e200"),
         ("spectral-full", "amplitudes", "1e-200 1e-200"),
         ("oracle", "amplitudes", "0 0"),
+        ("lo", "potential", "gaussian_well depth=1.0 sigma=1e200"),
+        ("oracle", "potential", "gaussian_well depth=1.0 sigma=1e-200"),
     ])
     def test_scenario_value(self, tmp_path, method, key, value):
         text = _with(SCENARIO_ORACLE.replace("method = oracle", f"method = {method}"),
@@ -558,6 +581,15 @@ class TestBadTimeRangesAndGrids:
         assert res.exit_code == 2, res.output
         assert "config error: the step (t1 - t0) / nsteps" in res.output
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("time", ["nan", "inf"])
+    def test_oracle_field_rejects_non_finite_time(self, tmp_path, time):
+        res = CliRunner().invoke(main, ["oracle", "field", "--t", time, "--nmax",
+                                        "8", "--grid", "-8 8 64 -4 4 64",
+                                        "-o", str(tmp_path / "f.txt")])
+        assert res.exit_code == 2, res.output
+        assert "config error: --t must be finite" in res.output
+        assert not (tmp_path / "f.txt").exists()
 
     def test_oracle_field_rejects_overflowing_grid(self, tmp_path):
         res = CliRunner().invoke(main, ["oracle", "field", "--grid", OVERFLOWING_GRID,

@@ -111,6 +111,22 @@ def test_oracle_solve_starts_no_thread(tmp_path):
     assert "concurrent.futures" not in loaded
 
 
+@pytest.mark.parametrize("method", ["lo", "nlo"])
+def test_pseudoparticle_step_starts_no_thread(tmp_path, method):
+    # the spline evaluation runs on the calling thread even where the
+    # row-block pool would take its 64 rows
+    modules_after(run_cli(["oracle", "field", "--nmax", "8", "--grid",
+                           "-8 8 64 -4 4 64", "-o", "f.txt"]), tmp_path)
+    loaded, threads = state_after(
+        "from wigprop import phasespace\nphasespace._workers = 4\n" + run_cli(
+            ["evolve", "--method", method, "--potential", "gaussian_well",
+             "-i", "f.txt", "--t1", "0.3", "--steps", "3", "-o", "run"]),
+        tmp_path)
+    assert (tmp_path / "run" / "field_t0.300000.txt").exists()
+    assert threads == 1
+    assert "concurrent.futures" not in loaded
+
+
 @pytest.mark.parametrize("method", ["spectral-full", "spectral-fo"])
 def test_spectral_run_loads_no_scipy(tmp_path, method):
     scenario = tmp_path / "run.txt"

@@ -1,10 +1,11 @@
-"""The lattice kernels that run on all CPUs give the same bits on one.
+"""Results have the same bits for any worker count of the row-block pool.
 
-``phasespace.by_rows`` splits the spline evaluation of ``step_lo`` and
-``interpolate`` and the oracle's pair sum into blocks of rows; the spline
-prefilter runs on the calling thread.  With the worker count set to 1
-every kernel is one plain call over the whole lattice, which is the
-reference the pooled path must reproduce bit for bit.
+``phasespace.by_rows`` splits only the oracle's pair sum into blocks of
+rows; with the worker count set to 1 it is one plain call over the whole
+lattice, the reference the pooled path must reproduce bit for bit.  The
+spline prefilter and evaluation of ``step_lo`` and ``interpolate`` run on
+the calling thread, and their tests guard that their bits never depend on
+the worker count.
 """
 
 import concurrent.futures

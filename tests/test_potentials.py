@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from wigprop.oracle import GaussianBasis, potential_matrix
 from wigprop.potentials import (Constant, GaussianWell, Harmonic, Linear,
                                 RadialGaussianWell, SeparableSum,
                                 parse_potential)
@@ -103,6 +106,23 @@ class TestValidation:
             GaussianWell(depth=1.0, sigma=0.0)
         with pytest.raises(ValueError):
             Harmonic(k=-1.0)
+
+    @pytest.mark.parametrize("sigma", [1e52, 1e60, 1e200, 1e-52, 1e-200,
+                                       5e-324, -3.0, math.nan, math.inf])
+    def test_sigma_needs_finite_normal_powers(self, sigma):
+        # sigma^2, sigma^4 and sigma^6 are divided by; as Python floats
+        # they raise OverflowError past 1e308 and underflow to 0 below
+        for build in (lambda: GaussianWell(sigma=sigma),
+                      lambda: RadialGaussianWell(sigma=sigma),
+                      lambda: potential_matrix(GaussianBasis(), sigma)):
+            with pytest.raises(ValueError, match="sigma"):
+                build()
+
+    @pytest.mark.parametrize("sigma", [2e51, 1e-51])
+    def test_sigma_with_normal_powers_accepted(self, sigma):
+        GaussianWell(sigma=sigma)
+        RadialGaussianWell(sigma=sigma)
+        assert np.isfinite(potential_matrix(GaussianBasis(), sigma)).all()
 
 
 class TestParse:
