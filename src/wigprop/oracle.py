@@ -344,10 +344,24 @@ def _assemble(terms: list[tuple], count: int, x: np.ndarray, p: np.ndarray,
     With derivative_p3 the third momentum derivative of every pair term is
     accumulated instead (used as an analytic cross-check for the spectral
     differentiation).
+
+    Each pair's exponent is written into one complex buffer, real part
+    -a x^2 - b p^2 and imaginary part (d x) p, and exponentiated and scaled
+    in place; the sums get the bits of pref * exp(-a x^2 - b p^2
+    + 1j d x p) with its three full-size complex temporaries.
     """
-    out = np.zeros((count,) + np.broadcast(x, p).shape, dtype=float)
+    shape = np.broadcast(x, p).shape
+    out = np.zeros((count,) + shape, dtype=float)
+    x2, p2 = x**2, p**2
+    buf = np.empty(shape, dtype=complex)
     for weight, live, (pref, a, b, d) in terms:
-        term = pref * np.exp(-a * x**2 - b * p**2 + 1j * d * x * p)
+        np.subtract(-a * x2, b * p2, out=buf.real)
+        np.multiply(d * x, p, out=buf.imag)
+        np.exp(buf, out=buf)
+        buf *= pref
+        # a 0-d buffer as a numpy scalar: complex scalar products round
+        # differently from the array loop, and a point takes the scalar path
+        term = buf[()]
         if derivative_p3:
             # d^3/dp^3 exp(-b p^2 + i d x p) = (w^3 - 6 b w) * exp(...)
             w = -2.0 * b * p + 1j * d * x

@@ -41,20 +41,28 @@ def _backtrack_stencil(grid: PhaseSpaceGrid, pot: Potential, t: float,
     Raises ``NonFiniteFieldError`` when any coordinate is not finite (a
     force that overflows), which the spline evaluation would otherwise
     turn into silent zeros.
+
+    The stencil is written ``_BLOCK_ROWS`` x-rows at a time into one
+    (3, nx, np) array, so the temporaries of the backtrack are a block's,
+    not the lattice's.  Each point gets the same operations as in one
+    whole-lattice pass, and the corner index is absolute, so the stencil
+    has the same bits.
     """
-    x = grid.x_lattice[:, None]
     p = grid.p_lattice[None, :]
-    x0 = x - p * (dt / mass)
-    p0 = p + pot.grad(x0, t) * dt
-    coords = np.empty((2,) + grid.shape())
-    np.subtract(x0, grid.x_min, out=coords[0])
-    coords[0] /= grid.dx
-    np.subtract(p0, grid.p_min, out=coords[1])
-    coords[1] /= grid.dp
-    if not np.isfinite(coords).all():
-        raise NonFiniteFieldError(
-            f"backtracked points at t={t:g} must be finite (the force overflows)")
-    return _spline_stencil(grid.shape(), coords[0], coords[1])
+    stencil = np.empty((3,) + grid.shape())
+    for start in range(0, grid.nx, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        x0 = grid.x_lattice[rows, None] - p * (dt / mass)
+        p0 = p + pot.grad(x0, t) * dt
+        x0 -= grid.x_min
+        x0 /= grid.dx
+        p0 -= grid.p_min
+        p0 /= grid.dp
+        if not (np.isfinite(x0).all() and np.isfinite(p0).all()):
+            raise NonFiniteFieldError(
+                f"backtracked points at t={t:g} must be finite (the force overflows)")
+        stencil[:, rows] = _spline_stencil(grid.shape(), x0, p0)
+    return stencil
 
 
 def step_lo(field_in: WignerField, pot: Potential, t: float, dt: float,
@@ -131,6 +139,18 @@ def d_p3(field_in: WignerField, s_cutoff: float | None = None) -> WignerField:
                                            _realness_tol(f)))
 
 
+def _third_derivative(pot: Potential, grid: PhaseSpaceGrid, t: float) -> np.ndarray:
+    """V'''(x) on the x-lattice.  Raises ``NumericalError`` naming V''' and
+    the potential where it is not finite (a Gaussian well so narrow that
+    x^3 / sigma^6 overflows where its envelope underflows to 0)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v3 = pot.d3(grid.x_lattice, t)
+    if not np.isfinite(v3).all():
+        raise NumericalError(f"V''' of {pot!r} at t={t:g} is not finite "
+                             "on the x-lattice")
+    return v3
+
+
 def nlo_correction(field_lo: WignerField, pot: Potential, t: float, dt: float,
                    s_cutoff: float | None = None) -> WignerField:
     """Add the leading quantum correction to a transported field:
@@ -148,7 +168,7 @@ def nlo_correction(field_lo: WignerField, pot: Potential, t: float, dt: float,
     lattice derivatives that amplify noise faster than they add accuracy.
     """
     grid = field_lo.grid
-    scale = (dt * HBAR**2 / 24.0) * pot.d3(grid.x_lattice, t)[:, None]
+    scale = (dt * HBAR**2 / 24.0) * _third_derivative(pot, grid, t)[:, None]
     f = field_lo.values
     tol = _realness_tol(f)
     values = np.empty(grid.shape())
@@ -168,7 +188,7 @@ def stable_p3_cutoff(grid: PhaseSpaceGrid, pot: Potential, t: float,
     exceeds one grows without bound under iteration.  The returned cutoff
     caps that factor at ``P3_SAFETY``.
     """
-    v3max = float(np.abs(pot.d3(grid.x_lattice, t)).max())
+    v3max = float(np.abs(_third_derivative(pot, grid, t)).max())
     s_max = float(np.abs(grid.s_lattice).max())
     if v3max == 0.0:
         return s_max

@@ -408,6 +408,15 @@ class TestNonFinitePotentialParameters:
         assert "config error: sigma must be positive" in res.output
         assert not (tmp_path / "run").exists()
 
+    def test_non_finite_third_derivative_exits_3(self, tmp_path):
+        # sigma passes the power check, but x^3 / sigma^6 overflows where
+        # the envelope underflows to 0: V''' is NaN on the lattice, which
+        # nlo names instead of reporting a non-finite field
+        res = self._evolve(tmp_path, "nlo", "gaussian_well sigma=1e-51")
+        assert res.exit_code == 3, res.output
+        assert "numerical failure: V''' of GaussianWell(" in res.output
+        assert "sigma=1e-51" in res.output and "not finite" in res.output
+
     @pytest.mark.parametrize("command", ["solve", "field"])
     def test_oracle_sigma_with_overflowing_powers_exits_2(self, tmp_path, command):
         out = ["-o", str(tmp_path / "f.txt")] if command == "field" else []

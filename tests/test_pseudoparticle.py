@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wigprop import make_grid
 from wigprop.oracle import wigner_dp3_at
@@ -246,6 +248,39 @@ class TestEnsemble:
         back = load_ensemble(path)
         for name in ("r", "p", "f_l", "dr", "dp"):
             np.testing.assert_array_equal(getattr(back, name), getattr(ens, name))
+
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.sampled_from([0, 1, 8191, 8192, 8193]),
+           seed=st.integers(0, 2**32 - 1),
+           drawn=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                          max_size=16))
+    def test_save_load_returns_every_bit(self, tmp_path_factory, n, seed, drawn):
+        # both sides of the 8192-particle formatting block; random bit
+        # patterns reach every exponent, and the format's extremes and the
+        # drawn values are planted at random places in every column
+        extremes = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                    -2.2250738585072014e-308, 1.7976931348623157e308,
+                    -1.7976931348623157e308]
+        rng = np.random.default_rng(seed)
+
+        def column(positive):
+            values = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+            values[~np.isfinite(values)] = 1.0
+            planted = rng.permutation(np.array(extremes + drawn))[:n]
+            values[rng.permutation(n)[:len(planted)]] = planted
+            if positive:
+                values = np.abs(values)
+                values[values == 0.0] = 5e-324
+            return values
+
+        ens = Ensemble(r=column(False), p=column(False), f_l=column(False),
+                       dr=column(True), dp=column(True))
+        path = tmp_path_factory.mktemp("ensemble") / "ens.txt"
+        save_ensemble(ens, path)
+        back = load_ensemble(path)
+        assert len(back) == n
+        for name in ("r", "p", "f_l", "dr", "dp"):
+            assert getattr(back, name).tobytes() == getattr(ens, name).tobytes()
 
     def test_save_bytes_equal_per_particle_formatting(self, tmp_path):
         # more particles than one formatting block, and the format's extremes

@@ -1,15 +1,21 @@
 """Work that does not change with time is done once, with the same bits.
 
 - ``oracle.sample_fields`` evaluates each basis pair once for many times;
-  each field must equal the whole-lattice sum at its own time.
+  each field must equal the whole-lattice sum at its own time, and each
+  pair's exponent, built in one complex buffer, must give the bits of the
+  three-temporary expression.
 - ``pseudoparticle.nlo_correction`` works through blocks of rows; the
   result must equal the whole-array formula written out below.
 - ``pseudoparticle.step_lo`` keeps the backtrack coordinates of a static
   potential in the memo; a step must equal a freshly built backtrack, no
   two (grid, potential, dt, mass) may share an entry, a driven potential
-  is rebuilt at every step and the memo stays bounded.
+  is rebuilt at every step and the memo stays bounded.  The stencil is
+  built in blocks of rows; it must equal the whole-array build written
+  out below, peak at little more than its own bytes, and be kept by the
+  memo only when every block is finite.
 """
 
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,11 +23,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wigprop import make_grid, spectral
-from wigprop.oracle import (GaussianBasis, sample_field, sample_fields, solve,
-                            superposition, wigner_at)
-from wigprop.phasespace import HBAR, WignerField, interpolate
-from wigprop.potentials import GaussianWell, Harmonic, Linear, Potential
-from wigprop.pseudoparticle import nlo_correction, step_lo
+from wigprop.oracle import (GaussianBasis, _assemble, _pair_terms,
+                            sample_field, sample_fields, solve, superposition,
+                            wigner_at)
+from wigprop.phasespace import (_BLOCK_ROWS, HBAR, NonFiniteFieldError,
+                                WignerField, _spline_stencil, interpolate)
+from wigprop.potentials import (Constant, GaussianWell, Harmonic, Linear,
+                                Potential)
+from wigprop.pseudoparticle import _backtrack_stencil, nlo_correction, step_lo
 
 SOLUTION = solve(GaussianBasis(), 3.0)
 
@@ -106,6 +115,40 @@ def test_sample_fields_equal_one_time_samples(nx, n_p, times, amps):
         assert same_bits(f.values, wigner_at(state, t, x, p))
 
 
+def three_temporary_assemble(terms, count, x, p, derivative_p3):
+    """The pair sum with each exponent as one expression of complex
+    temporaries."""
+    out = np.zeros((count,) + np.broadcast(x, p).shape, dtype=float)
+    for weight, live, (pref, a, b, d) in terms:
+        term = pref * np.exp(-a * x**2 - b * p**2 + 1j * d * x * p)
+        if derivative_p3:
+            w = -2.0 * b * p + 1j * d * x
+            term = term * (w**3 - 6.0 * b * w)
+        for k, cc in live:
+            out[k] += weight * (cc * term).real
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(nx=st.sampled_from([1, 4, 32, 64, 128]), n_p=sizes,
+       times=st.lists(st.floats(-20.0, 20.0, allow_nan=False), min_size=1,
+                      max_size=4),
+       amps=st.sampled_from([(1.0, 1.0), (1.0, 0.8, 0.3), (0.0, 1.0),
+                             (1.0, 0.0, 0.0, 0.5), (0.3, -0.7, 0.2, 0.1, 0.9)]),
+       extent=st.floats(1.0, 40.0), derivative_p3=st.booleans())
+def test_pair_exponent_buffer_equals_three_temporaries(nx, n_p, times, amps,
+                                                       extent, derivative_p3):
+    state = superposition(SOLUTION, *amps)
+    grid = make_grid(-extent, extent, max(nx, 4), -extent / 2, extent / 2, n_p)
+    terms = _pair_terms(state, times)
+    # a block of rows, and one point as ``wigner_at`` passes a scalar
+    for x, p in ((grid.x_lattice[:nx, None], grid.p_lattice[None, :]),
+                 (np.asarray(grid.x_lattice[-1]), np.asarray(grid.p_lattice[0]))):
+        assert same_bits(_assemble(terms, len(times), x, p, derivative_p3),
+                         three_temporary_assemble(terms, len(times), x, p,
+                                                  derivative_p3))
+
+
 # ---------------------------------------------------------------------------
 # pseudoparticle.nlo_correction
 # ---------------------------------------------------------------------------
@@ -154,6 +197,16 @@ def fresh_step(field, pot, t, dt, mass=1.0):
     return interpolate(field, x0, p0)
 
 
+def whole_array_stencil(grid, pot, t, dt, mass):
+    """The backtrack stencil built over the whole lattice at once."""
+    x = grid.x_lattice[:, None]
+    p = grid.p_lattice[None, :]
+    x0 = x - p * (dt / mass)
+    p0 = p + pot.grad(x0, t) * dt
+    return _spline_stencil(grid.shape(), (x0 - grid.x_min) / grid.dx,
+                           (p0 - grid.p_min) / grid.dp)
+
+
 def backtrack_keys():
     return [key for key in spectral._MEMO if key[0] == "backtrack"]
 
@@ -162,6 +215,30 @@ potentials = st.one_of(
     st.builds(GaussianWell, depth=st.floats(-2.0, 2.0), sigma=st.floats(0.5, 4.0)),
     st.builds(Harmonic, k=st.floats(0.0, 3.0)),
     st.builds(Linear, g=st.floats(-2.0, 2.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(nx=st.sampled_from([4, 8, 32, 64, 128]), n_p=sizes,
+       pot=potentials | st.builds(Constant, c=st.floats(-2.0, 2.0)),
+       t=st.floats(-5.0, 5.0), dt=st.floats(-2.0, 2.0), mass=st.floats(0.2, 5.0))
+def test_blocked_stencil_equals_whole_array(nx, n_p, pot, t, dt, mass):
+    # lattices of fewer rows than one block, exactly one block, and several
+    grid = make_grid(-8.0, 8.0, nx, -4.0, 4.0, n_p)
+    assert same_bits(_backtrack_stencil(grid, pot, t, dt, mass),
+                     whole_array_stencil(grid, pot, t, dt, mass))
+
+
+def test_stencil_build_peaks_near_its_own_bytes():
+    grid = make_grid(-10.0, 10.0, 512, -8.0, 8.0, 512)
+    pot = GaussianWell(depth=1.0, sigma=2.0)
+    _backtrack_stencil(grid, pot, 0.0, 0.05, 1.0)     # lattices cached
+    tracemalloc.start()
+    try:
+        stencil = _backtrack_stencil(grid, pot, 0.0, 0.05, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * stencil.nbytes
 
 
 @settings(max_examples=20, deadline=None)
@@ -240,4 +317,33 @@ def test_non_finite_backtrack_raises_and_is_not_kept():
     field = blobs(make_grid(-8.0, 8.0, 16, -4.0, 4.0, 16), 7)
     with pytest.raises(NonFiniteFieldError, match="finite"):
         step_lo(field, Harmonic(k=1e308), 0.0, 0.1)
+    assert not backtrack_keys()
+
+
+@dataclass(frozen=True)
+class EdgeOverflow(Potential):
+    """A force that overflows to inf only for x > ``edge``."""
+
+    edge: float
+    time_dependent = False
+
+    def grad(self, x, t: float = 0.0):
+        with np.errstate(over="ignore"):
+            return 1e300 * np.exp(1e3 * (np.asarray(x) - self.edge))
+
+
+def test_backtrack_overflowing_in_the_last_block_raises_and_is_not_kept():
+    nx = 4 * _BLOCK_ROWS
+    grid = make_grid(-8.0, 8.0, nx, -4.0, 4.0, 32)
+    # rows of the last block start at x = 4; with |p dt| <= 0.4 every
+    # backtracked x of an earlier row stays below 4.4
+    pot = EdgeOverflow(edge=6.0)
+    x0 = grid.x_lattice[:, None] - grid.p_lattice[None, :] * 0.1
+    p0 = grid.p_lattice[None, :] + pot.grad(x0) * 0.1
+    bad_rows = np.flatnonzero(~np.isfinite(p0).all(axis=1))
+    assert bad_rows.size and bad_rows.min() >= nx - _BLOCK_ROWS
+    field = blobs(grid, 11)
+    with pytest.raises(NonFiniteFieldError, match=r"^backtracked points at t=0 "
+                       r"must be finite \(the force overflows\)$"):
+        step_lo(field, pot, 0.0, 0.1)
     assert not backtrack_keys()
