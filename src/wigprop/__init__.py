@@ -11,7 +11,7 @@ from .phasespace import (DEFAULT_GRID_SPEC, HBAR, DiffMetrics, NumericalError,
                          WignerFieldND, diff_metrics, interpolate, load_field,
                          make_grid, marginal_x, norm, norm_nd, save_field)
 from .potentials import (Constant, GaussianWell, Harmonic, Linear, Potential,
-                         RadialGaussianWell, SeparableSum, parse_potential)
+                         SeparableSum, parse_potential)
 
 __all__ = [
     "DEFAULT_GRID_SPEC", "HBAR", "DiffMetrics", "NumericalError",
@@ -19,7 +19,7 @@ __all__ = [
     "diff_metrics", "interpolate", "load_field", "make_grid", "marginal_x",
     "norm", "norm_nd", "save_field",
     "Constant", "GaussianWell", "Harmonic", "Linear", "Potential",
-    "RadialGaussianWell", "SeparableSum", "parse_potential",
+    "SeparableSum", "parse_potential",
 ]
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ garbage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -199,7 +199,12 @@ def solve(basis: GaussianBasis, sigma: float) -> EigenSolution:
 
     Cholesky-reduce B = L L^T, Jacobi-diagonalize L^-1 (T+V) L^-T and
     back-substitute; at these sizes robustness matters more than speed.
+    A basis above N_MAX_SOLVABLE + 1 first factors its leading block of
+    that size, whose pivots are the first ones of the whole, so a huge
+    n_max fails at the same pivot without allocating n_max values.
     """
+    if basis.n_max > N_MAX_SOLVABLE + 1:
+        _cholesky_lower(overlap_matrix(replace(basis, n_max=N_MAX_SOLVABLE + 1)))
     b_mat = overlap_matrix(basis)
     h_mat = kinetic_matrix(basis) + potential_matrix(basis, sigma)
     lower, min_pivot = _cholesky_lower(b_mat)

@@ -178,6 +178,13 @@ def truncate_real(values: np.ndarray, *, tol: float = REALNESS_TOL,
     return np.real(values) if np.iscomplexobj(values) else values, residue
 
 
+def _one_dimensional(field: WignerField, name: str) -> None:
+    """Raise ``ValueError`` unless the field lives on a 1-d lattice."""
+    d = field.grid.ndim
+    if d != 1:
+        raise ValueError(f"{name} takes 1-d lattices only, not a {d}-d one")
+
+
 def norm(field: WignerField) -> float:
     """Phase-space integral: sum(f) times dx*dp of each axis in turn, on a
     grid of any dimension.
@@ -268,7 +275,8 @@ def evolve(step, field: WignerField, t0: float, dt: float, nsteps: int,
 
 def marginal_x(field: WignerField) -> np.ndarray:
     """Position density rho(x_i) = (dp / 2*pi*hbar) * sum_j f(x_i, p_j)."""
-    g = field.grid
+    _one_dimensional(field, "marginal_x")
+    g = field.grid.axes[0]
     return field.values.sum(axis=1) * g.dp / (2.0 * np.pi * HBAR)
 
 
@@ -530,7 +538,8 @@ def diff_metrics(a: WignerField, b: WignerField) -> DiffMetrics:
     """L2 and max-abs difference between two fields on the same grid."""
     if a.grid != b.grid:
         raise ValueError("fields live on different grids")
-    g = a.grid
+    _one_dimensional(a, "diff_metrics")
+    g = a.grid.axes[0]
     delta = a.values - b.values
     l2 = float(np.sqrt((delta**2).sum() * g.dx * g.dp))
     flat = int(np.argmax(np.abs(delta)))
@@ -576,7 +585,8 @@ def write_rows(fh, table: np.ndarray) -> None:
 
 
 def save_field(field: WignerField, path) -> None:
-    g = field.grid
+    _one_dimensional(field, "save_field")
+    g = field.grid.axes[0]
     header = (f"# wignerfield {g.nx} {g.np} {g.x_min:.17g} {g.x_max:.17g} "
               f"{g.p_min:.17g} {g.p_max:.17g} {field.time:.17g}\n")
     with open(path, "w") as fh:

@@ -36,9 +36,6 @@ class Potential:
     def value(self, x, t: float = 0.0):
         raise NotImplementedError
 
-    def value_nd(self, coords, t: float = 0.0):
-        return self.value(coords[0], t)
-
     def grad(self, x, t: float = 0.0):
         raise NotImplementedError
 
@@ -140,13 +137,14 @@ class GaussianWell(Potential):
 
 
 # ---------------------------------------------------------------------------
-# multi-dimensional potentials for the separable propagator; these expose
-# value_nd(coords, t) where coords is one broadcastable array per axis
+# the one multi-dimensional potential: 2-d/3-d lattices step under it alone
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SeparableSum:
-    """V(r) = sum_j V_j(x_j) built from one-dimensional potentials."""
+    """V(r) = sum_j V_j(x_j) built from one-dimensional potentials, one per
+    axis; the spectral step kicks along p_j by term j alone.  ``value_nd``
+    evaluates V on coords, one broadcastable array per axis."""
 
     terms: tuple[Potential, ...]
 
@@ -159,22 +157,6 @@ class SeparableSum:
         for pot, c in zip(self.terms[1:], coords[1:]):
             out = out + pot.value(c, t)
         return out
-
-
-@dataclass(frozen=True)
-class RadialGaussianWell:
-    """V(r) = -depth * exp(-|r|^2 / (2 sigma^2)), not additively separable."""
-
-    depth: float = 1.0
-    sigma: float = 3.0
-    time_dependent = False
-
-    def __post_init__(self):
-        check_sigma(self.sigma)
-
-    def value_nd(self, coords, t: float = 0.0):
-        r2 = sum(np.asarray(c, dtype=float) ** 2 for c in coords)
-        return -self.depth * np.exp(-r2 / (2.0 * self.sigma**2))
 
 
 # ---------------------------------------------------------------------------

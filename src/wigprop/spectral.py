@@ -4,11 +4,13 @@ conjugate s-lattice, on lattices of 1, 2 or 3 dimensions.
 One step advances the field by dt in two exact sub-maps: free streaming
 along every x_j (each constant-p line translated by p_j*dt/m) and a
 momentum kernel along every p_j (multiply the p_j-spectrum by the
-unimodular phase exp(-i [V(x - s_j e_j/2) - V(x + s_j e_j/2)] dt / hbar),
-or by its first-order truncation in the ``first_order`` variant).  The
-phase is conjugate-symmetric under s -> -s because the potential
-difference is odd in s, and the drift phase exp(-i kx p dt/m) is
-conjugate-symmetric under kx -> -kx, so real fields stay real.  Each
+unimodular phase exp(-i [V_j(x_j - s_j/2) - V_j(x_j + s_j/2)] dt / hbar),
+or by its first-order truncation in the ``first_order`` variant).  V_1 is
+the potential of a 1-d lattice; a 2-d/3-d lattice steps only under a
+``SeparableSum`` of one term V_j per axis, for which these kicks are
+exact.  The phase is conjugate-symmetric under s -> -s because the
+potential difference is odd in s, and the drift phase exp(-i kx p dt/m)
+is conjugate-symmetric under kx -> -kx, so real fields stay real.  Each
 sub-map therefore multiplies half spectra: the n//2 + 1 non-negative-
 frequency bins of the multiplier, with the unpaired Nyquist bin kept at
 the real part of its multiplier for the same reason.  The s = 0 component
@@ -25,23 +27,18 @@ the memo never serves a kick built at another time.
 
 The grid's dimension picks how the multipliers are applied.  On a 1-d
 lattice a sub-map is numpy.fft.rfft along its axis, the multiply and irfft
-back, so the field is real at every stage; on a 2-d/3-d lattice it is a
-product of real matrices.  Multiplying the half spectrum along an axis of
-n points by m is a circular convolution with c = irfft(m), that is the
-n x n matrix T[i, k] = c[(i - k) mod n], one for each index of the axes
-m depends on: each momentum p_j for the drift of x_j; for the kick along
-p_j, each x_j under a separable sum (whose kick multiplier is the 1-d one
-of its term j) and each lattice point x under any other potential.  A step
-copies the field into (p, x) order, multiplies every x_j line by its drift
-matrices with batched np.matmul, copies it back into (x, p) order and
-multiplies every p_j line by its kick matrices.  The axes are short by
-necessity, since the lattice holds n^(2d) values, and on lines of 32
-points pocketfft's per-line overhead costs more than the extra arithmetic
-of a dense 32 x 32 product: a 32^4 step takes under a third of its
-rfft/irfft time.  The matrices of a static potential are memoized like the
-multipliers.  They hold n^3 values per axis for the drift and for a
-separable kick (256 KiB at n = 32), but n^(d+2) for the kick of a
-non-separable potential (8 MiB per axis at 32^4).
+back, so the field is real at every stage.  On a 2-d/3-d lattice each 1-d
+multiplier m along an axis of n points, a circular convolution with
+c = irfft(m), becomes the n x n matrices T[i, k] = c[(i - k) mod n], one
+per p_j for the drift of x_j and one per x_j for the kick along p_j.  A
+step copies the field into (p, x) order, multiplies every x_j line by its
+drift matrices with batched np.matmul, copies it back into (x, p) order
+and multiplies every p_j line by its kick matrices.  The lattice holds
+n^(2d) values, so its axes are short, and on lines of 32 points
+pocketfft's per-line overhead costs more than the extra arithmetic of a
+dense 32 x 32 product: a 32^4 step takes under a third of its rfft/irfft
+time.  The matrices of a static potential are memoized like the
+multipliers, n^3 values per axis (256 KiB at n = 32).
 """
 
 from __future__ import annotations
@@ -52,10 +49,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.fft import irfft, rfft
 
-# NORM_DRIFT_WARN and StepDiagnostics are re-exported with EvolveResult
-from .phasespace import (HBAR, NORM_DRIFT_WARN, EvolveResult, PhaseSpaceGrid,
-                         StepDiagnostics, WignerField, step_size,
-                         truncate_real)
+from .phasespace import (HBAR, EvolveResult, PhaseSpaceGrid, WignerField,
+                         _one_dimensional, step_size, truncate_real)
 from .phasespace import evolve as _drive
 from .potentials import Potential, SeparableSum
 
@@ -79,9 +74,8 @@ class SpectralStepConfig:
 
 #: Most arrays the memo holds; the oldest entries are dropped beyond it.
 _MEMO_SIZE = 16
-#: Most bytes the memo holds, likewise: room for the two 8 MiB kick
-#: matrix sets of a 32^4 step under a non-separable potential, or for
-#: five 512^2 backtrack stencils of 6 MiB.
+#: Most bytes the memo holds, likewise: room for five 512^2 backtrack
+#: stencils of 6 MiB.
 _MEMO_BYTES = 32 * 2**20
 _MEMO: dict = {}
 
@@ -151,14 +145,6 @@ def _spectral_shift_rows(values: np.ndarray, grid: PhaseSpaceGrid,
     return truncate_real(_apply_half(values, phase, axis=0), context="spectral drift")
 
 
-def _one_dimensional(field_in: WignerField, name: str) -> None:
-    """Raise ``ValueError`` unless the field lives on a 1-d lattice."""
-    d = field_in.grid.ndim
-    if d != 1:
-        raise ValueError(f"{name} steps 1-d lattices only, not a {d}-d one; "
-                         f"a {d}-d field steps through spectral.step")
-
-
 def drift(field_in: WignerField, dt: float, mass: float = 1.0) -> WignerField:
     """Free-streaming substitution: row at momentum p shifts by p*dt/m in x,
     through the exact phase in the x-conjugate domain, wrapping
@@ -168,65 +154,48 @@ def drift(field_in: WignerField, dt: float, mass: float = 1.0) -> WignerField:
     return WignerField(grid=field_in.grid, values=values, time=field_in.time)
 
 
-def _axis_shape(total: int, axis: int, n: int) -> list[int]:
-    shape = [1] * total
-    shape[axis] = n
-    return shape
-
-
-def _delta_v(grid, pot, t: float, j: int = 0) -> np.ndarray:
-    """V(x - s_j e_j / 2) - V(x + s_j e_j / 2) on the s_j >= 0 half, shaped
-    to broadcast against the (x_1 ... x_d, p_1 ... p_d) field: on a 1-d
-    grid, (nx, np//2 + 1).
-
-    The terms of a separable sum other than term j cancel in the
-    difference, so its difference is the 1-d one of term j on x_j alone."""
+def _axis_terms(grid, pot) -> tuple[Potential, ...]:
+    """The 1-d potential that kicks along each p_j: the terms of a separable
+    sum with one term per axis, or pot itself on a 1-d lattice; any other
+    pot raises ``ValueError``, since on-axis kicks drop its cross terms."""
     d = grid.ndim
-    g = grid.axes[j]
-    half = g.np // 2 + 1
     if isinstance(pot, SeparableSum):
-        shape = _axis_shape(2 * d, j, g.nx)
-        shape[d + j] = half
-        return _delta_v(g, pot.terms[j], t).reshape(shape)
-    coords = [axis.x_lattice.reshape(_axis_shape(2 * d, i, axis.nx))
-              for i, axis in enumerate(grid.axes)]
-    s = g.s_lattice[:half].reshape(_axis_shape(2 * d, d + j, half))
-    minus = list(coords)
-    plus = list(coords)
-    minus[j] = coords[j] - s / 2.0
-    plus[j] = coords[j] + s / 2.0
-    return pot.value_nd(minus, t) - pot.value_nd(plus, t)
+        if len(pot.terms) != d:
+            raise ValueError(f"a separable sum of {len(pot.terms)} terms cannot "
+                             f"act on a {d}-d lattice")
+        return pot.terms
+    if d != 1:
+        raise ValueError(f"a {d}-d lattice steps under a SeparableSum with one "
+                         f"term per axis only, not {type(pot).__name__}")
+    return (pot,)
 
 
-def _kick_phase(grid, pot, t: float, dt: float, j: int = 0) -> np.ndarray:
-    """The kick phase exp(-i dV dt / hbar) along p_j, with dV from
-    ``_delta_v``."""
-    return _real_nyquist(np.exp(-1j * _delta_v(grid, pot, t, j) * dt / HBAR),
-                         axis=grid.ndim + j)
+def _delta_v(grid, pot, t: float) -> np.ndarray:
+    """V(x - s/2) - V(x + s/2) on the s >= 0 half, shape (nx, np//2 + 1),
+    for a 1-d potential on the first axis of grid."""
+    g = grid.axes[0]
+    x = g.x_lattice[:, None]
+    s = g.s_lattice[None, :g.np // 2 + 1]
+    return pot.value(x - s / 2.0, t) - pot.value(x + s / 2.0, t)
 
 
-def _kick_multiplier_first_order(grid, pot, t: float, dt: float,
-                                 j: int = 0) -> np.ndarray:
+def _kick_phase(grid, pot, t: float, dt: float) -> np.ndarray:
+    """The kick phase exp(-i dV dt / hbar), with dV from ``_delta_v``."""
+    return _real_nyquist(np.exp(-1j * _delta_v(grid, pot, t) * dt / HBAR), axis=1)
+
+
+def _kick_multiplier_first_order(grid, pot, t: float, dt: float) -> np.ndarray:
     # truncating the kernel phase at first order in dt is the convolution
     # of the drifted field with the odd potential-difference transform
-    return _real_nyquist(1.0 - 1j * _delta_v(grid, pot, t, j) * dt / HBAR + 0j,
-                         axis=grid.ndim + j)
+    return _real_nyquist(1.0 - 1j * _delta_v(grid, pot, t) * dt / HBAR + 0j, axis=1)
 
 
-def _kick_multiplier(grid, pot, t: float, dt: float, variant: str,
-                     j: int = 0) -> np.ndarray:
-    """The variant's kick along p_j: its half-spectrum multiplier on a 1-d
-    grid, else one np_j x np_j transfer matrix per lattice point x (size 1 on
-    the x axes the multiplier does not vary over; transposed for the last)."""
+def _kick_multiplier(grid, pot, t: float, dt: float, variant: str) -> np.ndarray:
+    """The variant's half-spectrum kick multiplier of the 1-d potential
+    pot on a 1-d grid."""
     build = _kick_phase if variant == "full" else _kick_multiplier_first_order
-    d = grid.ndim
-
-    def multiplier():
-        m = build(grid, pot, t, dt, j)
-        return m if d == 1 else _transfer_matrices(m, d + j, grid.axes[j].np,
-                                                   m.shape[:d], right=j == d - 1)
-    return _memoized(("kick" if d == 1 else "kick_nd", variant, grid, pot, dt, j),
-                     multiplier, static=_is_static(pot))
+    return _memoized(("kick", variant, grid, pot, dt),
+                     lambda: build(grid, pot, t, dt), static=_is_static(pot))
 
 
 def _apply_kick(values: np.ndarray, multiplier: np.ndarray) -> tuple[np.ndarray, float]:
@@ -245,29 +214,25 @@ def kick_full(field_in: WignerField, pot: Potential, t: float,
     N-d field raises ``ValueError``.
     """
     _one_dimensional(field_in, "kick_full")
+    (term,) = _axis_terms(field_in.grid, pot)
     values, _ = _apply_kick(field_in.values,
-                            _kick_multiplier(field_in.grid, pot, t, dt, "full"))
+                            _kick_multiplier(field_in.grid, term, t, dt, "full"))
     return WignerField(grid=field_in.grid, values=values, time=field_in.time)
 
 
 def _drift_kick(field_in: WignerField, pot, t: float, cfg: SpectralStepConfig,
                 variant: str) -> WignerField:
-    """Drift every x_j by p_j dt/m, then kick every p_j with the variant's
-    multiplier, by rfft/irfft on a 1-d lattice and by matrices on a larger one.
-
-    The potential difference along each axis j uses shifts s_j e_j only,
-    dropping the cross terms that couple different axes; the per-axis
-    kernels commute, so sequential application realizes their product.
-    Exact when V is an additive sum of one-dimensional terms, and then a
-    ``SeparableSum`` must have one term per axis."""
+    """Drift every x_j by p_j dt/m, then kick every p_j by the variant's 1-d
+    multiplier of term j, by rfft/irfft on a 1-d lattice and by matrices on
+    a larger one.  The kicks of different axes commute, so under a sum of
+    1-d terms their sequential product is the exact kick."""
     grid = field_in.grid
     d = grid.ndim
-    if isinstance(pot, SeparableSum) and len(pot.terms) != d:
-        raise ValueError(f"a separable sum of {len(pot.terms)} terms cannot "
-                         f"act on a {d}-d lattice")
+    terms = _axis_terms(grid, pot)
     if d == 1:
         drifted, _ = _spectral_shift_rows(field_in.values, grid, cfg.dt, cfg.mass)
-        values, _ = _apply_kick(drifted, _kick_multiplier(grid, pot, t, cfg.dt, variant))
+        values, _ = _apply_kick(drifted, _kick_multiplier(grid, terms[0], t, cfg.dt,
+                                                          variant))
         return WignerField(grid=grid, values=values, time=field_in.time + cfg.dt)
 
     # two buffers, each sub-step reading one and writing the other; a fresh
@@ -280,17 +245,18 @@ def _drift_kick(field_in: WignerField, pot, t: float, cfg: SpectralStepConfig,
         right = j == d - 1
         mats = _memoized(("drift_nd", g, cfg.dt, cfg.mass, right),
                          lambda: _transfer_matrices(_drift_phase(g, cfg.dt, cfg.mass),
-                                                    0, g.nx, (g.np,), right))
-        values, spare = _apply_matrices(
-            values, mats.reshape(_axis_shape(d, j, g.np) + [g.nx, g.nx]), j,
-            spare), values
+                                                    0, g.nx, right))
+        values, spare = _apply_matrices(values, mats, j, spare), values
 
-    # kick each p_j with the on-axis potential difference, batched over x
+    # kick each p_j by the 1-d kick of term j, batched over x
+    build = _kick_phase if variant == "full" else _kick_multiplier_first_order
     values, spare = _swap_halves(values, spare), values
-    for j in range(d):
-        values, spare = _apply_matrices(
-            values, _kick_multiplier(grid, pot, t, cfg.dt, variant, j), j,
-            spare), values
+    for j, (g, term) in enumerate(zip(grid.axes, terms)):
+        mats = _memoized(("kick_nd", variant, grid, pot, cfg.dt, j),
+                         lambda: _transfer_matrices(build(g, term, t, cfg.dt), 1,
+                                                    g.np, j == d - 1),
+                         static=_is_static(pot))
+        values, spare = _apply_matrices(values, mats, j, spare), values
     return WignerField(grid=grid, values=values, time=field_in.time + cfg.dt)
 
 
@@ -331,23 +297,23 @@ def evolve(field_in: WignerField, pot: Potential, t0: float, t1: float,
 # ---------------------------------------------------------------------------
 
 def _transfer_matrices(multiplier: np.ndarray, axis: int, n: int,
-                       batch: tuple[int, ...], right: bool) -> np.ndarray:
-    """Real n x n matrices, shape batch + (n, n), one per batch index: T with
-    T @ v == irfft(multiplier * rfft(v), n) along axis, or with right its
-    transpose, which acts on row vectors from the right.  Without axis, the
-    multiplier's shape is batch with axes of size 1 inserted.
+                       right: bool) -> np.ndarray:
+    """Real n x n matrices, one per index of the multiplier's other axis
+    (shape (m, n, n)): T with T @ v == irfft(multiplier * rfft(v), n) along
+    axis, or with right its transpose, which acts on row vectors from the
+    right.
 
     The half-spectrum multiply is a circular convolution with
     c = irfft(multiplier), so T[i, k] = c[(i - k) mod n]."""
     kernel = np.moveaxis(irfft(multiplier, n=n, axis=axis), axis, -1)
     lag = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return np.take(kernel.reshape(batch + (n,)), lag.T if right else lag, axis=-1)
+    return np.take(kernel, lag.T if right else lag, axis=-1)
 
 
 def _apply_matrices(values: np.ndarray, mats: np.ndarray, j: int,
                     out: np.ndarray) -> np.ndarray:
     """values indexed (b_1 ... b_d, a_1 ... a_d), with axis a_j multiplied by
-    the matrices mats[b_1 ... b_d] (shape (..., n, n), broadcast over b),
+    the matrices mats[b_j] (shape (n_bj, n, n), broadcast over the other b),
     written into the contiguous buffer out and returned in values' shape.
 
     Every batch index is one small GEMM; the last axis is the row index of
@@ -355,6 +321,7 @@ def _apply_matrices(values: np.ndarray, mats: np.ndarray, j: int,
     d = values.ndim // 2
     shape = values.shape
     n = shape[d + j]
+    mats = mats.reshape((1,) * j + (-1,) + (1,) * (d - j - 1) + (n, n))
     before = math.prod(shape[d:d + j])
     if j == d - 1:
         core = shape[:d] + (before, n)
@@ -385,7 +352,8 @@ def _swap_halves(values: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def step_separable(field_in: WignerField, pot, t: float,
                    cfg: SpectralStepConfig) -> WignerField:
-    """``step`` on 2-d/3-d lattices only; ``pot`` must expose value_nd."""
+    """``step`` on 2-d/3-d lattices only, under a ``SeparableSum`` with one
+    term per axis."""
     if field_in.grid.ndim not in (2, 3):
         raise ValueError("separable stepping supports 2 or 3 dimensions only")
     return _drift_kick(field_in, pot, t, cfg, cfg.variant)

@@ -267,6 +267,17 @@ class TestCommands:
         assert res.exit_code == 3
         assert "pivot" in res.output
 
+    @pytest.mark.parametrize("command", [["solve"], ["field", "-o", "f.txt"]])
+    def test_huge_nmax_exits_3_at_the_first_failing_pivot(self, command, tmp_path,
+                                                         monkeypatch):
+        # the basis of 10^12 Gaussians is never allocated
+        monkeypatch.chdir(tmp_path)
+        res = CliRunner().invoke(main, ["oracle", *command[:1], "--nmax",
+                                        "1000000000000", *command[1:]])
+        assert res.exit_code == 3, res.output
+        assert "Cholesky pivot" in res.output and "at index 11" in res.output
+        assert not (tmp_path / "f.txt").exists()
+
     def test_oracle_field_and_evolve(self, tmp_path):
         runner = CliRunner()
         field_path = tmp_path / "f0.txt"

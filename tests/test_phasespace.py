@@ -183,6 +183,32 @@ class TestDiffMetrics:
             diff_metrics(f, other)
 
 
+class TestOneDimensionalHelpers:
+    """diff_metrics, marginal_x and save_field read one (x, p) axis."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_nd_fields_rejected(self, d, tmp_path):
+        axis = make_grid(-2, 2, 4, -2, 2, 4)
+        f = WignerFieldND(grid=PhaseSpaceGridND((axis,) * d),
+                          values=np.ones((4,) * (2 * d)))
+        path = tmp_path / "f.txt"
+        for name, call in (("diff_metrics", lambda: diff_metrics(f, f)),
+                           ("marginal_x", lambda: marginal_x(f)),
+                           ("save_field", lambda: save_field(f, path))):
+            with pytest.raises(ValueError, match=f"{name} .* {d}-d"):
+                call()
+        assert not path.exists()
+
+    def test_one_axis_product_grid_is_its_axis(self, tmp_path):
+        f = gaussian_field(make_grid(-3, 3, 16, -2, 2, 8), x0=0.5)
+        f1 = WignerFieldND(grid=PhaseSpaceGridND((f.grid,)), values=f.values)
+        assert diff_metrics(f1, f1) == diff_metrics(f, f)
+        np.testing.assert_array_equal(marginal_x(f1), marginal_x(f))
+        save_field(f1, tmp_path / "a.txt")
+        save_field(f, tmp_path / "b.txt")
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+
 class TestSerialization:
     def test_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -5,8 +5,7 @@ import pytest
 
 from wigprop.oracle import GaussianBasis, potential_matrix
 from wigprop.potentials import (Constant, GaussianWell, Harmonic, Linear,
-                                RadialGaussianWell, SeparableSum,
-                                parse_potential)
+                                SeparableSum, parse_potential)
 
 ALL_VARIANTS = [Constant(c=0.7), Linear(g=-1.3), Harmonic(k=2.0),
                 GaussianWell(depth=1.0, sigma=3.0),
@@ -113,7 +112,6 @@ class TestValidation:
         # sigma^2, sigma^4 and sigma^6 are divided by; as Python floats
         # they raise OverflowError past 1e308 and underflow to 0 below
         for build in (lambda: GaussianWell(sigma=sigma),
-                      lambda: RadialGaussianWell(sigma=sigma),
                       lambda: potential_matrix(GaussianBasis(), sigma)):
             with pytest.raises(ValueError, match="sigma"):
                 build()
@@ -121,7 +119,6 @@ class TestValidation:
     @pytest.mark.parametrize("sigma", [2e51, 1e-51])
     def test_sigma_with_normal_powers_accepted(self, sigma):
         GaussianWell(sigma=sigma)
-        RadialGaussianWell(sigma=sigma)
         assert np.isfinite(potential_matrix(GaussianBasis(), sigma)).all()
 
 
@@ -160,9 +157,3 @@ class TestMultiDimensional:
         got = pot.value_nd([x1, x2])
         want = 0.5 * x1**2 + 0.5 * x2**2
         np.testing.assert_allclose(got, want, rtol=1e-15)
-
-    def test_radial_gaussian_well(self):
-        pot = RadialGaussianWell(depth=1.0, sigma=3.0)
-        assert pot.value_nd([0.0, 0.0]) == pytest.approx(-1.0, abs=0)
-        got = pot.value_nd([np.array(1.0), np.array(2.0)])
-        assert got == pytest.approx(-np.exp(-5.0 / 18.0), rel=1e-15)

@@ -20,10 +20,11 @@ from wigprop import make_grid, spectral
 from wigprop.phasespace import (PhaseSpaceGridND, WignerField, WignerFieldND,
                                 norm)
 from wigprop.potentials import (Constant, GaussianWell, Harmonic, Linear,
-                                Potential, RadialGaussianWell, SeparableSum)
+                                Potential, SeparableSum)
 from wigprop.spectral import (SpectralStepConfig, _apply_kick, _kick_phase,
-                              _kick_multiplier_first_order, drift, kick_full,
-                              step_first_order, step_full, step_separable)
+                              _kick_multiplier_first_order, _transfer_matrices,
+                              drift, kick_full, step_first_order, step_full,
+                              step_separable)
 
 GRID = make_grid(-8, 8, 64, -8, 8, 64)
 
@@ -183,7 +184,8 @@ class TestMemoSafety:
             assert max_rel(got.values, want) <= 1e-12
         assert len(kick_keys()) == 3
 
-    @pytest.mark.parametrize("pot", [RadialGaussianWell(depth=1.0, sigma=2.0),
+    # equal terms on both axes still keep one entry per axis
+    @pytest.mark.parametrize("pot", [SeparableSum((GaussianWell(depth=1.0, sigma=2.0),) * 2),
                                      SeparableSum((Harmonic(k=1.0), Linear(g=0.5)))])
     def test_separable_variants_never_share_an_entry(self, pot):
         axis = make_grid(-6, 6, 8, -6, 6, 8)
@@ -197,6 +199,27 @@ class TestMemoSafety:
                 assert max_rel(got.values, want) <= 1e-12
         # one matrix set per axis and variant
         assert len(kick_keys()) == 4
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_nd_kick_matrices_are_those_of_the_1d_kicks(self, d):
+        # the kick along p_j is term j's 1-d multiplier on axis j, as a
+        # matrix per x_j (transposed on the last axis), bit for bit
+        axes = [make_grid(-6, 6, 8, -5, 5, 16), make_grid(-4, 4, 4, -3, 3, 8),
+                make_grid(-5, 5, 16, -4, 4, 4)][:d]
+        grid = PhaseSpaceGridND(tuple(axes))
+        pot = SeparableSum((Harmonic(k=1.0), GaussianWell(depth=1.0, sigma=2.0),
+                            Linear(g=0.5))[:d])
+        f = WignerFieldND(grid=grid, values=np.random.default_rng(4).random(grid.shape()))
+        for variant, build in (("full", _kick_phase),
+                               ("first_order", _kick_multiplier_first_order)):
+            cfg = SpectralStepConfig(dt=0.1, variant=variant)
+            spectral.step(f, pot, 0.0, cfg)
+            for j, (g, term) in enumerate(zip(axes, pot.terms)):
+                got = spectral._MEMO[("kick_nd", variant, grid, pot, cfg.dt, j)]
+                want = _transfer_matrices(build(g, term, 0.0, cfg.dt), 1, g.np,
+                                          right=j == d - 1)
+                assert got.shape == (g.nx, g.np, g.np)
+                assert np.array_equal(got, want)
 
     def test_unhashable_potential_is_rebuilt(self):
         pot = UnhashableWell(depth=1.0)
@@ -394,8 +417,6 @@ def separable_cases(draw):
     terms = [draw(POTENTIALS) for _ in range(d)]
     pot = draw(st.one_of(
         st.just(SeparableSum(tuple(terms))),
-        st.builds(RadialGaussianWell, depth=st.floats(-2.0, 2.0),
-                  sigma=st.floats(0.3, 5.0)),
         st.builds(lambda g, k: SeparableSum(tuple(
             DrivenLinear(g=g) if i == k else term for i, term in enumerate(terms))),
             st.floats(-3.0, 3.0), st.integers(0, d - 1))))
