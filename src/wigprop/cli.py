@@ -332,7 +332,10 @@ def run_scenario(sc: Scenario, outdir) -> Path:
 def _load_run_fields(rundir: Path) -> dict[float, WignerField]:
     fields = {}
     for path in sorted(rundir.glob("field_t*.txt")):
-        f = load_field(path)
+        try:
+            f = load_field(path)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
         fields[round(f.time, 9)] = f
     if not fields:
         raise ConfigError(f"{rundir}: no field snapshots found")
@@ -342,11 +345,19 @@ def _load_run_fields(rundir: Path) -> dict[float, WignerField]:
 def _load_run_slices(rundir: Path) -> dict[tuple[float, float], np.ndarray]:
     slices = {}
     for path in sorted(rundir.glob("slice_t*_p*.txt")):
-        with open(path) as fh:
-            header = fh.readline().split()
-            meta = dict(item.split("=", 1) for item in header[2:])
-            data = np.loadtxt(fh, ndmin=2)
-        slices[(round(float(meta["t"]), 6), round(float(meta["p"]), 6))] = data
+        try:
+            with open(path) as fh:
+                header = fh.readline().split()
+                meta = dict(item.split("=", 1) for item in header[2:])
+                if not {"t", "p"} <= meta.keys():
+                    raise ValueError("header lacks t= or p=")
+                data = np.loadtxt(fh, ndmin=2)
+            if data.shape[0] == 0 or data.shape[1] < 2:
+                raise ValueError("expected rows of x and W")
+            key = (round(float(meta["t"]), 6), round(float(meta["p"]), 6))
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"{path}: not a slice table: {exc}") from None
+        slices[key] = data
     return slices
 
 
@@ -584,8 +595,9 @@ def transcribe_cmd(target, in_path, out, dfunc_m, dfunc_alpha, grid_raw):
             except (OSError, ValueError) as exc:
                 raise ConfigError(str(exc)) from None
             grid = _parse_grid_option(grid_raw)
-            if dfunc_m < 0:
-                raise ConfigError(f"--dfunc-m must be >= 0, got {dfunc_m}")
+            if not 0 <= dfunc_m <= pseudoparticle.MAX_DFUNC_ORDER:
+                raise ConfigError("--dfunc-m must be in "
+                                  f"0..{pseudoparticle.MAX_DFUNC_ORDER}, got {dfunc_m}")
             if dfunc_alpha == "auto":
                 alpha_r = pseudoparticle.auto_alpha(grid.dx)
                 alpha_p = pseudoparticle.auto_alpha(grid.dp)

@@ -19,6 +19,7 @@ garbage.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -48,8 +49,8 @@ class GaussianBasis:
     n_max: int = 10
 
     def __post_init__(self):
-        if self.beta0_sq <= 0:
-            raise ValueError("beta0_sq must be positive")
+        if not 0 < self.beta0_sq < math.inf:
+            raise ValueError("beta0_sq must be positive and finite")
         if self.n_max < 2:
             raise ValueError("n_max must be at least 2")
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -289,11 +288,9 @@ def marginal_x(field: WignerField) -> np.ndarray:
 #: per-thread arenas keep of them once freed.
 _BLOCK_ROWS = 32
 
-# number of pool workers (the CPUs this process may run on, so ``taskset``
-# limits it) and the pool itself; both are settled on first use
+# number of pool workers: the CPUs this process may run on, so ``taskset``
+# limits it; settled on first use
 _workers: int | None = None
-_pool = None
-_pool_lock = threading.Lock()
 
 
 def _worker_count() -> int:
@@ -306,55 +303,33 @@ def _worker_count() -> int:
     return _workers
 
 
-def _get_pool():
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            # imported here: concurrent.futures loads logging, which no
-            # single-threaded command needs at start-up
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(max_workers=_worker_count(),
-                                       thread_name_prefix="wigprop-rows")
-    return _pool
-
-
-def _forget_pool() -> None:
-    # a forked child has none of its parent's pool threads: tasks sent to
-    # the inherited pool would wait forever, so the child builds its own
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def by_rows(fn, n: int) -> None:
     """Call ``fn(rows)`` on slices of ``range(n)`` that cover it once.
 
     The slices are consecutive blocks of ``_BLOCK_ROWS`` rows, run on a
-    shared thread pool with one worker per usable CPU.  With one CPU or a
-    single block it is one plain call ``fn(slice(0, n))``.  ``fn`` must
-    write only its own rows, must not call ``by_rows`` itself (its blocks
-    would wait on the pool they run in), and should spend its time in
-    code that releases the GIL and keeps no shared state (numpy calls on
+    thread pool of this call's own, with one worker per usable CPU.  With
+    one CPU or a single block it is one plain call ``fn(slice(0, n))``.
+    ``fn`` must write only its own rows and should spend its time in code
+    that releases the GIL and keeps no shared state (numpy calls on
     blocks large enough that the GIL is rarely handed over).  Its one
     user is the oracle's pair sum in ``oracle.sample_fields``.
     When every row is computed without reference to the others, the
     result has the same bits for any number of CPUs.  Returns once every
-    block has finished; the first exception, in block order, is raised to
-    the caller.
+    block has finished and the pool's threads are joined; the first
+    exception, in block order, is raised to the caller.
     """
     if n <= _BLOCK_ROWS or _worker_count() < 2:
         fn(slice(0, n))
         return
-    pool = _get_pool()
-    futures = [pool.submit(fn, slice(start, min(start + _BLOCK_ROWS, n)))
-               for start in range(0, n, _BLOCK_ROWS)]
-    errors = [future.exception() for future in futures]   # waits for each
-    for error in errors:
-        if error is not None:
+    # imported here: concurrent.futures loads logging, which no
+    # single-threaded command needs at start-up
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=_worker_count(),
+                            thread_name_prefix="wigprop-rows") as pool:
+        futures = [pool.submit(fn, slice(start, min(start + _BLOCK_ROWS, n)))
+                   for start in range(0, n, _BLOCK_ROWS)]
+    for future in futures:
+        if (error := future.exception()) is not None:
             raise error
 
 
@@ -599,9 +574,12 @@ def load_field(path) -> WignerField:
         header = fh.readline().split()
         if len(header) != 9 or header[0] != "#" or header[1] != "wignerfield":
             raise ValueError(f"{path}: not a wignerfield file")
-        nx, n_p = int(header[2]), int(header[3])
-        x_min, x_max, p_min, p_max, time = map(float, header[4:9])
-        values = np.loadtxt(fh, ndmin=2)
+        try:
+            nx, n_p = int(header[2]), int(header[3])
+            x_min, x_max, p_min, p_max, time = map(float, header[4:9])
+            values = np.loadtxt(fh, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if values.shape != (nx, n_p):
         raise ValueError(f"{path}: expected {nx}x{n_p} values, got {values.shape}")
     grid = make_grid(x_min, x_max, nx, p_min, p_max, n_p)

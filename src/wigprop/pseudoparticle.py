@@ -223,6 +223,11 @@ def evolve(field_in: WignerField, pot: Potential, t0: float, t1: float,
 # Hermite-Gaussian approximate delta (deposition kernel)
 # ---------------------------------------------------------------------------
 
+#: Largest ``DFunctionParams.order``: ``d_function`` needs sqrt((2M)!) as a
+#: finite double, and 171! overflows.
+MAX_DFUNC_ORDER = 85
+
+
 @dataclass(frozen=True)
 class DFunctionParams:
     """Width and truncation order of the Hermite-Gaussian delta approximant."""
@@ -233,8 +238,8 @@ class DFunctionParams:
     def __post_init__(self):
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
-        if self.order < 0:
-            raise ValueError("order must be >= 0")
+        if not 0 <= self.order <= MAX_DFUNC_ORDER:
+            raise ValueError(f"order must be in 0..{MAX_DFUNC_ORDER}")
 
 
 def d_function(x, params: DFunctionParams) -> np.ndarray:

@@ -219,6 +219,24 @@ class TestCompare:
         assert ok
         assert "peak gap" in text and "verdict" in text
 
+    @pytest.mark.parametrize("name, text", [
+        ("field_t0.000000.txt", "not a field\n1 2\n"),
+        ("field_t0.000000.txt", "# wignerfield 4 4 -8 8 -4 4 0\n1 2 x 4\n"),
+        ("slice_t0.000000_p0.000000.txt", "# slice p=0 method=oracle\n0 1\n"),
+        ("slice_t0.000000_p0.000000.txt", "# slice p=0 t=0 method=oracle\n0 x\n"),
+        ("slice_t0.000000_p0.000000.txt", "# slice p=0 t=0 method=oracle\n0\n1\n"),
+    ], ids=["field-header", "field-non-number", "slice-without-t",
+            "slice-non-number", "slice-one-column"])
+    def test_malformed_run_file_exits_2(self, tmp_path, name, text):
+        # a run file that cannot be read is bad input naming the file,
+        # not a traceback
+        run_scenario(parse_scenario_text(SCENARIO_ORACLE), tmp_path / "a")
+        (tmp_path / "a" / name).write_text(text)
+        res = CliRunner().invoke(main, ["compare", str(tmp_path / "a"),
+                                        str(tmp_path / "a")])
+        assert res.exit_code == 2, res.output
+        assert "config error" in res.output and name in res.output
+
     def test_mismatched_runs_rejected(self, tmp_path):
         run_scenario(parse_scenario_text(SCENARIO_ORACLE), tmp_path / "a")
         run_scenario(parse_scenario_text(
@@ -260,6 +278,17 @@ class TestCommands:
         assert res.exit_code == 0
         assert "E_0 = -0.843808" in res.output
         assert "E_1 = -0.312658" in res.output
+
+    @pytest.mark.parametrize("command", [["solve"], ["field", "-o", "f.txt"]])
+    @pytest.mark.parametrize("beta0sq", ["nan", "inf"])
+    def test_oracle_non_finite_width_exits_2(self, tmp_path, monkeypatch,
+                                             command, beta0sq):
+        # bad input, not an eigensolver that fails to converge (exit 3)
+        monkeypatch.chdir(tmp_path)
+        res = CliRunner().invoke(main, ["oracle", *command, "--beta0sq", beta0sq])
+        assert res.exit_code == 2, res.output
+        assert "config error" in res.output and "beta0_sq" in res.output
+        assert not (tmp_path / "f.txt").exists()
 
     def test_oracle_solve_conditioning_failure_exit_code(self):
         runner = CliRunner()
@@ -348,13 +377,15 @@ class TestCommands:
         assert "too narrow" in res.output
 
     @pytest.mark.parametrize("option, value", [
-        ("--dfunc-m", "-1"), ("--dfunc-alpha", "0"), ("--dfunc-alpha", "-2"),
+        ("--dfunc-m", "-1"), ("--dfunc-m", "86"),
+        ("--dfunc-alpha", "0"), ("--dfunc-alpha", "-2"),
         ("--dfunc-alpha", "nan"), ("--dfunc-alpha", "inf"),
         ("--dfunc-alpha", "1e-300")])
     def test_transcribe_bad_kernel_option_exits_2(self, tmp_path, option, value):
-        # a negative order, a non-positive or non-finite width, or a kernel
-        # reaching past the grid (its stencil would span about 1e301
-        # cells) is bad input (exit 2 naming the option), not a traceback
+        # a negative order or one whose sqrt((2M)!) overflows, a
+        # non-positive or non-finite width, or a kernel reaching past the
+        # grid (its stencil would span about 1e301 cells) is bad input
+        # (exit 2 naming the option), not a traceback
         res = self._transcribe_one_particle(tmp_path, option, value)
         assert res.exit_code == 2, res.output
         assert "config error" in res.output and option in res.output

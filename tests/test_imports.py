@@ -2,10 +2,10 @@
 
 scipy submodules take most of a second to import, and every command runs
 in a fresh process, so each is imported inside the one function that uses
-it; the row-block thread pool and ``concurrent.futures`` likewise wait for
-the first kernel that uses them.  These tests run commands in fresh
-interpreters and read sys.modules and the live thread count; they measure
-no time.
+it; ``concurrent.futures`` likewise waits for the first kernel that uses
+it, and each such kernel joins its own row-block threads before it
+returns.  These tests run commands in fresh interpreters and read
+sys.modules and the live thread count; they measure no time.
 """
 
 import json
@@ -74,8 +74,8 @@ def run_cli(*commands: list[str]) -> str:
 def test_cli_import_loads_no_scipy(tmp_path):
     loaded, threads = state_after("import wigprop.cli", tmp_path)
     assert scipy_modules(loaded) == set()
-    # the row-block thread pool is built on first use, and
-    # concurrent.futures (which loads logging) imported with it
+    # the row-block thread pools are built by the kernel calls that use
+    # them, and concurrent.futures (which loads logging) imported there
     assert not {"concurrent.futures", "logging"} & loaded
     assert threads == 1
     # the %.17g writer is loaded by the first write, and its tables come
@@ -109,6 +109,18 @@ def test_oracle_solve_starts_no_thread(tmp_path):
     loaded, threads = state_after(run_cli(["oracle", "solve"]), tmp_path)
     assert threads == 1
     assert "concurrent.futures" not in loaded
+
+
+def test_pooled_oracle_field_leaves_no_thread(tmp_path):
+    # 64 rows on 4 workers go through the row-block pool, whose threads
+    # are joined before the sampling call returns
+    loaded, threads = state_after(
+        "from wigprop import phasespace\nphasespace._workers = 4\n" + run_cli(
+            ["oracle", "field", "--nmax", "8", "--grid", "-8 8 64 -4 4 64",
+             "-o", "f.txt"]), tmp_path)
+    assert (tmp_path / "f.txt").exists()
+    assert "concurrent.futures" in loaded
+    assert threads == 1
 
 
 @pytest.mark.parametrize("method", ["lo", "nlo"])

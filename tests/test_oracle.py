@@ -151,6 +151,12 @@ class TestSolve:
         with pytest.raises(ConditioningError, match="pivot"):
             solve(GaussianBasis(beta0_sq=beta0_sq, n_max=N_MAX_SOLVABLE + 1), SIGMA)
 
+    @pytest.mark.parametrize("beta0_sq", [0.0, -1.0, float("nan"), float("inf")])
+    def test_width_must_be_positive_and_finite(self, beta0_sq):
+        # a NaN width passes a `<= 0` test and stalls the eigensolver
+        with pytest.raises(ValueError, match="beta0_sq"):
+            GaussianBasis(beta0_sq=beta0_sq)
+
     def test_min_pivot_reported(self):
         solution = solve(GaussianBasis(), SIGMA)
         assert 0 < solution.min_pivot < 1e-9

@@ -1,14 +1,14 @@
 """Results have the same bits for any worker count of the row-block pool.
 
 ``phasespace.by_rows`` splits only the oracle's pair sum into blocks of
-rows; with the worker count set to 1 it is one plain call over the whole
+rows on a thread pool of each call's own, joined before the call returns;
+with the worker count set to 1 it is one plain call over the whole
 lattice, the reference the pooled path must reproduce bit for bit.  The
 spline prefilter and evaluation of ``step_lo`` and ``interpolate`` run on
 the calling thread, and their tests guard that their bits never depend on
 the worker count.
 """
 
-import concurrent.futures
 import os
 import signal
 import sys
@@ -117,15 +117,7 @@ def test_exception_in_a_block_reaches_the_caller():
 
 
 
-def test_concurrent_first_use_builds_one_pool():
-    built = []
-
-    class CountingPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            built.append(self)
-            time.sleep(0.05)        # widen the window between check and set
-            super().__init__(*args, **kwargs)
-
+def test_concurrent_callers_each_cover_every_row():
     covered = [[] for _ in range(8)]
 
     def call(i):
@@ -133,8 +125,6 @@ def test_concurrent_first_use_builds_one_pool():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(phasespace, "_workers", 4)
-        mp.setattr(phasespace, "_pool", None)
-        mp.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -145,11 +135,24 @@ def test_concurrent_first_use_builds_one_pool():
                 caller.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
-            for pool in built:
-                pool.shutdown()
     assert not any(caller.is_alive() for caller in callers)
-    assert len(built) == 1
     assert all(sorted(rows) == list(range(200)) for rows in covered)
+
+
+def test_a_block_may_call_by_rows_again():
+    out = np.zeros((100, 100))
+
+    def outer(rows):
+        def inner(cols):
+            out[rows, cols] = 1.0
+        phasespace.by_rows(inner, 100)
+
+    caller = threading.Thread(target=on_workers, args=(4, phasespace.by_rows,
+                                                       outer, 100))
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert out.all()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

@@ -217,6 +217,10 @@ class TestDFunction:
             DFunctionParams(alpha=0.0)
         with pytest.raises(ValueError):
             DFunctionParams(alpha=1.0, order=-1)
+        # sqrt((2M)!) must be a finite double: 170! is, 172! is not
+        assert np.isfinite(d_function(0.5, DFunctionParams(alpha=1.0, order=85)))
+        with pytest.raises(ValueError, match="0..85"):
+            DFunctionParams(alpha=1.0, order=86)
 
 
 class TestEnsemble:
