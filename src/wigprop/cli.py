@@ -205,10 +205,12 @@ def _validate_scenario(sc: Scenario) -> None:
     if sc.initial_kind == "oracle":
         check(isinstance(sc.potential, GaussianWell), "potential",
               "oracle initial states require potential = gaussian_well")
-        check(0 < sc.beta0_sq < math.inf, "beta0_sq",
-              "beta0_sq must be positive and finite")
         check(2 <= sc.n_max <= oracle.N_MAX_SOLVABLE, "n_max", "n_max must be "
               f"from 2 to {oracle.N_MAX_SOLVABLE}; larger bases cannot be solved")
+        try:
+            oracle.GaussianBasis(beta0_sq=sc.beta0_sq, n_max=sc.n_max)
+        except ValueError as exc:
+            raise ConfigError(str(exc), sc.lines.get("beta0_sq")) from None
         # the state is normalized by this sum, which fails to be positive
         # and finite for a NaN or inf, all zeros, or squares that overflow
         # or underflow
@@ -422,6 +424,11 @@ def _guarded(fn, *args, **kwargs):
     except NumericalError as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(3)
+    except OSError as exc:
+        # every read maps its OSError to a ConfigError with its own context,
+        # so what reaches here failed to write an output path
+        click.echo(f"cannot write output: {exc}", err=True)
+        sys.exit(2)
 
 
 def _parse_grid_option(raw: str) -> PhaseSpaceGrid:

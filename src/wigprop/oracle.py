@@ -20,6 +20,7 @@ garbage.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -49,10 +50,17 @@ class GaussianBasis:
     n_max: int = 10
 
     def __post_init__(self):
-        if not 0 < self.beta0_sq < math.inf:
-            raise ValueError("beta0_sq must be positive and finite")
         if self.n_max < 2:
             raise ValueError("n_max must be at least 2")
+        # the widths n * beta0_sq must be normal doubles, and the matrix
+        # elements multiply two of them, so the largest one squared must be
+        # finite: for n_max = 10, beta0_sq from 2.2e-308 to 1.3e153
+        top = self.n_max * self.beta0_sq
+        if not (sys.float_info.min <= self.beta0_sq and top * top < math.inf):
+            raise ValueError(
+                f"beta0_sq must be at least {sys.float_info.min:.3g}, and at most "
+                f"{math.sqrt(sys.float_info.max) / self.n_max:.3g} for n_max = "
+                f"{self.n_max}, got {self.beta0_sq!r}")
 
     @cached_property
     def betas_sq(self) -> np.ndarray:

@@ -40,6 +40,15 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _check_lattice_size(shape: tuple[int, ...]) -> None:
+    """Raise ``ValueError`` when a lattice of this shape has more values
+    than one float64 array can hold: numpy refuses an array of more than
+    sys.maxsize bytes."""
+    if math.prod(shape) > sys.maxsize // 8:
+        raise ValueError(f"a {' x '.join(map(str, shape))} lattice has more "
+                         "values than one float64 array can hold")
+
+
 @dataclass(frozen=True)
 class PhaseSpaceGrid:
     """Uniform lattice in (x, p).
@@ -66,11 +75,11 @@ class PhaseSpaceGrid:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         for name in ("nx", "np"):
-            # counts past sys.maxsize index no array (and past 1e308 overflow dx)
             count = getattr(self, name)
-            if not (4 <= count <= sys.maxsize and _is_power_of_two(count)):
-                raise ValueError(f"{name} must be a power of two >= 4 and "
-                                 f"<= sys.maxsize, got {count}")
+            if not (4 <= count and _is_power_of_two(count)):
+                raise ValueError(f"{name} must be a power of two >= 4, got {count}")
+        # before the spacings: a count past 1e308 would overflow dx
+        _check_lattice_size(self.shape())
         # needs max > min, and finite bounds not so far apart that dx overflows
         # nor so close that dp underflows to 0 or 1/ds overflows
         if not (0 < self.dx < math.inf and 0 < self.dp < math.inf
@@ -162,12 +171,6 @@ def truncate_real(values: np.ndarray, *, tol: float = REALNESS_TOL,
     Returns (real array, residue).  Raises NumericalError when the residue
     exceeds ``tol``: a large residue means the field is not contained in the
     grid (aliasing), which silently corrupts everything downstream.
-
-    The spectral drift and kick transform real half spectra (rfft/irfft), so
-    their output is real and the residue they report is zero by
-    construction: on that path this guard cannot detect aliasing, whether
-    or not the field is contained.  It still checks the complex results of
-    the pseudoparticle third derivative.
     """
     residue = float(np.abs(values.imag).max()) if np.iscomplexobj(values) else 0.0
     if residue > tol:
@@ -600,6 +603,7 @@ class PhaseSpaceGridND:
     def __post_init__(self):
         if not 1 <= len(self.axes) <= 3:
             raise ValueError("only 1, 2 or 3 spatial dimensions are supported")
+        _check_lattice_size(self.shape())
 
     @property
     def ndim(self) -> int:

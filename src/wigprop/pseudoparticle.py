@@ -40,7 +40,10 @@ def _backtrack_stencil(grid: PhaseSpaceGrid, pot: Potential, t: float,
 
     Raises ``NonFiniteFieldError`` when any coordinate is not finite (a
     force that overflows), which the spline evaluation would otherwise
-    turn into silent zeros.
+    turn into silent zeros.  The force is evaluated with numpy's overflow
+    warnings off: that check, not a warning, reports the overflow, and a
+    force whose intermediates overflow to a finite value (a far-off point
+    of a Gaussian well) is no failure.
 
     The stencil is written ``_BLOCK_ROWS`` x-rows at a time into one
     (3, nx, np) array, so the temporaries of the backtrack are a block's,
@@ -53,7 +56,8 @@ def _backtrack_stencil(grid: PhaseSpaceGrid, pot: Potential, t: float,
     for start in range(0, grid.nx, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         x0 = grid.x_lattice[rows, None] - p * (dt / mass)
-        p0 = p + pot.grad(x0, t) * dt
+        with np.errstate(over="ignore", invalid="ignore"):
+            p0 = p + pot.grad(x0, t) * dt
         x0 -= grid.x_min
         x0 /= grid.dx
         p0 -= grid.p_min

@@ -15,7 +15,10 @@ sub-map therefore multiplies half spectra: the n//2 + 1 non-negative-
 frequency bins of the multiplier, with the unpaired Nyquist bin kept at
 the real part of its multiplier for the same reason.  The s = 0 component
 is untouched by the kick, which conserves the momentum marginal at every
-x exactly.  One step body serves every dimension and both variants.
+x exactly.  Each sub-map is one function for every dimension,
+``_drift_values`` or ``_kick_values``; a step is the drift followed by the
+kick, and ``drift`` and ``kick_full`` apply one sub-map to a field of any
+dimension.
 
 The multipliers depend only on the grid, dt and the mass (drift) or the
 potential and variant (kick), so each is built once and kept in a small
@@ -30,10 +33,10 @@ lattice a sub-map is numpy.fft.rfft along its axis, the multiply and irfft
 back, so the field is real at every stage.  On a 2-d/3-d lattice each 1-d
 multiplier m along an axis of n points, a circular convolution with
 c = irfft(m), becomes the n x n matrices T[i, k] = c[(i - k) mod n], one
-per p_j for the drift of x_j and one per x_j for the kick along p_j.  A
-step copies the field into (p, x) order, multiplies every x_j line by its
-drift matrices with batched np.matmul, copies it back into (x, p) order
-and multiplies every p_j line by its kick matrices.  The lattice holds
+per p_j for the drift of x_j and one per x_j for the kick along p_j.  The
+drift copies the field into (p, x) order, multiplies every x_j line by its
+drift matrices with batched np.matmul and copies it back into (x, p)
+order; the kick multiplies every p_j line by its kick matrices.  The lattice holds
 n^(2d) values, so its axes are short, and on lines of 32 points
 pocketfft's per-line overhead costs more than the extra arithmetic of a
 dense 32 x 32 product: a 32^4 step takes under a third of its rfft/irfft
@@ -50,11 +53,15 @@ import numpy as np
 from numpy.fft import irfft, rfft
 
 from .phasespace import (HBAR, EvolveResult, PhaseSpaceGrid, WignerField,
-                         _one_dimensional, step_size, truncate_real)
+                         step_size)
 from .phasespace import evolve as _drive
 from .potentials import Potential, SeparableSum
 
-_VARIANTS = ("full", "first_order")
+#: The kick multiplier builder of each variant.  Each entry looks up the
+#: module-level builder when called, so a rebinding of that name (as
+#: bench/tracer.py makes) reaches every kick.
+_KICK_BUILDERS = {"full": lambda *args: _kick_phase(*args),
+                  "first_order": lambda *args: _kick_multiplier_first_order(*args)}
 
 
 @dataclass(frozen=True)
@@ -68,8 +75,8 @@ class SpectralStepConfig:
             raise ValueError("dt must be positive")
         if not self.mass > 0:
             raise ValueError("mass must be positive")
-        if self.variant not in _VARIANTS:
-            raise ValueError(f"variant must be one of {_VARIANTS}")
+        if self.variant not in _KICK_BUILDERS:
+            raise ValueError(f"variant must be one of {tuple(_KICK_BUILDERS)}")
 
 
 #: Most arrays the memo holds; the oldest entries are dropped beyond it.
@@ -140,18 +147,38 @@ def _drift_phase(grid, dt: float, mass: float) -> np.ndarray:
 
 def _spectral_shift_rows(values: np.ndarray, grid: PhaseSpaceGrid,
                          dt: float, mass: float) -> tuple[np.ndarray, float]:
-    """values(x - p*dt/m, p) via an x-FFT phase, periodic wrap."""
+    """values(x - p*dt/m, p) via an x-FFT phase, periodic wrap; irfft
+    returns a real array, so its imaginary residue is 0.0."""
     phase = _memoized(("drift", grid, dt, mass), lambda: _drift_phase(grid, dt, mass))
-    return truncate_real(_apply_half(values, phase, axis=0), context="spectral drift")
+    return _apply_half(values, phase, axis=0), 0.0
+
+
+def _drift_values(values: np.ndarray, grid, dt: float, mass: float) -> np.ndarray:
+    """values drifted by dt: every x_j shifted by p_j dt/m, wrapping
+    periodically.  By rfft along x on a 1-d lattice; on a larger one by the
+    drift matrices of each x_j, batched over p, in (p, x) order between two
+    swaps of the halves."""
+    if grid.ndim == 1:
+        return _spectral_shift_rows(values, grid, dt, mass)[0]
+    # two buffers, each sub-step reading one and writing the other; a fresh
+    # array per sub-step costs more in page faults than its GEMMs take
+    spare = np.empty(values.size)
+    values = _swap_halves(values, np.empty(values.size))
+    for j, g in enumerate(grid.axes):
+        right = j == grid.ndim - 1
+        mats = _memoized(("drift_nd", g, dt, mass, right),
+                         lambda: _transfer_matrices(_drift_phase(g, dt, mass), 0, g.nx,
+                                                    right))
+        values, spare = _apply_matrices(values, mats, j, spare), values
+    return _swap_halves(values, spare)
 
 
 def drift(field_in: WignerField, dt: float, mass: float = 1.0) -> WignerField:
-    """Free-streaming substitution: row at momentum p shifts by p*dt/m in x,
-    through the exact phase in the x-conjugate domain, wrapping
-    periodically.  A 1-d sub-step: an N-d field raises ``ValueError``."""
-    _one_dimensional(field_in, "drift")
-    values, _ = _spectral_shift_rows(field_in.values, field_in.grid, dt, mass)
-    return WignerField(grid=field_in.grid, values=values, time=field_in.time)
+    """Free streaming for one time increment: the field at momentum p_j
+    shifts by p_j*dt/m along x_j, through the exact phase in the
+    x_j-conjugate domain, wrapping periodically.  Serves every dimension."""
+    values = _drift_values(field_in.values, field_in.grid, dt, mass)
+    return replace(field_in, values=values)
 
 
 def _axis_terms(grid, pot) -> tuple[Potential, ...]:
@@ -190,74 +217,60 @@ def _kick_multiplier_first_order(grid, pot, t: float, dt: float) -> np.ndarray:
     return _real_nyquist(1.0 - 1j * _delta_v(grid, pot, t) * dt / HBAR + 0j, axis=1)
 
 
-def _kick_multiplier(grid, pot, t: float, dt: float, variant: str) -> np.ndarray:
-    """The variant's half-spectrum kick multiplier of the 1-d potential
-    pot on a 1-d grid."""
-    build = _kick_phase if variant == "full" else _kick_multiplier_first_order
-    return _memoized(("kick", variant, grid, pot, dt),
-                     lambda: build(grid, pot, t, dt), static=_is_static(pot))
-
-
 def _apply_kick(values: np.ndarray, multiplier: np.ndarray) -> tuple[np.ndarray, float]:
-    return truncate_real(_apply_half(values, multiplier, axis=1),
-                         context="momentum kick")
+    """values with the half-spectrum multiplier applied along p; irfft
+    returns a real array, so its imaginary residue is 0.0."""
+    return _apply_half(values, multiplier, axis=1), 0.0
+
+
+def _kick_values(values: np.ndarray, grid, pot, t: float, dt: float,
+                 variant: str) -> np.ndarray:
+    """values kicked by dt: every p_j by the variant's multiplier of term j
+    of pot (``_axis_terms``).  By rfft along p on a 1-d lattice; on a
+    larger one by the kick matrices of each p_j, batched over x.  The kicks
+    of different axes commute, so under a sum of 1-d terms their sequential
+    product is the exact kick.  A writable values serves as a buffer of the
+    matrix products; a read-only one is never written."""
+    terms = _axis_terms(grid, pot)
+    build = _KICK_BUILDERS[variant]
+    if grid.ndim == 1:
+        multiplier = _memoized(("kick", variant, grid, terms[0], dt),
+                               lambda: build(grid, terms[0], t, dt),
+                               static=_is_static(terms[0]))
+        return _apply_kick(values, multiplier)[0]
+    spare = np.empty(values.size)
+    for j, (g, term) in enumerate(zip(grid.axes, terms)):
+        mats = _memoized(("kick_nd", variant, grid, pot, dt, j),
+                         lambda: _transfer_matrices(build(g, term, t, dt), 1, g.np,
+                                                    j == grid.ndim - 1),
+                         static=_is_static(pot))
+        values, spare = _apply_matrices(values, mats, j, spare), (
+            values if values.flags.writeable else np.empty(values.size))
+    return values
 
 
 def kick_full(field_in: WignerField, pot: Potential, t: float,
               dt: float) -> WignerField:
-    """Momentum kernel for one time increment.
+    """Momentum kernel for one time increment, on a lattice of any
+    dimension.
 
     Per x-column: transform p -> s, multiply exp(-i dV(x, s) dt / hbar)
     with dV(x, s) = V(x - s/2, t) - V(x + s/2, t), transform back.  This
     is the complex form of the cosine/sine transform pair; the real part
-    of the product reproduces that pair term by term.  A 1-d sub-step: an
-    N-d field raises ``ValueError``.
+    of the product reproduces that pair term by term.  A 2-d/3-d lattice
+    takes a ``SeparableSum`` with one term per axis, and each p_j gets the
+    kernel of its term.
     """
-    _one_dimensional(field_in, "kick_full")
-    (term,) = _axis_terms(field_in.grid, pot)
-    values, _ = _apply_kick(field_in.values,
-                            _kick_multiplier(field_in.grid, term, t, dt, "full"))
-    return WignerField(grid=field_in.grid, values=values, time=field_in.time)
+    values = _kick_values(field_in.values, field_in.grid, pot, t, dt, "full")
+    return replace(field_in, values=values)
 
 
 def _drift_kick(field_in: WignerField, pot, t: float, cfg: SpectralStepConfig,
                 variant: str) -> WignerField:
-    """Drift every x_j by p_j dt/m, then kick every p_j by the variant's 1-d
-    multiplier of term j, by rfft/irfft on a 1-d lattice and by matrices on
-    a larger one.  The kicks of different axes commute, so under a sum of
-    1-d terms their sequential product is the exact kick."""
-    grid = field_in.grid
-    d = grid.ndim
-    terms = _axis_terms(grid, pot)
-    if d == 1:
-        drifted, _ = _spectral_shift_rows(field_in.values, grid, cfg.dt, cfg.mass)
-        values, _ = _apply_kick(drifted, _kick_multiplier(grid, terms[0], t, cfg.dt,
-                                                          variant))
-        return WignerField(grid=grid, values=values, time=field_in.time + cfg.dt)
-
-    # two buffers, each sub-step reading one and writing the other; a fresh
-    # array per sub-step costs more in page faults than its GEMMs take
-    spare = np.empty(field_in.values.size)
-    values = _swap_halves(field_in.values, np.empty(field_in.values.size))
-
-    # drift each x_j by its conjugate momentum p_j, batched over p
-    for j, g in enumerate(grid.axes):
-        right = j == d - 1
-        mats = _memoized(("drift_nd", g, cfg.dt, cfg.mass, right),
-                         lambda: _transfer_matrices(_drift_phase(g, cfg.dt, cfg.mass),
-                                                    0, g.nx, right))
-        values, spare = _apply_matrices(values, mats, j, spare), values
-
-    # kick each p_j by the 1-d kick of term j, batched over x
-    build = _kick_phase if variant == "full" else _kick_multiplier_first_order
-    values, spare = _swap_halves(values, spare), values
-    for j, (g, term) in enumerate(zip(grid.axes, terms)):
-        mats = _memoized(("kick_nd", variant, grid, pot, cfg.dt, j),
-                         lambda: _transfer_matrices(build(g, term, t, cfg.dt), 1,
-                                                    g.np, j == d - 1),
-                         static=_is_static(pot))
-        values, spare = _apply_matrices(values, mats, j, spare), values
-    return WignerField(grid=grid, values=values, time=field_in.time + cfg.dt)
+    """The drift, then the variant's kick; time advances by cfg.dt."""
+    drifted = _drift_values(field_in.values, field_in.grid, cfg.dt, cfg.mass)
+    kicked = _kick_values(drifted, field_in.grid, pot, t, cfg.dt, variant)
+    return replace(field_in, values=kicked, time=field_in.time + cfg.dt)
 
 
 def step_full(field_in: WignerField, pot: Potential, t: float,
@@ -279,9 +292,8 @@ def step_first_order(field_in: WignerField, pot: Potential, t: float,
 def step(field_in: WignerField, pot: Potential, t: float,
          cfg: SpectralStepConfig) -> WignerField:
     """One step of the variant that cfg.variant names."""
-    if cfg.variant == "full":
-        return step_full(field_in, pot, t, cfg)
-    return step_first_order(field_in, pot, t, cfg)
+    stepper = step_full if cfg.variant == "full" else step_first_order
+    return stepper(field_in, pot, t, cfg)
 
 
 def evolve(field_in: WignerField, pot: Potential, t0: float, t1: float,

@@ -3,6 +3,7 @@ import pathlib
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wigprop import oracle
+from wigprop import oracle, spectral
 from wigprop.cli import (_SECTION_KEYS, ConfigError, compare_runs, main,
                          parse_scenario_text, run_scenario)
 from wigprop.phasespace import WignerField, load_field, make_grid, save_field
@@ -290,6 +291,19 @@ class TestCommands:
         assert "config error" in res.output and "beta0_sq" in res.output
         assert not (tmp_path / "f.txt").exists()
 
+    @pytest.mark.parametrize("command", [["solve"], ["field", "-o", "f.txt"]])
+    @pytest.mark.parametrize("beta0sq", ["1e154", "1e200", "1e308", "1e-320"])
+    def test_oracle_width_out_of_range_exits_2(self, tmp_path, monkeypatch,
+                                               command, beta0sq):
+        # products of widths that overflow, or subnormal widths: bad input,
+        # not energies from overflowed elements (exit 0) or an eigensolver
+        # failure (exit 3)
+        monkeypatch.chdir(tmp_path)
+        res = CliRunner().invoke(main, ["oracle", *command, "--beta0sq", beta0sq])
+        assert res.exit_code == 2, res.output
+        assert "config error: beta0_sq must be" in res.output
+        assert not (tmp_path / "f.txt").exists()
+
     def test_oracle_solve_conditioning_failure_exit_code(self):
         runner = CliRunner()
         res = runner.invoke(main, ["oracle", "solve", "--nmax", "20"])
@@ -479,6 +493,22 @@ class TestNonFinitePotentialParameters:
         assert "line 10" in res.output
 
 
+@pytest.mark.parametrize("method", ["lo", "nlo"])
+def test_far_backtrack_leaves_no_numpy_warning(tmp_path, monkeypatch, method):
+    # mass 1e-300 sends the backtracked points to |x| ~ 1e300, where x^2
+    # in the Gaussian well's force overflows on the way to a force of 0:
+    # the run prints no numpy warning, and records the norm it loses; an
+    # empty memo makes the run build its backtrack stencil
+    monkeypatch.setattr(spectral, "_MEMO", {})
+    text = _with(SCENARIO_ORACLE.replace("method = oracle", f"method = {method}"),
+                 "mass", "1e-300")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_scenario(parse_scenario_text(text), tmp_path / "run")
+    assert [str(w.message) for w in caught] == []
+    assert "relative norm drift" in (tmp_path / "run" / "warnings.txt").read_text()
+
+
 def _with(text, key, value):
     """text with ``key = value``: in place of the key's line, or else as
     the first line of the key's section."""
@@ -545,6 +575,8 @@ class TestBadValuesExit2:
         ("spectral-full", "n_max", "12"),
         ("spectral-full", "n_max", str(10**30)),
         ("spectral-full", "beta0_sq", "nan"),
+        ("spectral-full", "beta0_sq", "1e200"),
+        ("oracle", "beta0_sq", "1e-320"),
         ("spectral-full", "amplitudes", "1 " * 9),
         ("spectral-full", "amplitudes", "1e200 1e200"),
         ("spectral-full", "amplitudes", "1e-200 1e-200"),
@@ -648,6 +680,62 @@ class TestBadTimeRangesAndGrids:
         assert res.exit_code == 2, res.output
         assert "config error: x_max > x_min" in res.output
         assert not (tmp_path / "f.txt").exists()
+
+    def test_oracle_field_rejects_a_lattice_too_big_for_one_array(self, tmp_path):
+        # 2^62 x 4 values: numpy would refuse the array ("array is too
+        # big"), so building the grid refuses it first; nothing is allocated
+        res = CliRunner().invoke(main, ["oracle", "field", "--grid",
+                                        "-8 8 4611686018427387904 -4 4 4",
+                                        "-o", str(tmp_path / "f.txt")])
+        assert res.exit_code == 2, res.output
+        assert ("config error: a 4611686018427387904 x 4 lattice has more values "
+                "than one float64 array can hold") in res.output
+        assert not (tmp_path / "f.txt").exists()
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written is bad input (exit 2) whose
+    message names the path, not a traceback (exit 1)."""
+
+    @staticmethod
+    def check(res, path):
+        assert res.exit_code == 2, res.output
+        assert "cannot write output: " in res.output and str(path) in res.output
+
+    def test_run_under_a_regular_file(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        scenario = tmp_path / "s.txt"
+        scenario.write_text(SCENARIO_ORACLE)
+        out = tmp_path / "file" / "sub"
+        self.check(CliRunner().invoke(main, ["run", str(scenario), "-o", str(out)]),
+                   out)
+
+    def test_snapshot_name_too_long(self, tmp_path):
+        # t1 = 1e300 is a valid time, but its snapshot name has 300 digits
+        scenario = tmp_path / "s.txt"
+        scenario.write_text(_with(_with(SCENARIO_ORACLE, "t1", "1e300"),
+                                  "checkpoints", "0 1e300"))
+        res = CliRunner().invoke(main, ["run", str(scenario), "-o",
+                                        str(tmp_path / "out")])
+        self.check(res, tmp_path / "out" / "field_t1000000")
+
+    @pytest.mark.parametrize("command", ["oracle field", "transcribe", "compare"])
+    def test_into_a_missing_directory(self, tmp_path, command):
+        runner = CliRunner()
+        field_path = tmp_path / "f0.txt"
+        runner.invoke(main, ["oracle", "field", "--nmax", "8",
+                             "--grid", "-8 8 64 -4 4 64", "-o", str(field_path)])
+        scenario = tmp_path / "s.txt"
+        scenario.write_text(SCENARIO_ORACLE)
+        runner.invoke(main, ["run", str(scenario), "-o", str(tmp_path / "run")])
+        out = tmp_path / "missing" / "out.txt"
+        args = {
+            "oracle field": ["oracle", "field", "--nmax", "8", "--grid",
+                             "-8 8 64 -4 4 64"],
+            "transcribe": ["transcribe", "--to", "ensemble", "-i", str(field_path)],
+            "compare": ["compare", str(tmp_path / "run"), str(tmp_path / "run")],
+        }[command]
+        self.check(runner.invoke(main, [*args, "-o", str(out)]), out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -156,6 +158,21 @@ class TestSolve:
         # a NaN width passes a `<= 0` test and stalls the eigensolver
         with pytest.raises(ValueError, match="beta0_sq"):
             GaussianBasis(beta0_sq=beta0_sq)
+
+    @pytest.mark.parametrize("beta0_sq", [1e154, 1e200, 1e308, 1e-320])
+    def test_widths_must_be_normal_with_finite_products(self, beta0_sq):
+        # the matrix elements multiply two widths n * beta0_sq, which
+        # overflows past about 1.3e153 at n_max 10; below 2.2e-308 the
+        # widths are subnormal
+        with pytest.raises(ValueError, match="beta0_sq must be at least"):
+            GaussianBasis(beta0_sq=beta0_sq)
+
+    @pytest.mark.parametrize("beta0_sq", [1e150, 1e-300])
+    def test_extreme_widths_inside_the_range_solve(self, beta0_sq):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solution = solve(GaussianBasis(beta0_sq=beta0_sq), SIGMA)
+        assert np.isfinite(solution.energies).all()
 
     def test_min_pivot_reported(self):
         solution = solve(GaussianBasis(), SIGMA)

@@ -50,10 +50,18 @@ class TestMakeGrid:
         (0, 1, 4, 0, 5e-324, 4),  # dp underflows to 0
         (0, 1, 4, 0, 1e-310, 4),  # dp subnormal, ds overflows
         (0, 1, 2**1100, 0, 1, 4),  # a power of two no double holds
+        (0, 1, 2**62, 0, 1, 4),   # 2^64 values, more than one array holds
     ])
     def test_rejects_bad_input(self, args):
         with pytest.raises(ValueError):
             make_grid(*args)
+
+    def test_rejects_a_product_lattice_too_big_for_one_array(self):
+        # the grids allocate nothing: their lattices are built on first use
+        axis = make_grid(0, 1, 2**20, 0, 1, 2**20)
+        assert PhaseSpaceGridND((axis,)).shape() == (2**20, 2**20)
+        with pytest.raises(ValueError, match="float64 array can hold"):
+            PhaseSpaceGridND((axis, axis))
 
     def test_one_axis_interface(self):
         # a 1-d grid is the one-axis case of PhaseSpaceGridND

@@ -10,9 +10,9 @@ from wigprop.phasespace import (PhaseSpaceGridND, StepDiagnostics, WignerField,
                                 WignerFieldND, diff_metrics, norm, norm_nd)
 from wigprop.potentials import (Constant, GaussianWell, Harmonic, Linear,
                                 SeparableSum)
-from wigprop.spectral import (SpectralStepConfig, drift, evolve, kick_full,
-                              step, step_first_order, step_full,
-                              step_separable)
+from wigprop.spectral import (SpectralStepConfig, _drift_values, _kick_values,
+                              drift, evolve, kick_full, step, step_first_order,
+                              step_full, step_separable)
 
 GRID = make_grid(-8, 8, 256, -8, 8, 256)
 
@@ -255,19 +255,12 @@ class TestStepSeparable:
             step_separable(f, pot, 0.0, SpectralStepConfig(dt=0.1))
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_one_dimensional_sub_steps_reject_nd_fields(self, d):
-        # both transform along array axes 0 and 1, which on an N-d field
-        # are x_1 and x_2, so they must refuse it rather than kick along x_2
+    def test_step_leaves_a_p_constant_field_of_a_static_sum_unchanged(self, d):
         axis = make_grid(-6, 6, 8, -6, 6, 8)
         grid = PhaseSpaceGridND(axes=(axis,) * d)
         f = WignerFieldND(grid=grid, values=np.ones(grid.shape()))
         pot = SeparableSum(terms=(Harmonic(k=1.0), GaussianWell(),
                                   Linear(g=0.5))[:d])
-        with pytest.raises(ValueError, match=f"kick_full .* {d}-d"):
-            kick_full(f, pot, 0.0, 0.1)
-        with pytest.raises(ValueError, match=f"drift .* {d}-d"):
-            drift(f, 0.1)
-        # the step itself leaves a p-constant field of a static sum unchanged
         kicked = step(f, pot, 0.0, SpectralStepConfig(dt=0.1))
         np.testing.assert_allclose(kicked.values, f.values, atol=1e-12)
 
@@ -451,3 +444,45 @@ def test_step_full_is_time_reversible(case):
     back = drift(kick_full(forward, pot, t, -cfg.dt), -cfg.dt, cfg.mass)
     scale = np.abs(f.values).max()
     assert np.abs(back.values - f.values).max() <= 1e-12 * scale
+
+
+# ---------------------------------------------------------------------------
+# a step is its drift sub-step followed by its kick sub-step
+# ---------------------------------------------------------------------------
+
+@st.composite
+def composition_cases(draw):
+    """A random field on a 1-, 2- or 3-d lattice of 4 or 8 points per axis,
+    the 1-d potential or a separable sum of one term per axis, a time and
+    a step config."""
+    d = draw(st.integers(1, 3))
+    axes = tuple(make_grid(-draw(st.floats(2.0, 8.0)), draw(st.floats(2.0, 8.0)),
+                           draw(st.sampled_from([4, 8])),
+                           -draw(st.floats(1.0, 6.0)), draw(st.floats(1.0, 6.0)),
+                           draw(st.sampled_from([4, 8])))
+                 for _ in range(d))
+    grid = axes[0] if d == 1 else PhaseSpaceGridND(axes)
+    seed = draw(st.integers(0, 2**32 - 1))
+    f = WignerField(grid=grid, values=np.random.default_rng(seed).standard_normal(
+        grid.shape()))
+    terms = tuple(draw(POTENTIALS_1D) for _ in range(d))
+    pot = terms[0] if d == 1 else SeparableSum(terms)
+    cfg = SpectralStepConfig(dt=draw(st.floats(0.01, 0.5)),
+                             mass=draw(st.floats(0.2, 5.0)))
+    return f, pot, draw(st.floats(0.0, 2.0)), cfg
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(composition_cases())
+def test_sub_steps_compose_to_the_step_on_every_dimension(case):
+    f, pot, t, cfg = case
+    before = f.values.copy()
+    # the kicks of the compositions read read-only drifted values, and
+    # those of the steps reuse the writable array their drift returns
+    composed = kick_full(drift(f, cfg.dt, cfg.mass), pot, t, cfg.dt)
+    assert np.array_equal(composed.values, step_full(f, pot, t, cfg).values)
+    drifted = _drift_values(f.values, f.grid, cfg.dt, cfg.mass)
+    drifted.setflags(write=False)
+    composed = _kick_values(drifted, f.grid, pot, t, cfg.dt, "first_order")
+    assert np.array_equal(composed, step_first_order(f, pot, t, cfg).values)
+    assert np.array_equal(f.values, before)
