@@ -255,10 +255,15 @@ class TestStepSeparable:
             step_separable(f, pot, 0.0, SpectralStepConfig(dt=0.1))
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_step_leaves_a_p_constant_field_of_a_static_sum_unchanged(self, d):
+    def test_one_dimensional_sub_steps_reject_nd_fields(self, d):
+        # the kick of a 1-d potential would push along p_1 only, so on an
+        # N-d field kick_full refuses it rather than drop the other forces
         axis = make_grid(-6, 6, 8, -6, 6, 8)
         grid = PhaseSpaceGridND(axes=(axis,) * d)
         f = WignerFieldND(grid=grid, values=np.ones(grid.shape()))
+        with pytest.raises(ValueError, match=f"{d}-d lattice .* SeparableSum"):
+            kick_full(f, GaussianWell(), 0.0, 0.1)
+        # the step itself leaves a p-constant field of a static sum unchanged
         pot = SeparableSum(terms=(Harmonic(k=1.0), GaussianWell(),
                                   Linear(g=0.5))[:d])
         kicked = step(f, pot, 0.0, SpectralStepConfig(dt=0.1))
