@@ -19,9 +19,10 @@ import click
 import numpy as np
 
 from . import oracle, pseudoparticle, spectral
-from .phasespace import (DEFAULT_GRID_SPEC, NumericalError, PhaseSpaceGrid,
-                         StepDiagnostics, WignerField, diff_metrics, evolve,
-                         load_field, make_grid, save_field, step_size)
+from .phasespace import (DEFAULT_GRID_SPEC, HBAR, NumericalError,
+                         PhaseSpaceGrid, StepDiagnostics, WignerField,
+                         diff_metrics, evolve, load_field, make_grid, norm,
+                         save_field, step_size)
 from .potentials import GaussianWell, parse_potential
 
 METHODS = ("spectral-full", "spectral-fo", "lo", "nlo", "oracle")
@@ -32,6 +33,12 @@ REPORT_DIGITS = 6
 #: Most checkpoints an oracle run samples in one pass.  A pass evaluates
 #: each basis pair once for all its times and holds one lattice per time.
 _ORACLE_PASS = 8
+
+#: Largest relative gap between a sampled oracle state's norm and
+#: 2 pi hbar that ``run`` and ``oracle field`` accept.  Resolved states
+#: read 2.3e-5 on the shipped grids and 5.3e-4 on the default one; a basis
+#: too narrow for the lattice (beta0_sq = 1e-300) reads 0.27 to 0.36.
+ORACLE_NORM_GAP = 1e-2
 
 
 class ConfigError(Exception):
@@ -251,7 +258,25 @@ def _initial_state(sc: Scenario) -> WignerField:
         if loaded.grid != sc.grid:
             raise ConfigError("initial field grid does not match scenario grid")
         return WignerField(grid=sc.grid, values=loaded.values, time=sc.t0)
-    return oracle.sample_field(_oracle_state(sc), sc.t0, sc.grid)
+    return _check_resolved(oracle.sample_field(_oracle_state(sc), sc.t0, sc.grid),
+                           "beta0_sq", sc.lines.get("beta0_sq"))
+
+
+def _check_resolved(field: WignerField, key: str,
+                    line: int | None = None) -> WignerField:
+    """field, a sampled oracle state, once its norm is within
+    ORACLE_NORM_GAP of 2 pi hbar; otherwise the lattice does not resolve
+    the state and a ``ConfigError`` names ``key`` (and its line)."""
+    want = 2.0 * math.pi * HBAR
+    got = norm(field)
+    gap = abs(got - want) / want
+    if not gap <= ORACLE_NORM_GAP:
+        raise ConfigError(
+            f"the oracle state sampled on this grid has norm {got:.6g}, not "
+            f"2*pi*hbar = {want:.6g} (relative gap {gap:.3g} > "
+            f"{ORACLE_NORM_GAP:g}); the grid does not resolve the state: "
+            f"check the grid and {key}", line)
+    return field
 
 
 def _snap_slice(grid: PhaseSpaceGrid, p_want: float) -> tuple[int, float]:
@@ -292,6 +317,8 @@ def run_scenario(sc: Scenario, outdir) -> Path:
         for start in range(0, len(times), _ORACLE_PASS):
             for f in oracle.sample_fields(state, times[start:start + _ORACLE_PASS],
                                           sc.grid):
+                if not diag_rows:
+                    _check_resolved(f, "beta0_sq", sc.lines.get("beta0_sq"))
                 emit(f)
                 diag_rows.append(StepDiagnostics.of(len(diag_rows), f))
     else:
@@ -529,7 +556,8 @@ def oracle_field_cmd(time, sigma, beta0sq, nmax, amplitudes, grid_raw, out):
             state = oracle.superposition(solution, *amps)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        save_field(oracle.sample_field(state, time, grid), out)
+        save_field(_check_resolved(oracle.sample_field(state, time, grid),
+                                   "--beta0sq"), out)
         click.echo(f"field written to {out}")
     _guarded(body)
 

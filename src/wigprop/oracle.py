@@ -348,7 +348,8 @@ def _pair_terms(state: SuperpositionState, times) -> list[tuple]:
 
 
 def _assemble(terms: list[tuple], count: int, x: np.ndarray, p: np.ndarray,
-              derivative_p3: bool = False) -> np.ndarray:
+              derivative_p3: bool = False, mirror: slice | None = None
+              ) -> np.ndarray:
     """Hermitian double sum over basis pairs, folded to n <= m, at each of
     ``count`` times; stacked along a new first axis.
 
@@ -363,15 +364,32 @@ def _assemble(terms: list[tuple], count: int, x: np.ndarray, p: np.ndarray,
     -a x^2 - b p^2 and imaginary part (d x) p, and exponentiated and scaled
     in place; the sums get the bits of pref * exp(-a x^2 - b p^2
     + 1j d x p) with its three full-size complex temporaries.
+
+    ``mirror`` (not with derivative_p3) picks rows of x, a column, whose
+    negatives -x are lattice rows too; the stack holds their mirror rows
+    after the rows of x, in the order of ``mirror``.  At -x the exponent is
+    the exact conjugate of the one at x, and cexp(conj z) is
+    conj(cexp z) (C99 Annex G, G.6.3.1), so each mirror row's exponential
+    is copied as the conjugate of its source row's, not computed.  From
+    the scaling on, every row gets the same operations, and a mirror row
+    has the bits it would have as a row of x.
     """
     shape = np.broadcast(x, p).shape
-    out = np.zeros((count,) + shape, dtype=float)
+    if mirror is None:
+        buf = own = np.empty(shape, dtype=complex)
+    else:
+        rows = shape[0]
+        buf = np.empty((rows + len(range(rows)[mirror]),) + shape[1:],
+                       dtype=complex)
+        own, copies = buf[:rows], buf[rows:]
+    out = np.zeros((count,) + buf.shape, dtype=float)
     x2, p2 = x**2, p**2
-    buf = np.empty(shape, dtype=complex)
     for weight, live, (pref, a, b, d) in terms:
-        np.subtract(-a * x2, b * p2, out=buf.real)
-        np.multiply(d * x, p, out=buf.imag)
-        np.exp(buf, out=buf)
+        np.subtract(-a * x2, b * p2, out=own.real)
+        np.multiply(d * x, p, out=own.imag)
+        np.exp(own, out=own)
+        if mirror is not None:
+            np.conjugate(own[mirror], out=copies)
         buf *= pref
         # a 0-d buffer as a numpy scalar: complex scalar products round
         # differently from the array loop, and a point takes the scalar path
@@ -383,6 +401,17 @@ def _assemble(terms: list[tuple], count: int, x: np.ndarray, p: np.ndarray,
         for k, cc in live:
             out[k] += weight * (cc * term).real
     return out
+
+
+def _mirrored_rows(x: np.ndarray) -> int:
+    """The length m of the run of rows i = 1, 2, ... below n / 2 of the
+    lattice x whose row n - i is exactly -x[i]: n / 2 - 1 (every row but 0
+    and n / 2) on a box symmetric about 0 with an exact spacing, 0 on an
+    asymmetric one and 0 or a few on a symmetric one with an inexact
+    spacing."""
+    n = len(x)
+    pairs = x[n - 1:n // 2:-1] == -x[1:n // 2]
+    return len(pairs) if pairs.all() else int(pairs.argmin())
 
 
 def wigner_at(state: SuperpositionState, t: float, x, p):
@@ -415,23 +444,36 @@ def sample_fields(state: SuperpositionState, times,
 
     Each basis pair's complex exponential is evaluated once per block of
     x-rows for all the times (see ``_assemble``), and the blocks are
-    summed on all CPUs through ``by_rows``.  Every node of every field
-    gets the same operations in the same order as a single-threaded sum
-    over the whole lattice at its own time, so each field has the same
-    bits whatever the other times and the number of CPUs.  The fields
-    share one array of len(times) lattices, which bounds how many times
-    one call should take.
+    summed on all CPUs through ``by_rows``.  Rows n - 1 ... n - m, the
+    exact mirrors -x of rows 1 ... m (``_mirrored_rows``: all rows but 0
+    and n / 2 on a box symmetric about 0 with an exact spacing, none on an
+    asymmetric one), are not evaluated: the block of each source row
+    copies the conjugate of its exponential into the mirror row.  Every
+    node of every field gets the same operations in the same order as a
+    single-threaded sum over the whole lattice at its own time, so each
+    field has the same bits whatever the other times, the number of CPUs
+    and the mirrored rows.  The fields share one array of len(times)
+    lattices, which bounds how many times one call should take.
     """
     times = [float(t) for t in times]
     terms = _pair_terms(state, times)
     x = grid.x_lattice[:, None]
     p = grid.p_lattice[None, :]
+    nx = grid.nx
+    m = _mirrored_rows(grid.x_lattice)
     values = np.empty((len(times),) + grid.shape())
 
     def rows(sl):
-        values[:, sl] = _assemble(terms, len(times), x[sl], p)
+        # this block's rows among 1 ... m, and their mirrors nx - i
+        lo = max(sl.start, 1)
+        hi = max(min(sl.stop, m + 1), lo)
+        block = _assemble(terms, len(times), x[sl], p,
+                          mirror=slice(lo - sl.start, hi - sl.start))
+        own = sl.stop - sl.start
+        values[:, sl] = block[:, :own]
+        values[:, nx - lo:nx - hi:-1] = block[:, own:]
 
-    by_rows(rows, grid.nx)
+    by_rows(rows, nx - m)
     return [WignerField(grid=grid, values=values[k], time=t)
             for k, t in enumerate(times)]
 

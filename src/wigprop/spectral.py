@@ -267,7 +267,9 @@ def kick_full(field_in: WignerField, pot: Potential, t: float,
 
 def _drift_kick(field_in: WignerField, pot, t: float, cfg: SpectralStepConfig,
                 variant: str) -> WignerField:
-    """The drift, then the variant's kick; time advances by cfg.dt."""
+    """The drift, then the variant's kick; time advances by cfg.dt.  A
+    potential the lattice cannot kick raises before the drift runs."""
+    _axis_terms(field_in.grid, pot)
     drifted = _drift_values(field_in.values, field_in.grid, cfg.dt, cfg.mass)
     kicked = _kick_values(drifted, field_in.grid, pot, t, cfg.dt, variant)
     return replace(field_in, values=kicked, time=field_in.time + cfg.dt)

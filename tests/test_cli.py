@@ -616,6 +616,43 @@ class TestBadValuesExit2:
         assert not (tmp_path / "run").exists()
 
 
+class TestUnresolvedOracleState:
+    """An oracle state the lattice cannot resolve exits 2, naming its norm,
+    2 pi hbar and beta0_sq, instead of writing a wrong field: basis widths
+    of about 1e-150 sample as a ridge at x = 0, and a 16^2 lattice is too
+    coarse for the default basis."""
+
+    @pytest.mark.parametrize("method", ["oracle", "lo", "spectral-full"])
+    def test_run(self, tmp_path, method):
+        text = _with(SCENARIO_ORACLE.replace("method = oracle", f"method = {method}"),
+                     "beta0_sq", "1e-300")
+        line = text.splitlines().index("beta0_sq = 1e-300") + 1
+        scenario = tmp_path / "narrow.txt"
+        scenario.write_text(text)
+        res = CliRunner().invoke(main, ["run", str(scenario), "-o",
+                                        str(tmp_path / "out")])
+        assert res.exit_code == 2, res.output
+        assert f"config error: line {line}: " in res.output
+        assert "has norm 4, not 2*pi*hbar = 6.28319" in res.output
+        assert "beta0_sq" in res.output
+        assert not list((tmp_path / "out").glob("field_*"))
+
+    @pytest.mark.parametrize("options", [("--beta0sq", "1e-300"),
+                                         ("--grid", "-8 8 16 -4 4 16")])
+    def test_oracle_field(self, tmp_path, options):
+        res = CliRunner().invoke(main, ["oracle", "field", *options,
+                                        "-o", str(tmp_path / "f.txt")])
+        assert res.exit_code == 2, res.output
+        assert "2*pi*hbar = 6.28319" in res.output and "--beta0sq" in res.output
+        assert not (tmp_path / "f.txt").exists()
+
+    def test_resolved_states_run(self, tmp_path):
+        # the default grid: relative gap 5.4e-4 for the default state
+        res = CliRunner().invoke(main, ["oracle", "field", "-o",
+                                        str(tmp_path / "f.txt")])
+        assert res.exit_code == 0, res.output
+
+
 #: A time range whose step (t1 - t0) / nsteps is not finite, or is zero.
 BAD_TIME_RANGES = [("-1e308", "1e308"), ("0", "5e-324")]
 

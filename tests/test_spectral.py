@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wigprop import make_grid
+from wigprop import make_grid, spectral
 from wigprop.phasespace import (PhaseSpaceGridND, StepDiagnostics, WignerField,
                                 WignerFieldND, diff_metrics, norm, norm_nd)
 from wigprop.potentials import (Constant, GaussianWell, Harmonic, Linear,
@@ -294,6 +294,23 @@ class TestStepSeparable:
             for stepper in (step, step_separable):
                 with pytest.raises(ValueError, match=f"{d}-d lattice .* SeparableSum"):
                     stepper(f, pot, 0.0, cfg)
+
+    def test_a_potential_that_cannot_kick_raises_before_the_drift(self, monkeypatch):
+        drifts = []
+
+        def recording(*args):
+            drifts.append(args)
+            return _drift_values(*args)
+
+        monkeypatch.setattr(spectral, "_drift_values", recording)
+        axis = make_grid(-6, 6, 4, -6, 6, 4)
+        grid = PhaseSpaceGridND(axes=(axis, axis))
+        f = WignerFieldND(grid=grid, values=np.ones(grid.shape()))
+        with pytest.raises(ValueError, match="2-d lattice .* SeparableSum"):
+            step(f, GaussianWell(depth=1.0, sigma=2.0), 0.0, SpectralStepConfig(dt=0.1))
+        assert drifts == []
+        step(f, SeparableSum((Harmonic(k=1.0),) * 2), 0.0, SpectralStepConfig(dt=0.1))
+        assert len(drifts) == 1
 
     def test_one_term_sum_on_one_axis_steps_as_its_term(self):
         f = blob(make_grid(-6, 6, 32, -5, 5, 32), x0=0.5)
