@@ -258,17 +258,14 @@ def _initial_state(sc: Scenario) -> WignerField:
         if loaded.grid != sc.grid:
             raise ConfigError("initial field grid does not match scenario grid")
         return WignerField(grid=sc.grid, values=loaded.values, time=sc.t0)
-    return _check_resolved(oracle.sample_field(_oracle_state(sc), sc.t0, sc.grid),
-                           "beta0_sq", sc.lines.get("beta0_sq"))
+    return oracle.sample_field(_oracle_state(sc), sc.t0, sc.grid)
 
 
-def _check_resolved(field: WignerField, key: str,
-                    line: int | None = None) -> WignerField:
-    """field, a sampled oracle state, once its norm is within
-    ORACLE_NORM_GAP of 2 pi hbar; otherwise the lattice does not resolve
-    the state and a ``ConfigError`` names ``key`` (and its line)."""
+def _check_resolved(got: float, key: str, line: int | None = None) -> None:
+    """Raise ``ConfigError``, naming ``key`` (and its line), unless the
+    norm ``got`` of a sampled oracle state is within ORACLE_NORM_GAP of
+    2 pi hbar; further off, the lattice does not resolve the state."""
     want = 2.0 * math.pi * HBAR
-    got = norm(field)
     gap = abs(got - want) / want
     if not gap <= ORACLE_NORM_GAP:
         raise ConfigError(
@@ -276,7 +273,6 @@ def _check_resolved(field: WignerField, key: str,
             f"2*pi*hbar = {want:.6g} (relative gap {gap:.3g} > "
             f"{ORACLE_NORM_GAP:g}); the grid does not resolve the state: "
             f"check the grid and {key}", line)
-    return field
 
 
 def _snap_slice(grid: PhaseSpaceGrid, p_want: float) -> tuple[int, float]:
@@ -304,6 +300,12 @@ def run_scenario(sc: Scenario, outdir) -> Path:
     diag_rows: list[StepDiagnostics] = []
     warnings: list[str] = []
 
+    def record(f: WignerField):
+        # the first row of an oracle state checks that the grid resolves it
+        diag_rows.append(StepDiagnostics.of(len(diag_rows), f))
+        if len(diag_rows) == 1 and sc.initial_kind == "oracle":
+            _check_resolved(diag_rows[0].norm, "beta0_sq", sc.lines.get("beta0_sq"))
+
     def emit(f: WignerField):
         save_field(f, outdir / f"field_t{f.time:.6f}.txt")
         for pv in sc.slices:
@@ -317,18 +319,16 @@ def run_scenario(sc: Scenario, outdir) -> Path:
         for start in range(0, len(times), _ORACLE_PASS):
             for f in oracle.sample_fields(state, times[start:start + _ORACLE_PASS],
                                           sc.grid):
-                if not diag_rows:
-                    _check_resolved(f, "beta0_sq", sc.lines.get("beta0_sq"))
+                record(f)
                 emit(f)
-                diag_rows.append(StepDiagnostics.of(len(diag_rows), f))
     else:
         def start() -> WignerField:
             # no local name holds the initial field, so the driver frees it
             # after the first step, as it does every later field
             f = _initial_state(sc)
+            record(f)
             if 0 in want:
                 emit(f)
-            diag_rows.append(StepDiagnostics.of(0, f))
             return f
 
         if sc.method in ("spectral-full", "spectral-fo"):
@@ -556,8 +556,9 @@ def oracle_field_cmd(time, sigma, beta0sq, nmax, amplitudes, grid_raw, out):
             state = oracle.superposition(solution, *amps)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        save_field(_check_resolved(oracle.sample_field(state, time, grid),
-                                   "--beta0sq"), out)
+        field = oracle.sample_field(state, time, grid)
+        _check_resolved(norm(field), "--beta0sq")
+        save_field(field, out)
         click.echo(f"field written to {out}")
     _guarded(body)
 
