@@ -469,9 +469,9 @@ def sample_fields(state: SuperpositionState, times,
         hi = max(min(sl.stop, m + 1), lo)
         block = _assemble(terms, len(times), x[sl], p,
                           mirror=slice(lo - sl.start, hi - sl.start))
-        own = sl.stop - sl.start
-        values[:, sl] = block[:, :own]
-        values[:, nx - lo:nx - hi:-1] = block[:, own:]
+        size = sl.stop - sl.start
+        values[:, sl] = block[:, :size]
+        values[:, nx - lo:nx - hi:-1] = block[:, size:]
 
     by_rows(rows, nx - m)
     return [WignerField(grid=grid, values=values[k], time=t)
