@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -50,6 +51,19 @@ class ConfigError(Exception):
         super().__init__(prefix + message)
 
 
+@contextmanager
+def _bad_input(prefix: str = "", line: int | None = None):
+    """Turn a ``ValueError``, or the ``OSError`` of a read, raised in the
+    block into ``ConfigError(prefix + message, line)``.  Blocks only read
+    and check input, so a ``NumericalError`` (a basis that cannot be
+    solved) passes through; ``NonFiniteFieldError`` is also a
+    ``ValueError``, as a field file with a NaN in it is bad input."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise ConfigError(prefix + str(exc), line) from None
+
+
 def _fmt(v: float) -> str:
     return f"{v:.{REPORT_DIGITS}g}"
 
@@ -81,7 +95,8 @@ class Scenario:
     amplitudes: tuple[float, ...] = (1.0, 1.0)
     beta0_sq: float = 1.0
     n_max: int = 10
-    field_path: str | None = None
+    #: a field file's path, or the field already read from it
+    initial_field: str | WignerField | None = None
     source_text: str = dc_field(default="", repr=False)
     lines: dict[str, int] = dc_field(default_factory=dict, repr=False)
 
@@ -126,12 +141,10 @@ def parse_scenario_text(text: str) -> Scenario:
 
     def conv(pair, fn, what):
         raw, lineno = pair
-        try:
+        with _bad_input(f"{what}: ", lineno):
             return fn(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{what}: {exc}", lineno) from None
 
-    try:
+    with _bad_input("grid: "):
         grid = make_grid(
             conv(need("grid", "x_min"), float, "x_min"),
             conv(need("grid", "x_max"), float, "x_max"),
@@ -139,14 +152,10 @@ def parse_scenario_text(text: str) -> Scenario:
             conv(need("grid", "p_min"), float, "p_min"),
             conv(need("grid", "p_max"), float, "p_max"),
             conv(need("grid", "np"), int, "np"))
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from None
 
     pot_raw, pot_line = need("potential", "potential")
-    try:
+    with _bad_input(line=pot_line):
         potential = parse_potential(pot_raw)
-    except ValueError as exc:
-        raise ConfigError(str(exc), pot_line) from None
 
     method, method_line = need("run", "method")
     if method not in METHODS:
@@ -178,7 +187,7 @@ def parse_scenario_text(text: str) -> Scenario:
     sc = Scenario(grid=grid, potential=potential, method=method, t0=t0, t1=t1,
                   nsteps=nsteps, checkpoints=checkpoints, slices=slices,
                   mass=mass, initial_kind=initial_kind, amplitudes=amplitudes,
-                  beta0_sq=beta0_sq, n_max=n_max, field_path=field_path,
+                  beta0_sq=beta0_sq, n_max=n_max, initial_field=field_path,
                   source_text=text,
                   lines={key: lineno for (_, key), (_, lineno) in entries.items()})
     _validate_scenario(sc)
@@ -195,10 +204,8 @@ def _validate_scenario(sc: Scenario) -> None:
     check(math.isfinite(sc.t0), "t0", "t0 must be finite")
     check(1 <= sc.nsteps <= sys.maxsize, "nsteps", "nsteps must be from 1 to sys.maxsize")
     check(0 < sc.mass < math.inf, "mass", "mass must be positive and finite")
-    try:
+    with _bad_input(line=sc.lines.get("t1")):
         dt = step_size(sc.t0, sc.t1, sc.nsteps)
-    except ValueError as exc:
-        raise ConfigError(str(exc), sc.lines.get("t1")) from None
     for tc in sc.checkpoints:
         check(sc.t0 - 1e-9 <= tc <= sc.t1 + 1e-9, "checkpoints",
               f"checkpoint {tc} outside [{sc.t0}, {sc.t1}]")
@@ -214,26 +221,19 @@ def _validate_scenario(sc: Scenario) -> None:
               "oracle initial states require potential = gaussian_well")
         check(2 <= sc.n_max <= oracle.N_MAX_SOLVABLE, "n_max", "n_max must be "
               f"from 2 to {oracle.N_MAX_SOLVABLE}; larger bases cannot be solved")
-        try:
+        with _bad_input(line=sc.lines.get("beta0_sq")):
             oracle.GaussianBasis(beta0_sq=sc.beta0_sq, n_max=sc.n_max)
-        except ValueError as exc:
-            raise ConfigError(str(exc), sc.lines.get("beta0_sq")) from None
-        # the state is normalized by this sum, which fails to be positive
-        # and finite for a NaN or inf, all zeros, or squares that overflow
-        # or underflow
-        squares = sum(a * a for a in sc.amplitudes)
-        check(0 < squares < math.inf and len(sc.amplitudes) <= sc.n_max,
-              "amplitudes", "amplitudes must be at most n_max numbers whose "
-              "squares sum to a positive finite double")
+        with _bad_input(line=sc.lines.get("amplitudes")):
+            oracle.normalized(sc.amplitudes)
+        check(len(sc.amplitudes) <= sc.n_max, "amplitudes",
+              "amplitudes must be at most n_max numbers")
     check(sc.method != "oracle" or sc.initial_kind == "oracle", "method",
           "method = oracle requires an oracle initial state")
 
 
 def parse_scenario(path) -> Scenario:
-    try:
+    with _bad_input("cannot read scenario file: "):
         text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read scenario file: {exc}") from None
     return parse_scenario_text(text)
 
 
@@ -241,24 +241,29 @@ def parse_scenario(path) -> Scenario:
 # running
 # ---------------------------------------------------------------------------
 
-def _oracle_state(sc: Scenario) -> oracle.SuperpositionState:
-    """The scenario's eigenstate superposition (solved, not sampled)."""
-    basis = oracle.GaussianBasis(beta0_sq=sc.beta0_sq, n_max=sc.n_max)
-    solution = oracle.solve(basis, sc.potential.sigma)
-    return oracle.superposition(solution, *sc.amplitudes)
+def _oracle_state(beta0_sq: float, n_max: int, sigma: float,
+                  amplitudes=None) -> oracle.SuperpositionState:
+    """The eigenstate superposition (solved, not sampled) of the Gaussian
+    well of width ``sigma``; the ground state without ``amplitudes``."""
+    with _bad_input():
+        basis = oracle.GaussianBasis(beta0_sq=beta0_sq, n_max=n_max)
+        solution = oracle.solve(basis, sigma)
+        return oracle.superposition(
+            solution, *((1.0,) if amplitudes is None else amplitudes))
 
 
 def _initial_state(sc: Scenario) -> WignerField:
     """The field at t0: read from file or sampled from the oracle state."""
     if sc.initial_kind == "file":
-        try:
-            loaded = load_field(sc.field_path)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"initial field: {exc}") from None
+        loaded = sc.initial_field
+        if not isinstance(loaded, WignerField):
+            with _bad_input("initial field: "):
+                loaded = load_field(loaded)
         if loaded.grid != sc.grid:
             raise ConfigError("initial field grid does not match scenario grid")
         return WignerField(grid=sc.grid, values=loaded.values, time=sc.t0)
-    return oracle.sample_field(_oracle_state(sc), sc.t0, sc.grid)
+    return oracle.sample_field(_oracle_state(sc.beta0_sq, sc.n_max, sc.potential.sigma,
+                                             sc.amplitudes), sc.t0, sc.grid)
 
 
 def _check_resolved(got: float, key: str, line: int | None = None) -> None:
@@ -293,18 +298,19 @@ def run_scenario(sc: Scenario, outdir) -> Path:
     """Execute a scenario and write snapshots, slice tables and diagnostics."""
     dt = step_size(sc.t0, sc.t1, sc.nsteps)
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "scenario.txt").write_text(sc.source_text)
-
     want = sorted(set(round((tc - sc.t0) / dt) for tc in sc.checkpoints))
     diag_rows: list[StepDiagnostics] = []
     warnings: list[str] = []
 
     def record(f: WignerField):
-        # the first row of an oracle state checks that the grid resolves it
+        # the first row of an oracle state checks that the grid resolves
+        # it; the run directory is made only once the first field passed
         diag_rows.append(StepDiagnostics.of(len(diag_rows), f))
-        if len(diag_rows) == 1 and sc.initial_kind == "oracle":
-            _check_resolved(diag_rows[0].norm, "beta0_sq", sc.lines.get("beta0_sq"))
+        if len(diag_rows) == 1:
+            if sc.initial_kind == "oracle":
+                _check_resolved(diag_rows[0].norm, "beta0_sq", sc.lines.get("beta0_sq"))
+            outdir.mkdir(parents=True, exist_ok=True)
+            (outdir / "scenario.txt").write_text(sc.source_text)
 
     def emit(f: WignerField):
         save_field(f, outdir / f"field_t{f.time:.6f}.txt")
@@ -314,7 +320,8 @@ def run_scenario(sc: Scenario, outdir) -> Path:
     if sc.method == "oracle":
         # no stepping: evaluate at the exact requested times only, a pass
         # of at most _ORACLE_PASS times at a time
-        state = _oracle_state(sc)
+        state = _oracle_state(sc.beta0_sq, sc.n_max, sc.potential.sigma,
+                              sc.amplitudes)
         times = sorted(set(sc.checkpoints))
         for start in range(0, len(times), _ORACLE_PASS):
             for f in oracle.sample_fields(state, times[start:start + _ORACLE_PASS],
@@ -361,10 +368,8 @@ def run_scenario(sc: Scenario, outdir) -> Path:
 def _load_run_fields(rundir: Path) -> dict[float, WignerField]:
     fields = {}
     for path in sorted(rundir.glob("field_t*.txt")):
-        try:
+        with _bad_input():
             f = load_field(path)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(str(exc)) from None
         fields[round(f.time, 9)] = f
     if not fields:
         raise ConfigError(f"{rundir}: no field snapshots found")
@@ -374,18 +379,15 @@ def _load_run_fields(rundir: Path) -> dict[float, WignerField]:
 def _load_run_slices(rundir: Path) -> dict[tuple[float, float], np.ndarray]:
     slices = {}
     for path in sorted(rundir.glob("slice_t*_p*.txt")):
-        try:
-            with open(path) as fh:
-                header = fh.readline().split()
-                meta = dict(item.split("=", 1) for item in header[2:])
-                if not {"t", "p"} <= meta.keys():
-                    raise ValueError("header lacks t= or p=")
-                data = np.loadtxt(fh, ndmin=2)
+        with _bad_input(f"{path}: not a slice table: "), open(path) as fh:
+            header = fh.readline().split()
+            meta = dict(item.split("=", 1) for item in header[2:])
+            if not {"t", "p"} <= meta.keys():
+                raise ValueError("header lacks t= or p=")
+            data = np.loadtxt(fh, ndmin=2)
             if data.shape[0] == 0 or data.shape[1] < 2:
                 raise ValueError("expected rows of x and W")
             key = (round(float(meta["t"]), 6), round(float(meta["p"]), 6))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"{path}: not a slice table: {exc}") from None
         slices[key] = data
     return slices
 
@@ -462,11 +464,9 @@ def _parse_grid_option(raw: str) -> PhaseSpaceGrid:
     parts = raw.replace(",", " ").split()
     if len(parts) != 6:
         raise ConfigError("grid must be 'x_min x_max nx p_min p_max np'")
-    try:
+    with _bad_input():
         return make_grid(float(parts[0]), float(parts[1]), int(parts[2]),
                          float(parts[3]), float(parts[4]), int(parts[5]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 _DEFAULT_GRID_RAW = " ".join(str(v) for v in DEFAULT_GRID_SPEC)
@@ -521,11 +521,7 @@ def oracle_group():
 def oracle_solve_cmd(sigma, beta0sq, nmax):
     """Print the bound-state energies of the Gaussian well."""
     def body():
-        try:
-            basis = oracle.GaussianBasis(beta0_sq=beta0sq, n_max=nmax)
-            solution = oracle.solve(basis, sigma)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        solution = _oracle_state(beta0sq, nmax, sigma).solution
         click.echo(f"# sigma={_fmt(sigma)} beta0_sq={_fmt(beta0sq)} n_max={nmax} "
                    f"min_pivot={solution.min_pivot:.3e}")
         for lam, (e, r) in enumerate(zip(solution.energies, solution.residuals)):
@@ -549,14 +545,10 @@ def oracle_field_cmd(time, sigma, beta0sq, nmax, amplitudes, grid_raw, out):
         grid = _parse_grid_option(grid_raw)
         if not math.isfinite(time):
             raise ConfigError(f"--t must be finite, got {time!r}")
-        try:
-            amps = [float(v) for v in amplitudes.replace(",", " ").split()]
-            basis = oracle.GaussianBasis(beta0_sq=beta0sq, n_max=nmax)
-            solution = oracle.solve(basis, sigma)
-            state = oracle.superposition(solution, *amps)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        field = oracle.sample_field(state, time, grid)
+        with _bad_input("--amplitudes: "):
+            amps = _parse_float_list(amplitudes)
+        field = oracle.sample_field(_oracle_state(beta0sq, nmax, sigma, amps),
+                                    time, grid)
         _check_resolved(norm(field), "--beta0sq")
         save_field(field, out)
         click.echo(f"field written to {out}")
@@ -581,23 +573,16 @@ def evolve_cmd(method, potential_raw, initial_path, t0, t1, nsteps,
                checkpoints, slices, mass, outdir):
     """Propagate a field file and write a run directory."""
     def body():
-        try:
-            loaded = load_field(initial_path)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"initial field: {exc}") from None
-        try:
+        with _bad_input("initial field: "):
+            initial = load_field(initial_path)
+        with _bad_input():
             pot = parse_potential(potential_raw)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        try:
+        with _bad_input("--checkpoints and --slices take numbers: "):
             times = _parse_float_list(checkpoints) if checkpoints else [t1]
             momenta = _parse_float_list(slices)
-        except ValueError as exc:
-            raise ConfigError(f"--checkpoints and --slices take numbers: {exc}"
-                              ) from None
-        sc = Scenario(grid=loaded.grid, potential=pot, method=method, t0=t0,
+        sc = Scenario(grid=initial.grid, potential=pot, method=method, t0=t0,
                       t1=t1, nsteps=nsteps, checkpoints=times, slices=momenta,
-                      mass=mass, initial_kind="file", field_path=initial_path,
+                      mass=mass, initial_kind="file", initial_field=initial,
                       source_text=f"# generated by 'wigprop evolve'\n")
         _validate_scenario(sc)
         run_scenario(sc, outdir)
@@ -620,45 +605,28 @@ def transcribe_cmd(target, in_path, out, dfunc_m, dfunc_alpha, grid_raw):
     """Convert between lattice fields and particle ensembles."""
     def body():
         if target == "ensemble":
-            try:
+            with _bad_input():
                 f = load_field(in_path)
-            except (OSError, ValueError) as exc:
-                raise ConfigError(str(exc)) from None
             pseudoparticle.save_ensemble(pseudoparticle.to_ensemble(f), out)
         else:
-            try:
+            with _bad_input():
                 ens = pseudoparticle.load_ensemble(in_path)
-            except (OSError, ValueError) as exc:
-                raise ConfigError(str(exc)) from None
             grid = _parse_grid_option(grid_raw)
-            if not 0 <= dfunc_m <= pseudoparticle.MAX_DFUNC_ORDER:
-                raise ConfigError("--dfunc-m must be in "
-                                  f"0..{pseudoparticle.MAX_DFUNC_ORDER}, got {dfunc_m}")
-            if dfunc_alpha == "auto":
-                alpha_r = pseudoparticle.auto_alpha(grid.dx)
-                alpha_p = pseudoparticle.auto_alpha(grid.dp)
-            else:
-                try:
-                    alpha_r = alpha_p = float(dfunc_alpha)
-                except ValueError:
-                    alpha_r = alpha_p = math.nan
-                if not 0 < alpha_r < math.inf:
-                    raise ConfigError("--dfunc-alpha must be 'auto' or a positive "
-                                      f"finite number, got {dfunc_alpha!r}")
-                # a kernel reaching past the grid has a stencil of more nodes
-                # than the lattice (about 1e301 at alpha 1e-300)
-                reach = pseudoparticle.kernel_reach(
-                    pseudoparticle.DFunctionParams(alpha=alpha_r, order=dfunc_m))
-                extent = min(grid.x_max - grid.x_min, grid.p_max - grid.p_min)
-                if not reach <= extent:
-                    raise ConfigError(
-                        f"--dfunc-alpha {dfunc_alpha} gives a kernel reach of "
-                        f"{reach:g}, more than the grid's extent {extent:g}")
-            f = pseudoparticle.deposit(
-                ens, grid,
-                pseudoparticle.DFunctionParams(alpha=alpha_r, order=dfunc_m),
-                pseudoparticle.DFunctionParams(alpha=alpha_p, order=dfunc_m))
-            save_field(f, out)
+            auto = dfunc_alpha == "auto"
+            with _bad_input(f"--dfunc-m {dfunc_m} and --dfunc-alpha {dfunc_alpha}: "):
+                alphas = ([pseudoparticle.auto_alpha(d) for d in (grid.dx, grid.dp)]
+                          if auto else [float(dfunc_alpha)] * 2)
+                params_r, params_p = [pseudoparticle.DFunctionParams(alpha=a, order=dfunc_m)
+                                      for a in alphas]
+            # a given width whose kernel reaches past the grid has a stencil
+            # of more nodes than the lattice (about 1e301 at alpha 1e-300)
+            reach = pseudoparticle.kernel_reach(params_r)
+            extent = min(grid.x_max - grid.x_min, grid.p_max - grid.p_min)
+            if not (auto or reach <= extent):
+                raise ConfigError(
+                    f"--dfunc-alpha {dfunc_alpha} gives a kernel reach of "
+                    f"{reach:g}, more than the grid's extent {extent:g}")
+            save_field(pseudoparticle.deposit(ens, grid, params_r, params_p), out)
         click.echo(f"written to {out}")
     _guarded(body)
 

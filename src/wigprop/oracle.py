@@ -265,19 +265,29 @@ class SuperpositionState:
         if amps.ndim != 1 or len(amps) > self.solution.n_states:
             raise ValueError("amplitudes must be a vector over the solved states")
         total = float(np.abs(amps) ** 2 @ np.ones(len(amps)))
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"amplitudes must satisfy sum |b|^2 = 1, got {total}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
 
+def normalized(amplitudes) -> np.ndarray:
+    """The amplitudes b / sqrt(sum |b|^2), as complex numbers.  Raises
+    ``ValueError``, with no numpy warning, unless that sum is a positive
+    finite double: not for a NaN or inf, all zeros, or squares that
+    overflow or underflow."""
+    amps = np.asarray(amplitudes, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = (np.abs(amps) ** 2).sum()
+    if not 0 < total < math.inf:
+        raise ValueError("amplitudes must be numbers whose squares sum to a "
+                         f"positive finite double, got sum {float(total)!r}")
+    return amps / np.sqrt(total)
+
+
 def superposition(solution: EigenSolution, *amplitudes) -> SuperpositionState:
     """Build a state from (possibly unnormalized) amplitudes."""
-    amps = np.asarray(amplitudes, dtype=complex)
-    scale = np.sqrt((np.abs(amps) ** 2).sum())
-    if scale == 0:
-        raise ValueError("amplitudes must not all vanish")
-    return SuperpositionState(solution=solution, amplitudes=amps / scale)
+    return SuperpositionState(solution=solution, amplitudes=normalized(amplitudes))
 
 
 def basis_coefficients(state: SuperpositionState, t: float) -> np.ndarray:

@@ -240,8 +240,8 @@ class DFunctionParams:
     order: int = 0
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
         if not 0 <= self.order <= MAX_DFUNC_ORDER:
             raise ValueError(f"order must be in 0..{MAX_DFUNC_ORDER}")
 
@@ -361,15 +361,19 @@ def _stencil_weights(frac: np.ndarray, offsets: np.ndarray, delta: float,
     conditions D meets in the continuum, kept on the lattice as in
     reproducing-kernel particle methods (Liu, Jun & Zhang 1995).  The
     sums run over the whole stencil, in bounds or not.
+
+    The kernel is evaluated with numpy's overflow warnings off: the moment
+    check, not a warning, reports a kernel whose Hermite terms overflow.
     """
     x = (offsets[None, :] - frac[:, None]) * delta        # node - particle
-    raw = d_function(x, params)
     count = 2 * params.order + 2
-    # Hermite polynomials in the kernel's own scale keep the moment system
-    # far better conditioned than monomials in the offset
-    basis = _hermite_basis(params.alpha * x, count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = d_function(x, params)
+        # Hermite polynomials in the kernel's own scale keep the moment
+        # system far better conditioned than monomials in the offset
+        basis = _hermite_basis(params.alpha * x, count)
+        gram = delta * np.matmul((basis * raw[..., None]).transpose(0, 2, 1), basis)
     target = _hermite_basis(np.zeros(1), count)[0]        # q(0) for each q
-    gram = delta * np.matmul((basis * raw[..., None]).transpose(0, 2, 1), basis)
     rhs = np.broadcast_to(target[:, None], (len(frac), count, 1))
     narrow = NumericalError(
         f"deposition kernel (alpha {params.alpha:g}, order {params.order}) "

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wigprop import oracle, spectral
+from wigprop import cli, oracle, spectral
 from wigprop.cli import (_SECTION_KEYS, ConfigError, compare_runs, main,
                          parse_scenario_text, run_scenario)
 from wigprop.phasespace import WignerField, load_field, make_grid, save_field
@@ -199,6 +199,7 @@ class TestRunScenario:
             .replace("nx = 64", "nx = 128")
         with pytest.raises(ConfigError, match="grid"):
             run_scenario(parse_scenario_text(text), tmp_path / "bad")
+        assert not (tmp_path / "bad").exists()
 
 
 class TestCompare:
@@ -273,6 +274,16 @@ class TestCommands:
                                    str(tmp_path / "out")])
         assert res.exit_code == 2
 
+    def test_undecodable_scenario_exits_2(self, tmp_path):
+        # a read's UnicodeDecodeError is a ValueError, not an OSError
+        scenario = tmp_path / "binary.txt"
+        scenario.write_bytes(b"\xff\xfe[grid]\n")
+        res = CliRunner().invoke(main, ["run", str(scenario), "-o",
+                                        str(tmp_path / "out")])
+        assert res.exit_code == 2, res.output
+        assert "config error: cannot read scenario file: 'utf-8'" in res.output
+        assert not (tmp_path / "out").exists()
+
     def test_oracle_solve_prints_energies(self):
         runner = CliRunner()
         res = runner.invoke(main, ["oracle", "solve", "--sigma", "3"])
@@ -321,19 +332,24 @@ class TestCommands:
         assert "Cholesky pivot" in res.output and "at index 11" in res.output
         assert not (tmp_path / "f.txt").exists()
 
-    def test_oracle_field_and_evolve(self, tmp_path):
+    def test_oracle_field_and_evolve(self, tmp_path, monkeypatch):
         runner = CliRunner()
         field_path = tmp_path / "f0.txt"
         res = runner.invoke(main, [
             "oracle", "field", "--t", "0", "--nmax", "8",
             "--grid", "-8 8 64 -4 4 64", "-o", str(field_path)])
         assert res.exit_code == 0, res.output
+        # evolve reads its initial field once, for the grid and the run
+        reads = []
+        monkeypatch.setattr(cli, "load_field",
+                            lambda path: reads.append(path) or load_field(path))
         res = runner.invoke(main, [
             "evolve", "--method", "lo", "--potential",
             "gaussian_well depth=1.0 sigma=3.0", "-i", str(field_path),
             "--t1", "0.5", "--steps", "5", "-o", str(tmp_path / "lo_run")])
         assert res.exit_code == 0, res.output
         assert (tmp_path / "lo_run" / "field_t0.500000.txt").exists()
+        assert reads == [str(field_path)]
 
     def test_transcribe_roundtrip(self, tmp_path):
         runner = CliRunner()
@@ -389,6 +405,15 @@ class TestCommands:
                                             "--dfunc-alpha", "200")
         assert res.exit_code == 3, res.output
         assert "too narrow" in res.output
+
+    def test_transcribe_overflowing_kernel_exits_3_without_a_warning(self, tmp_path):
+        # the kernel's Hermite terms overflow: the moment check reports it
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = self._transcribe_one_particle(tmp_path, "--dfunc-alpha", "1e300")
+        assert res.exit_code == 3, res.output
+        assert "too narrow" in res.output
+        assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize("option, value", [
         ("--dfunc-m", "-1"), ("--dfunc-m", "86"),
@@ -597,6 +622,19 @@ class TestBadValuesExit2:
         assert f"config error: line {line}: " in res.output
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("amplitudes", ["nan 1", "inf 1", "1e200 1e200",
+                                            "1e-200 1e-200"])
+    def test_oracle_field_amplitudes(self, tmp_path, amplitudes):
+        # checked as a scenario's amplitudes are, without a numpy warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = CliRunner().invoke(main, ["oracle", "field", "--amplitudes",
+                                            amplitudes, "-o", str(tmp_path / "f.txt")])
+        assert res.exit_code == 2, res.output
+        assert "config error: amplitudes must be" in res.output
+        assert [str(w.message) for w in caught] == []
+        assert not (tmp_path / "f.txt").exists()
+
     @pytest.mark.parametrize("options", [
         ("--method", "lo", "--mass", "-1"),
         ("--method", "spectral-full", "--t0", "nan"),
@@ -635,7 +673,7 @@ class TestUnresolvedOracleState:
         assert f"config error: line {line}: " in res.output
         assert "has norm 4, not 2*pi*hbar = 6.28319" in res.output
         assert "beta0_sq" in res.output
-        assert not list((tmp_path / "out").glob("field_*"))
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("options", [("--beta0sq", "1e-300"),
                                          ("--grid", "-8 8 16 -4 4 16")])

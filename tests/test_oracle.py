@@ -234,6 +234,9 @@ class TestSuperpositionState:
         solution = solve(GaussianBasis(), SIGMA)
         with pytest.raises(ValueError):
             SuperpositionState(solution=solution, amplitudes=np.array([1.0, 1.0]))
+        # a NaN norm fails the check too
+        with pytest.raises(ValueError, match="sum"):
+            SuperpositionState(solution=solution, amplitudes=np.array([np.nan]))
         state = superposition(solution, 1.0, 1.0)
         np.testing.assert_allclose(np.abs(state.amplitudes) ** 2, [0.5, 0.5],
                                    rtol=1e-14)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -213,8 +215,9 @@ class TestDFunction:
         assert np.all(np.diff(peaks) > 0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            DFunctionParams(alpha=0.0)
+        for alpha in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                DFunctionParams(alpha=alpha)
         with pytest.raises(ValueError):
             DFunctionParams(alpha=1.0, order=-1)
         # sqrt((2M)!) must be a finite double: 170! is, 172! is not
