@@ -28,8 +28,13 @@ from .spectral import _is_static, _memoized
 
 #: The factor |dt V''' s^3 / 24| at the ``stable_p3_cutoff`` band edge.
 P3_SAFETY = 0.25
-#: Particles, and distinct stencil offsets, ``deposit`` handles per block.
+#: Particles ``deposit`` sums per chunk, and distinct stencil offsets it
+#: solves per call of ``_stencil_weights``.  Each chunk's sums are added to
+#: the field as one lattice, so the chunk size fixes the result's bits.
 _DEPOSIT_CHUNK = 4096
+#: Stencil values ``deposit`` forms at a time within a chunk (at least one
+#: particle's); a sub-block's values are added to the chunk's sums in order.
+_DEPOSIT_VALUES = 1 << 16
 
 
 def _backtrack_stencil(grid: PhaseSpaceGrid, pot: Potential, t: float,
@@ -390,22 +395,33 @@ def _stencil_weights(frac: np.ndarray, offsets: np.ndarray, delta: float,
     return weights
 
 
-def _axis_stencils(pos: np.ndarray, lo: float, delta: float,
+def _axis_stencils(pos: np.ndarray, lo: float, delta: float, n: int,
                    params: DFunctionParams):
     """Nearest node, stencil offsets, and the weight table with each
-    particle's row in it, along one axis.  Weights depend only on the
-    particle's offset from its node, so each distinct offset is solved
-    once (a single row for particles on lattice nodes)."""
+    particle's row in it, along an axis of ``n`` nodes.  Weights depend
+    only on the particle's offset from its node, so each distinct offset
+    is solved once (a single row for particles on lattice nodes).
+
+    A particle whose stencil cannot reach a node of the axis, however far
+    out (its node need not fit an integer), gets the node -half - 1 and
+    offset 0: its stencil then lies just below the axis, so it deposits
+    nothing, like the out-of-grid nodes of any other stencil, and keeps its
+    place in the particle order.
+    """
     half = int(np.ceil(kernel_reach(params) / delta))
     offsets = np.arange(-half, half + 1)
-    centre = np.rint((pos - lo) / delta).astype(int)
-    # form the node as the lattice does, so an on-node particle sits at 0
-    frac = (pos - (lo + delta * centre)) / delta
+    with np.errstate(over="ignore"):
+        node = np.rint((pos - lo) / delta)
+        # form the node as the lattice does, so an on-node particle sits at 0
+        frac = (pos - (lo + delta * node)) / delta
+    far = (node + half < 0) | (node - half > n - 1)
+    node[far] = -half - 1
+    frac[far] = 0.0
     fracs, row = np.unique(frac, return_inverse=True)
     table = np.concatenate([
         _stencil_weights(fracs[s:s + _DEPOSIT_CHUNK], offsets, delta, params)
         for s in range(0, len(fracs), _DEPOSIT_CHUNK)])
-    return centre, offsets, table, row
+    return node.astype(int), offsets, table, row
 
 
 def deposit(ensemble: Ensemble, grid: PhaseSpaceGrid,
@@ -423,8 +439,14 @@ def deposit(ensemble: Ensemble, grid: PhaseSpaceGrid,
     ``NumericalError`` when the kernel is too narrow for the lattice to
     carry its moments.
 
-    Particles are processed in a fixed order and accumulated sequentially
-    (``np.bincount``), so the result is deterministic.  Kernel tails are
+    Particles are processed in a fixed order, in chunks of
+    ``_DEPOSIT_CHUNK``: each chunk's values are summed into a zeroed
+    lattice in particle order, and that lattice is added to the field, so
+    the result is deterministic.  Within a chunk the values are formed a
+    sub-block of at most ``_DEPOSIT_VALUES`` stencil values (and at least
+    one particle) at a time and added with ``np.add.at``, in the order and
+    with the bits of one ``np.bincount`` over the whole chunk, so the
+    working set is a sub-block's, not a chunk's.  Kernel tails are
     truncated where they fall below double precision.  An ensemble carries
     no time, so the field is at time 0.
     """
@@ -432,25 +454,30 @@ def deposit(ensemble: Ensemble, grid: PhaseSpaceGrid,
         return WignerField(grid=grid, values=np.zeros(grid.shape()))
 
     ci, off_i, table_i, row_i = _axis_stencils(ensemble.r, grid.x_min, grid.dx,
-                                               params_r)
+                                               grid.nx, params_r)
     cj, off_j, table_j, row_j = _axis_stencils(ensemble.p, grid.p_min, grid.dp,
-                                               params_p)
+                                               grid.np, params_p)
+    block = max(1, _DEPOSIT_VALUES // (len(off_i) * len(off_j)))
     flat = np.zeros(grid.nx * grid.np)
-    for start in range(0, len(ensemble), _DEPOSIT_CHUNK):
-        sl = slice(start, start + _DEPOSIT_CHUNK)
-        w = ensemble.f_l[sl] * ensemble.dr[sl] * ensemble.dp[sl]
-        ii = ci[sl, None] + off_i[None, :]                    # (n, wi)
-        jj = cj[sl, None] + off_j[None, :]                    # (n, wj)
-        # kernel values are densities; the particle weight already carries
-        # the dr * dp cell volume.  Nodes outside the grid get weight zero
-        # (on a clipped index), after the correction.
-        wi = np.where((ii >= 0) & (ii < grid.nx), table_i[row_i[sl]], 0.0)
-        wj = np.where((jj >= 0) & (jj < grid.np), table_j[row_j[sl]], 0.0)
-        contrib = (w[:, None] * wi)[:, :, None] * wj[:, None, :]
-        index = (np.clip(ii, 0, grid.nx - 1)[:, :, None] * grid.np
-                 + np.clip(jj, 0, grid.np - 1)[:, None, :])
-        flat += np.bincount(index.ravel(), weights=contrib.ravel(),
-                            minlength=flat.size)
+    sums = np.empty_like(flat)
+    for chunk in range(0, len(ensemble), _DEPOSIT_CHUNK):
+        stop = min(chunk + _DEPOSIT_CHUNK, len(ensemble))
+        sums.fill(0.0)
+        for start in range(chunk, stop, block):
+            sl = slice(start, min(start + block, stop))
+            w = ensemble.f_l[sl] * ensemble.dr[sl] * ensemble.dp[sl]
+            ii = ci[sl, None] + off_i[None, :]                    # (n, wi)
+            jj = cj[sl, None] + off_j[None, :]                    # (n, wj)
+            # kernel values are densities; the particle weight already
+            # carries the dr * dp cell volume.  Nodes outside the grid get
+            # weight zero (on a clipped index), after the correction.
+            wi = np.where((ii >= 0) & (ii < grid.nx), table_i[row_i[sl]], 0.0)
+            wj = np.where((jj >= 0) & (jj < grid.np), table_j[row_j[sl]], 0.0)
+            contrib = (w[:, None] * wi)[:, :, None] * wj[:, None, :]
+            index = (np.clip(ii, 0, grid.nx - 1)[:, :, None] * grid.np
+                     + np.clip(jj, 0, grid.np - 1)[:, None, :])
+            np.add.at(sums, index.ravel(), contrib.ravel())
+        flat += sums
     return WignerField(grid=grid, values=flat.reshape(grid.shape()))
 
 

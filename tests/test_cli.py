@@ -415,6 +415,30 @@ class TestCommands:
         assert "too narrow" in res.output
         assert [str(w.message) for w in caught] == []
 
+    def test_transcribe_drops_particles_whose_node_overflows(self, tmp_path):
+        # a particle so far out that its node does not fit an integer is out
+        # of the grid's reach like one a million units out: it deposits
+        # nothing, with no warning, and the others keep their bits
+        def back(name, far_r, far_p):
+            ens_path = tmp_path / f"{name}.txt"
+            ens_path.write_text(
+                "# ensemble 6\n0.1 0.05 1 0.078125 0.05\n"
+                + "".join(f"{r} 0.3 -2 0.078125 0.05\n" for r in far_r)
+                + f"0.2 {far_p} 3 0.078125 0.05\n"
+                + "-1.3 -0.7 0.5 0.078125 0.05\n")
+            out = tmp_path / f"{name}_back.txt"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                res = CliRunner().invoke(main, [
+                    "transcribe", "--to", "field", "-i", str(ens_path),
+                    "--grid", "-10 10 256 -6.4 6.4 256", "-o", str(out)])
+            assert res.exit_code == 0, res.output
+            assert [str(w.message) for w in caught] == []
+            return out.read_bytes()
+
+        assert (back("overflowing", ["5e18", "1e300", "-1e308"], "-1e300")
+                == back("million", ["1e6", "1e6", "-1e6"], "-1e6"))
+
     @pytest.mark.parametrize("option, value", [
         ("--dfunc-m", "-1"), ("--dfunc-m", "86"),
         ("--dfunc-alpha", "0"), ("--dfunc-alpha", "-2"),
