@@ -339,9 +339,11 @@ def run_scenario(sc: Scenario, outdir) -> Path:
             return f
 
         if sc.method in ("spectral-full", "spectral-fo"):
-            variant = "full" if sc.method == "spectral-full" else "first_order"
-            cfg = spectral.SpectralStepConfig(dt=dt, mass=sc.mass, variant=variant)
-            step = lambda f, t: spectral.step(f, sc.potential, t, cfg)
+            # looked up now, not at import, so a rebound step function is used
+            spectral_step = (spectral.step_full if sc.method == "spectral-full"
+                             else spectral.step_first_order)
+            cfg = spectral.SpectralStepConfig(dt=dt, mass=sc.mass)
+            step = lambda f, t: spectral_step(f, sc.potential, t, cfg)
         else:
             step = pseudoparticle.stepper(sc.grid, sc.potential, sc.t0, dt,
                                           order=0 if sc.method == "lo" else 1,
@@ -444,20 +446,25 @@ def compare_runs(dir_a, dir_b, linf_tol: float | None = None,
 # click commands
 # ---------------------------------------------------------------------------
 
-def _guarded(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    except NumericalError as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(3)
-    except OSError as exc:
-        # every read maps its OSError to a ConfigError with its own context,
-        # so what reaches here failed to write an output path
-        click.echo(f"cannot write output: {exc}", err=True)
-        sys.exit(2)
+class _Commands(click.Group):
+    """The command group, and the one error boundary of every command in
+    it: a ``ConfigError`` exits 2, a ``NumericalError`` exits 3, and an
+    ``OSError`` exits 2, each with its message on stderr."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ConfigError as exc:
+            click.echo(f"config error: {exc}", err=True)
+            sys.exit(2)
+        except NumericalError as exc:
+            click.echo(f"numerical failure: {exc}", err=True)
+            sys.exit(3)
+        except OSError as exc:
+            # every read maps its OSError to a ConfigError with its own
+            # context, so what reaches here failed to write an output path
+            click.echo(f"cannot write output: {exc}", err=True)
+            sys.exit(2)
 
 
 def _parse_grid_option(raw: str) -> PhaseSpaceGrid:
@@ -472,7 +479,7 @@ def _parse_grid_option(raw: str) -> PhaseSpaceGrid:
 _DEFAULT_GRID_RAW = " ".join(str(v) for v in DEFAULT_GRID_SPEC)
 
 
-@click.group()
+@click.group(cls=_Commands)
 def main():
     """Phase-space propagation of Wigner functions."""
 
@@ -483,11 +490,9 @@ def main():
               help="Directory to write the run into.")
 def run_cmd(scenario_file, outdir):
     """Execute a scenario file."""
-    def body():
-        sc = parse_scenario(scenario_file)
-        run_scenario(sc, outdir)
-        click.echo(f"run written to {outdir}")
-    _guarded(body)
+    sc = parse_scenario(scenario_file)
+    run_scenario(sc, outdir)
+    click.echo(f"run written to {outdir}")
 
 
 @main.command("compare")
@@ -501,12 +506,10 @@ def run_cmd(scenario_file, outdir):
               help="Also write the report to this file.")
 def compare_cmd(dir_a, dir_b, linf_tol, l2_tol, report):
     """Quantify the difference between two run directories."""
-    def body():
-        text, _ = compare_runs(dir_a, dir_b, linf_tol, l2_tol)
-        click.echo(text, nl=False)
-        if report:
-            Path(report).write_text(text)
-    _guarded(body)
+    text, _ = compare_runs(dir_a, dir_b, linf_tol, l2_tol)
+    click.echo(text, nl=False)
+    if report:
+        Path(report).write_text(text)
 
 
 @main.group("oracle")
@@ -520,13 +523,11 @@ def oracle_group():
 @click.option("--nmax", type=int, default=10, show_default=True)
 def oracle_solve_cmd(sigma, beta0sq, nmax):
     """Print the bound-state energies of the Gaussian well."""
-    def body():
-        solution = _oracle_state(beta0sq, nmax, sigma).solution
-        click.echo(f"# sigma={_fmt(sigma)} beta0_sq={_fmt(beta0sq)} n_max={nmax} "
-                   f"min_pivot={solution.min_pivot:.3e}")
-        for lam, (e, r) in enumerate(zip(solution.energies, solution.residuals)):
-            click.echo(f"E_{lam} = {_fmt(e)}   (residual {r:.2e})")
-    _guarded(body)
+    solution = _oracle_state(beta0sq, nmax, sigma).solution
+    click.echo(f"# sigma={_fmt(sigma)} beta0_sq={_fmt(beta0sq)} n_max={nmax} "
+               f"min_pivot={solution.min_pivot:.3e}")
+    for lam, (e, r) in enumerate(zip(solution.energies, solution.residuals)):
+        click.echo(f"E_{lam} = {_fmt(e)}   (residual {r:.2e})")
 
 
 @oracle_group.command("field")
@@ -541,18 +542,16 @@ def oracle_solve_cmd(sigma, beta0sq, nmax):
 @click.option("-o", "--out", required=True, type=click.Path())
 def oracle_field_cmd(time, sigma, beta0sq, nmax, amplitudes, grid_raw, out):
     """Write the analytic Wigner field at time t."""
-    def body():
-        grid = _parse_grid_option(grid_raw)
-        if not math.isfinite(time):
-            raise ConfigError(f"--t must be finite, got {time!r}")
-        with _bad_input("--amplitudes: "):
-            amps = _parse_float_list(amplitudes)
-        field = oracle.sample_field(_oracle_state(beta0sq, nmax, sigma, amps),
-                                    time, grid)
-        _check_resolved(norm(field), "--beta0sq")
-        save_field(field, out)
-        click.echo(f"field written to {out}")
-    _guarded(body)
+    grid = _parse_grid_option(grid_raw)
+    if not math.isfinite(time):
+        raise ConfigError(f"--t must be finite, got {time!r}")
+    with _bad_input("--amplitudes: "):
+        amps = _parse_float_list(amplitudes)
+    field = oracle.sample_field(_oracle_state(beta0sq, nmax, sigma, amps),
+                                time, grid)
+    _check_resolved(norm(field), "--beta0sq")
+    save_field(field, out)
+    click.echo(f"field written to {out}")
 
 
 @main.command("evolve")
@@ -572,22 +571,20 @@ def oracle_field_cmd(time, sigma, beta0sq, nmax, amplitudes, grid_raw, out):
 def evolve_cmd(method, potential_raw, initial_path, t0, t1, nsteps,
                checkpoints, slices, mass, outdir):
     """Propagate a field file and write a run directory."""
-    def body():
-        with _bad_input("initial field: "):
-            initial = load_field(initial_path)
-        with _bad_input():
-            pot = parse_potential(potential_raw)
-        with _bad_input("--checkpoints and --slices take numbers: "):
-            times = _parse_float_list(checkpoints) if checkpoints else [t1]
-            momenta = _parse_float_list(slices)
-        sc = Scenario(grid=initial.grid, potential=pot, method=method, t0=t0,
-                      t1=t1, nsteps=nsteps, checkpoints=times, slices=momenta,
-                      mass=mass, initial_kind="file", initial_field=initial,
-                      source_text=f"# generated by 'wigprop evolve'\n")
-        _validate_scenario(sc)
-        run_scenario(sc, outdir)
-        click.echo(f"run written to {outdir}")
-    _guarded(body)
+    with _bad_input("initial field: "):
+        initial = load_field(initial_path)
+    with _bad_input():
+        pot = parse_potential(potential_raw)
+    with _bad_input("--checkpoints and --slices take numbers: "):
+        times = _parse_float_list(checkpoints) if checkpoints else [t1]
+        momenta = _parse_float_list(slices)
+    sc = Scenario(grid=initial.grid, potential=pot, method=method, t0=t0,
+                  t1=t1, nsteps=nsteps, checkpoints=times, slices=momenta,
+                  mass=mass, initial_kind="file", initial_field=initial,
+                  source_text=f"# generated by 'wigprop evolve'\n")
+    _validate_scenario(sc)
+    run_scenario(sc, outdir)
+    click.echo(f"run written to {outdir}")
 
 
 @main.command("transcribe")
@@ -603,32 +600,30 @@ def evolve_cmd(method, potential_raw, initial_path, t0, t1, nsteps,
               help="Target grid when depositing to a field.")
 def transcribe_cmd(target, in_path, out, dfunc_m, dfunc_alpha, grid_raw):
     """Convert between lattice fields and particle ensembles."""
-    def body():
-        if target == "ensemble":
-            with _bad_input():
-                f = load_field(in_path)
-            pseudoparticle.save_ensemble(pseudoparticle.to_ensemble(f), out)
-        else:
-            with _bad_input():
-                ens = pseudoparticle.load_ensemble(in_path)
-            grid = _parse_grid_option(grid_raw)
-            auto = dfunc_alpha == "auto"
-            with _bad_input(f"--dfunc-m {dfunc_m} and --dfunc-alpha {dfunc_alpha}: "):
-                alphas = ([pseudoparticle.auto_alpha(d) for d in (grid.dx, grid.dp)]
-                          if auto else [float(dfunc_alpha)] * 2)
-                params_r, params_p = [pseudoparticle.DFunctionParams(alpha=a, order=dfunc_m)
-                                      for a in alphas]
-            # a given width whose kernel reaches past the grid has a stencil
-            # of more nodes than the lattice (about 1e301 at alpha 1e-300)
-            reach = pseudoparticle.kernel_reach(params_r)
-            extent = min(grid.x_max - grid.x_min, grid.p_max - grid.p_min)
-            if not (auto or reach <= extent):
-                raise ConfigError(
-                    f"--dfunc-alpha {dfunc_alpha} gives a kernel reach of "
-                    f"{reach:g}, more than the grid's extent {extent:g}")
-            save_field(pseudoparticle.deposit(ens, grid, params_r, params_p), out)
-        click.echo(f"written to {out}")
-    _guarded(body)
+    if target == "ensemble":
+        with _bad_input():
+            f = load_field(in_path)
+        pseudoparticle.save_ensemble(pseudoparticle.to_ensemble(f), out)
+    else:
+        with _bad_input():
+            ens = pseudoparticle.load_ensemble(in_path)
+        grid = _parse_grid_option(grid_raw)
+        auto = dfunc_alpha == "auto"
+        with _bad_input(f"--dfunc-m {dfunc_m} and --dfunc-alpha {dfunc_alpha}: "):
+            alphas = ([pseudoparticle.auto_alpha(d) for d in (grid.dx, grid.dp)]
+                      if auto else [float(dfunc_alpha)] * 2)
+            params_r, params_p = [pseudoparticle.DFunctionParams(alpha=a, order=dfunc_m)
+                                  for a in alphas]
+        # a given width whose kernel reaches past the grid has a stencil
+        # of more nodes than the lattice (about 1e301 at alpha 1e-300)
+        reach = pseudoparticle.kernel_reach(params_r)
+        extent = min(grid.x_max - grid.x_min, grid.p_max - grid.p_min)
+        if not (auto or reach <= extent):
+            raise ConfigError(
+                f"--dfunc-alpha {dfunc_alpha} gives a kernel reach of "
+                f"{reach:g}, more than the grid's extent {extent:g}")
+        save_field(pseudoparticle.deposit(ens, grid, params_r, params_p), out)
+    click.echo(f"written to {out}")
 
 
 if __name__ == "__main__":

@@ -26,8 +26,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .phasespace import (NumericalError, PhaseSpaceGrid, WignerField, by_rows,
-                         truncate_real)
+from .phasespace import (NumericalError, PhaseSpaceGrid, WignerField,
+                         _one_dimensional, by_rows, truncate_real)
 from .potentials import check_sigma
 
 #: Cholesky pivots below this abort the solve.
@@ -465,13 +465,14 @@ def sample_fields(state: SuperpositionState, times,
     and the mirrored rows.  The fields share one array of len(times)
     lattices, which bounds how many times one call should take.
     """
+    axis = _one_dimensional(grid, "sample_fields")
     times = [float(t) for t in times]
     terms = _pair_terms(state, times)
-    x = grid.x_lattice[:, None]
-    p = grid.p_lattice[None, :]
-    nx = grid.nx
-    m = _mirrored_rows(grid.x_lattice)
-    values = np.empty((len(times),) + grid.shape())
+    x = axis.x_lattice[:, None]
+    p = axis.p_lattice[None, :]
+    nx = axis.nx
+    m = _mirrored_rows(axis.x_lattice)
+    values = np.empty((len(times),) + axis.shape())
 
     def rows(sl):
         # this block's rows among 1 ... m, and their mirrors nx - i

@@ -180,11 +180,15 @@ def truncate_real(values: np.ndarray, *, tol: float = REALNESS_TOL,
     return np.real(values) if np.iscomplexobj(values) else values, residue
 
 
-def _one_dimensional(field: WignerField, name: str) -> None:
-    """Raise ``ValueError`` unless the field lives on a 1-d lattice."""
-    d = field.grid.ndim
+def _one_dimensional(grid: PhaseSpaceGrid | PhaseSpaceGridND,
+                     name: str) -> PhaseSpaceGrid:
+    """The (x, p) axis of a 1-d lattice, which is the grid itself or the
+    one axis of a product grid; a larger lattice raises ``ValueError``
+    naming the function ``name`` and the dimension."""
+    d = grid.ndim
     if d != 1:
         raise ValueError(f"{name} takes 1-d lattices only, not a {d}-d one")
+    return grid.axes[0]
 
 
 def norm(field: WignerField) -> float:
@@ -277,8 +281,7 @@ def evolve(step, field: WignerField, t0: float, dt: float, nsteps: int,
 
 def marginal_x(field: WignerField) -> np.ndarray:
     """Position density rho(x_i) = (dp / 2*pi*hbar) * sum_j f(x_i, p_j)."""
-    _one_dimensional(field, "marginal_x")
-    g = field.grid.axes[0]
+    g = _one_dimensional(field.grid, "marginal_x")
     return field.values.sum(axis=1) * g.dp / (2.0 * np.pi * HBAR)
 
 
@@ -496,7 +499,7 @@ def interpolate(field: WignerField, x, p):
     compactly supported).  ``x`` and ``p`` broadcast against each other;
     scalars in, scalar out.
     """
-    g = field.grid
+    g = _one_dimensional(field.grid, "interpolate")
     xs, ps = np.atleast_1d(x, p)
     out = at_lattice_coordinates(field, _spline_stencil(
         g.shape(), (xs - g.x_min) / g.dx, (ps - g.p_min) / g.dp))
@@ -516,8 +519,7 @@ def diff_metrics(a: WignerField, b: WignerField) -> DiffMetrics:
     """L2 and max-abs difference between two fields on the same grid."""
     if a.grid != b.grid:
         raise ValueError("fields live on different grids")
-    _one_dimensional(a, "diff_metrics")
-    g = a.grid.axes[0]
+    g = _one_dimensional(a.grid, "diff_metrics")
     delta = a.values - b.values
     l2 = float(np.sqrt((delta**2).sum() * g.dx * g.dp))
     flat = int(np.argmax(np.abs(delta)))
@@ -563,8 +565,7 @@ def write_rows(fh, table: np.ndarray) -> None:
 
 
 def save_field(field: WignerField, path) -> None:
-    _one_dimensional(field, "save_field")
-    g = field.grid.axes[0]
+    g = _one_dimensional(field.grid, "save_field")
     header = (f"# wignerfield {g.nx} {g.np} {g.x_min:.17g} {g.x_max:.17g} "
               f"{g.p_min:.17g} {g.p_max:.17g} {field.time:.17g}\n")
     with open(path, "w") as fh:

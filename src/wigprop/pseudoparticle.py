@@ -18,11 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .phasespace import (_BLOCK_ROWS, HBAR, REALNESS_TOL, EvolveResult,
-                         NonFiniteFieldError, NumericalError, PhaseSpaceGrid,
-                         WignerField, _spline_stencil, at_lattice_coordinates,
-                         step_size, truncate_real, write_rows)
-from .phasespace import evolve as _drive
+from .phasespace import (_BLOCK_ROWS, HBAR, REALNESS_TOL, NonFiniteFieldError,
+                         NumericalError, PhaseSpaceGrid, WignerField,
+                         _one_dimensional, _spline_stencil,
+                         at_lattice_coordinates, truncate_real, write_rows)
 from .potentials import Potential
 from .spectral import _is_static, _memoized
 
@@ -96,12 +95,12 @@ def step_lo(field_in: WignerField, pot: Potential, t: float, dt: float,
     evaluation over the stencil, both on the calling thread, with the
     same result bits from the memo or not.
     """
-    grid = field_in.grid
+    grid = _one_dimensional(field_in.grid, "step_lo")
     stencil = _memoized(("backtrack", grid, pot, dt, mass),
                         lambda: _backtrack_stencil(grid, pot, t, dt, mass),
                         static=_is_static(pot))
     values = at_lattice_coordinates(field_in, stencil)
-    return WignerField(grid=grid, values=values, time=field_in.time + dt)
+    return WignerField(grid=field_in.grid, values=values, time=field_in.time + dt)
 
 
 def _p3_multiplier(grid: PhaseSpaceGrid, s_cutoff: float | None) -> np.ndarray:
@@ -142,10 +141,10 @@ def d_p3(field_in: WignerField, s_cutoff: float | None = None) -> WignerField:
     is given (band limiting).  The unpaired Nyquist mode is always dropped,
     as for any odd-order spectral derivative.
     """
+    grid = _one_dimensional(field_in.grid, "d_p3")
     f = field_in.values
     return WignerField(grid=field_in.grid, time=field_in.time,
-                       values=_spectral_p3(f, field_in.grid, s_cutoff,
-                                           _realness_tol(f)))
+                       values=_spectral_p3(f, grid, s_cutoff, _realness_tol(f)))
 
 
 def _third_derivative(pot: Potential, grid: PhaseSpaceGrid, t: float) -> np.ndarray:
@@ -176,7 +175,7 @@ def nlo_correction(field_lo: WignerField, pot: Potential, t: float, dt: float,
     the potential and of the field; going further would require fifth-order
     lattice derivatives that amplify noise faster than they add accuracy.
     """
-    grid = field_lo.grid
+    grid = _one_dimensional(field_lo.grid, "nlo_correction")
     scale = (dt * HBAR**2 / 24.0) * _third_derivative(pot, grid, t)[:, None]
     f = field_lo.values
     tol = _realness_tol(f)
@@ -185,7 +184,7 @@ def nlo_correction(field_lo: WignerField, pot: Potential, t: float, dt: float,
         rows = slice(start, start + _BLOCK_ROWS)
         np.subtract(f[rows], scale[rows] * _spectral_p3(f[rows], grid, s_cutoff, tol),
                     out=values[rows])
-    return WignerField(grid=grid, values=values, time=field_lo.time)
+    return WignerField(grid=field_lo.grid, values=values, time=field_lo.time)
 
 
 def stable_p3_cutoff(grid: PhaseSpaceGrid, pot: Potential, t: float,
@@ -206,26 +205,18 @@ def stable_p3_cutoff(grid: PhaseSpaceGrid, pot: Potential, t: float,
 
 def stepper(grid: PhaseSpaceGrid, pot: Potential, t0: float, dt: float,
             order: int = 0, mass: float = 1.0):
-    """The step ``f, t -> f at t + dt`` of a run from t0: the transported
-    step (order 0, ``lo``), or with order 1 (``nlo``) the transported field
-    corrected before it seeds the next step, its third derivative
-    band-limited at the stability bound at t0."""
+    """The step ``f, t -> f at t + dt`` that ``phasespace.evolve`` runs from
+    t0: the transported step (order 0, ``lo``), or with order 1 (``nlo``)
+    the transported field corrected before it seeds the next step, its
+    third derivative band-limited at the stability bound at t0."""
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
+    axis = _one_dimensional(grid, "stepper")
     if order == 0:
         return lambda f, t: step_lo(f, pot, t, dt, mass=mass)
-    cutoff = stable_p3_cutoff(grid, pot, t0, dt)
+    cutoff = stable_p3_cutoff(axis, pot, t0, dt)
     return lambda f, t: nlo_correction(step_lo(f, pot, t, dt, mass=mass),
                                        pot, t, dt, s_cutoff=cutoff)
-
-
-def evolve(field_in: WignerField, pot: Potential, t0: float, t1: float,
-           nsteps: int, order: int = 0, mass: float = 1.0) -> EvolveResult:
-    """``phasespace.evolve`` of the order-``order`` ``stepper`` from t0 to
-    t1 in nsteps steps of (t1 - t0) / nsteps."""
-    dt = step_size(t0, t1, nsteps)
-    return _drive(stepper(field_in.grid, pot, t0, dt, order, mass),
-                  field_in, t0, dt, nsteps)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +318,7 @@ class Ensemble:
 
 def to_ensemble(field_in: WignerField) -> Ensemble:
     """One particle per lattice cell, carrying that node's value."""
-    grid = field_in.grid
+    grid = _one_dimensional(field_in.grid, "to_ensemble")
     r, p = np.meshgrid(grid.x_lattice, grid.p_lattice, indexing="ij")
     n = grid.nx * grid.np
     return Ensemble(r=r.ravel(), p=p.ravel(), f_l=field_in.values.ravel(),
@@ -450,15 +441,16 @@ def deposit(ensemble: Ensemble, grid: PhaseSpaceGrid,
     truncated where they fall below double precision.  An ensemble carries
     no time, so the field is at time 0.
     """
+    axis = _one_dimensional(grid, "deposit")
     if len(ensemble) == 0:
-        return WignerField(grid=grid, values=np.zeros(grid.shape()))
+        return WignerField(grid=grid, values=np.zeros(axis.shape()))
 
-    ci, off_i, table_i, row_i = _axis_stencils(ensemble.r, grid.x_min, grid.dx,
-                                               grid.nx, params_r)
-    cj, off_j, table_j, row_j = _axis_stencils(ensemble.p, grid.p_min, grid.dp,
-                                               grid.np, params_p)
+    ci, off_i, table_i, row_i = _axis_stencils(ensemble.r, axis.x_min, axis.dx,
+                                               axis.nx, params_r)
+    cj, off_j, table_j, row_j = _axis_stencils(ensemble.p, axis.p_min, axis.dp,
+                                               axis.np, params_p)
     block = max(1, _DEPOSIT_VALUES // (len(off_i) * len(off_j)))
-    flat = np.zeros(grid.nx * grid.np)
+    flat = np.zeros(axis.nx * axis.np)
     sums = np.empty_like(flat)
     for chunk in range(0, len(ensemble), _DEPOSIT_CHUNK):
         stop = min(chunk + _DEPOSIT_CHUNK, len(ensemble))
@@ -471,14 +463,14 @@ def deposit(ensemble: Ensemble, grid: PhaseSpaceGrid,
             # kernel values are densities; the particle weight already
             # carries the dr * dp cell volume.  Nodes outside the grid get
             # weight zero (on a clipped index), after the correction.
-            wi = np.where((ii >= 0) & (ii < grid.nx), table_i[row_i[sl]], 0.0)
-            wj = np.where((jj >= 0) & (jj < grid.np), table_j[row_j[sl]], 0.0)
+            wi = np.where((ii >= 0) & (ii < axis.nx), table_i[row_i[sl]], 0.0)
+            wj = np.where((jj >= 0) & (jj < axis.np), table_j[row_j[sl]], 0.0)
             contrib = (w[:, None] * wi)[:, :, None] * wj[:, None, :]
-            index = (np.clip(ii, 0, grid.nx - 1)[:, :, None] * grid.np
-                     + np.clip(jj, 0, grid.np - 1)[:, None, :])
+            index = (np.clip(ii, 0, axis.nx - 1)[:, :, None] * axis.np
+                     + np.clip(jj, 0, axis.np - 1)[:, None, :])
             np.add.at(sums, index.ravel(), contrib.ravel())
         flat += sums
-    return WignerField(grid=grid, values=flat.reshape(grid.shape()))
+    return WignerField(grid=grid, values=flat.reshape(axis.shape()))
 
 
 # ---------------------------------------------------------------------------

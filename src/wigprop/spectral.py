@@ -5,7 +5,7 @@ One step advances the field by dt in two exact sub-maps: free streaming
 along every x_j (each constant-p line translated by p_j*dt/m) and a
 momentum kernel along every p_j (multiply the p_j-spectrum by the
 unimodular phase exp(-i [V_j(x_j - s_j/2) - V_j(x_j + s_j/2)] dt / hbar),
-or by its first-order truncation in the ``first_order`` variant).  V_1 is
+or by its first-order truncation in ``step_first_order``).  V_1 is
 the potential of a 1-d lattice; a 2-d/3-d lattice steps only under a
 ``SeparableSum`` of one term V_j per axis, for which these kicks are
 exact.  The phase is conjugate-symmetric under s -> -s because the
@@ -18,7 +18,8 @@ is untouched by the kick, which conserves the momentum marginal at every
 x exactly.  Each sub-map is one function for every dimension,
 ``_drift_values`` or ``_kick_values``; a step is the drift followed by the
 kick, and ``drift`` and ``kick_full`` apply one sub-map to a field of any
-dimension.
+dimension.  The variant is the function called, ``step_full`` or
+``step_first_order``, and ``phasespace.evolve`` runs either.
 
 The multipliers depend only on the grid, dt and the mass (drift) or the
 potential and variant (kick), so each is built once and kept in a small
@@ -52,9 +53,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .phasespace import (HBAR, EvolveResult, PhaseSpaceGrid, WignerField,
-                         step_size)
-from .phasespace import evolve as _drive
+from .phasespace import HBAR, PhaseSpaceGrid, WignerField
 from .potentials import Potential, SeparableSum
 
 #: The kick multiplier builder of each variant.  Each entry looks up the
@@ -68,15 +67,12 @@ _KICK_BUILDERS = {"full": lambda *args: _kick_phase(*args),
 class SpectralStepConfig:
     dt: float
     mass: float = 1.0
-    variant: str = "full"
 
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         if not self.mass > 0:
             raise ValueError("mass must be positive")
-        if self.variant not in _KICK_BUILDERS:
-            raise ValueError(f"variant must be one of {tuple(_KICK_BUILDERS)}")
 
 
 #: Most arrays the memo holds; the oldest entries are dropped beyond it.
@@ -291,21 +287,6 @@ def step_first_order(field_in: WignerField, pot: Potential, t: float,
     return _drift_kick(field_in, pot, t, cfg, "first_order")
 
 
-def step(field_in: WignerField, pot: Potential, t: float,
-         cfg: SpectralStepConfig) -> WignerField:
-    """One step of the variant that cfg.variant names."""
-    stepper = step_full if cfg.variant == "full" else step_first_order
-    return stepper(field_in, pot, t, cfg)
-
-
-def evolve(field_in: WignerField, pot: Potential, t0: float, t1: float,
-           nsteps: int, cfg: SpectralStepConfig) -> EvolveResult:
-    """``phasespace.evolve`` of ``step`` from t0 to t1 in nsteps steps of
-    (t1 - t0) / nsteps, which overrides cfg.dt."""
-    cfg = replace(cfg, dt=step_size(t0, t1, nsteps))
-    return _drive(lambda f, t: step(f, pot, t, cfg), field_in, t0, cfg.dt, nsteps)
-
-
 # ---------------------------------------------------------------------------
 # transfer matrices of the 2-d/3-d steps
 # ---------------------------------------------------------------------------
@@ -366,8 +347,8 @@ def _swap_halves(values: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def step_separable(field_in: WignerField, pot, t: float,
                    cfg: SpectralStepConfig) -> WignerField:
-    """``step`` on 2-d/3-d lattices only, under a ``SeparableSum`` with one
-    term per axis."""
+    """``step_full`` on 2-d/3-d lattices only, under a ``SeparableSum``
+    with one term per axis."""
     if field_in.grid.ndim not in (2, 3):
         raise ValueError("separable stepping supports 2 or 3 dimensions only")
-    return _drift_kick(field_in, pot, t, cfg, cfg.variant)
+    return _drift_kick(field_in, pot, t, cfg, "full")

@@ -12,7 +12,7 @@ import pytest
 from wigprop import make_grid
 from wigprop.oracle import (EigenSolution, GaussianBasis, SuperpositionState,
                             sample_field, solve, superposition)
-from wigprop.phasespace import PhaseSpaceGrid, WignerField
+from wigprop.phasespace import EvolveResult, PhaseSpaceGrid, WignerField, evolve
 from wigprop.potentials import GaussianWell
 from wigprop import pseudoparticle, spectral
 
@@ -29,7 +29,7 @@ class Benchmark:
     state: SuperpositionState
     f0: WignerField
     oracle_t3: WignerField
-    spectral30: spectral.EvolveResult
+    spectral30: EvolveResult
     spectral60: WignerField
     lo30: WignerField
     nlo30: WignerField
@@ -51,11 +51,20 @@ def bench() -> Benchmark:
     f0 = sample_field(state, 0.0, grid)
     oracle_t3 = sample_field(state, T_FINAL, grid)
 
-    cfg = spectral.SpectralStepConfig(dt=T_FINAL / NSTEPS)
-    spectral30 = spectral.evolve(f0, pot, 0.0, T_FINAL, NSTEPS, cfg)
-    spectral60 = spectral.evolve(f0, pot, 0.0, T_FINAL, 2 * NSTEPS, cfg).field
-    lo30 = pseudoparticle.evolve(f0, pot, 0.0, T_FINAL, NSTEPS, order=0).field
-    nlo30 = pseudoparticle.evolve(f0, pot, 0.0, T_FINAL, NSTEPS, order=1).field
+    def spectral_run(nsteps):
+        cfg = spectral.SpectralStepConfig(dt=T_FINAL / nsteps)
+        return evolve(lambda f, t: spectral.step_full(f, pot, t, cfg),
+                      f0, 0.0, cfg.dt, nsteps)
+
+    def transported(order):
+        dt = T_FINAL / NSTEPS
+        step = pseudoparticle.stepper(grid, pot, 0.0, dt, order=order)
+        return evolve(step, f0, 0.0, dt, NSTEPS).field
+
+    spectral30 = spectral_run(NSTEPS)
+    spectral60 = spectral_run(2 * NSTEPS).field
+    lo30 = transported(0)
+    nlo30 = transported(1)
     return Benchmark(grid=grid, pot=pot, solution=solution, state=state,
                      f0=f0, oracle_t3=oracle_t3, spectral30=spectral30,
                      spectral60=spectral60, lo30=lo30, nlo30=nlo30)

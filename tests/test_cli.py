@@ -792,6 +792,25 @@ class TestBadTimeRangesAndGrids:
         assert not (tmp_path / "f.txt").exists()
 
 
+class TestErrorBoundary:
+    """The command group maps the errors of every command to its exit code
+    and message; an in-process call with ``standalone_mode=False`` ends in
+    ``SystemExit`` with that code too."""
+
+    @pytest.mark.parametrize("args, code, message", [
+        (["run", "missing.txt", "-o", "out"], 2, "config error: "),
+        (["oracle", "solve", "--nmax", "20"], 3, "numerical failure: "),
+        (["oracle", "field", "-o", "no/such/dir/f.txt"], 2, "cannot write output: "),
+    ], ids=["config", "numerical", "write"])
+    def test_in_process_call_exits_with_the_code(self, tmp_path, monkeypatch,
+                                                  capsys, args, code, message):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(args, standalone_mode=False)
+        assert info.value.code == code
+        assert capsys.readouterr().err.startswith(message)
+
+
 class TestUnwritableOutput:
     """An output path that cannot be written is bad input (exit 2) whose
     message names the path, not a traceback (exit 1)."""
@@ -968,6 +987,8 @@ class TestShippedRunBytes:
             "14bd347c396110d9cc804aeb34ec3c540ae7065d775cd9598f31bda977b9aa58",
         "lo": "0d4b34956c4254fcc87f3e065a6e97477deb225c0b1f906f5867692d8e151907",
         "nlo": "a1d2395d22d918c41deb61d337c607744e12568457f3aa5459238c2a28841e80",
+        "spectral-fo":
+            "1483db74203da52ff2434f8e5681696fc03047d3c501df3293edac3edd3f5a39",
     }
 
     @pytest.mark.parametrize("case", sorted(DIGESTS))
@@ -1033,10 +1054,11 @@ class TestAllMethodsRun:
 class TestRunEqualsLibrary:
     @pytest.mark.parametrize("method", ["spectral-fo", "lo", "nlo"])
     def test_diagnostics_and_final_field(self, tmp_path, method):
-        # wigprop run steps through the library's own evolve: same rows
+        # wigprop run steps through the library's one driver: same rows
         # (as the CSV rounds them) and the same final field, bit for bit
         from wigprop import pseudoparticle, spectral
         from wigprop.cli import _fmt, _initial_state
+        from wigprop.phasespace import evolve
         text = SCENARIO_ORACLE.replace("method = oracle", f"method = {method}") \
             .replace("t1 = 3", "t1 = 0.5").replace("nsteps = 30", "nsteps = 5") \
             .replace("checkpoints = 0 3", "checkpoints = 0.5")
@@ -1044,11 +1066,12 @@ class TestRunEqualsLibrary:
         outdir = run_scenario(sc, tmp_path / method)
         f0 = _initial_state(sc)
         if method == "spectral-fo":
-            cfg = spectral.SpectralStepConfig(dt=0.1, variant="first_order")
-            res = spectral.evolve(f0, sc.potential, 0.0, 0.5, 5, cfg)
+            cfg = spectral.SpectralStepConfig(dt=0.1)
+            step = lambda f, t: spectral.step_first_order(f, sc.potential, t, cfg)
         else:
-            res = pseudoparticle.evolve(f0, sc.potential, 0.0, 0.5, 5,
-                                        order=0 if method == "lo" else 1)
+            step = pseudoparticle.stepper(sc.grid, sc.potential, 0.0, 0.1,
+                                          order=0 if method == "lo" else 1)
+        res = evolve(step, f0, 0.0, 0.1, 5)
         rows = (outdir / "diagnostics.csv").read_text().splitlines()[2:]
         assert rows == [",".join([str(d.step)] + [_fmt(v) for v in (
             d.time, d.norm, d.min, d.max)]) for d in res.diagnostics]

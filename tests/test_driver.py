@@ -1,5 +1,6 @@
-"""The one stepping driver, ``phasespace.evolve``, with fake steps, and the
-module ``evolve``s that call it."""
+"""The one stepping driver, ``phasespace.evolve``, with fake steps and
+with the spectral and transported steps that ``wigprop run`` gives it,
+and ``phasespace.step_size``, which checks a run's step."""
 
 import weakref
 
@@ -8,7 +9,8 @@ import pytest
 
 from wigprop import make_grid, pseudoparticle, spectral
 from wigprop.phasespace import (NonFiniteFieldError, NumericalError,
-                                StepDiagnostics, WignerField, evolve, norm)
+                                StepDiagnostics, WignerField, evolve, norm,
+                                step_size)
 from wigprop.potentials import Constant, GaussianWell
 
 GRID = make_grid(-4, 4, 64, -4, 4, 64)
@@ -100,16 +102,22 @@ def test_norm_loss_warns_with_its_drift():
                             "step 2: relative norm drift 7.500e-01"]
 
 
-def test_module_evolves_have_the_guards(monkeypatch):
+def spectral_step(pot, dt):
+    """The step of a spectral-full run."""
+    cfg = spectral.SpectralStepConfig(dt=dt)
+    return lambda f, t: spectral.step_full(f, pot, t, cfg)
+
+
+def test_real_steps_have_the_guards(monkeypatch):
     f = blob()
     pot = GaussianWell()
-    monkeypatch.setattr(spectral, "step", lambda f, pot, t, cfg: scaling(1e7)(f, t))
+    monkeypatch.setattr(spectral, "_kick_values", lambda values, *args: 1e7 * values)
     with pytest.raises(NumericalError, match="^norm blow-up at step 1: "):
-        spectral.evolve(f, pot, 0.0, 1.0, 10, spectral.SpectralStepConfig(dt=0.1))
+        evolve(spectral_step(pot, 0.1), f, 0.0, 0.1, 10)
     monkeypatch.setattr(pseudoparticle, "step_lo",
                         lambda f, pot, t, dt, mass: scaling(1e7)(f, t))
     with pytest.raises(NumericalError, match="^norm blow-up at step 1: "):
-        pseudoparticle.evolve(f, pot, 0.0, 1.0, 10)
+        evolve(pseudoparticle.stepper(GRID, pot, 0.0, 0.1), f, 0.0, 0.1, 10)
 
 
 def test_transport_through_the_boundary_warns_every_step():
@@ -117,21 +125,18 @@ def test_transport_through_the_boundary_warns_every_step():
     # transported step, which reads zero outside the grid: every step
     # reports it; the periodic spectral drift wraps it round and keeps it
     f = blob(x0=2.0, p0=2.0)
-    res = pseudoparticle.evolve(f, Constant(c=0.0), 0.0, 2.0, 10)
+    pot = Constant(c=0.0)
+    res = evolve(pseudoparticle.stepper(GRID, pot, 0.0, 0.2), f, 0.0, 0.2, 10)
     assert [w.split(":")[0] for w in res.warnings] == [
         f"step {k}" for k in range(1, 11)]
-    res = spectral.evolve(f, Constant(c=0.0), 0.0, 2.0, 10,
-                          spectral.SpectralStepConfig(dt=0.2))
+    res = evolve(spectral_step(pot, 0.2), f, 0.0, 0.2, 10)
     assert res.warnings == []
 
 
 @pytest.mark.parametrize("t0, t1, nsteps", [(0.0, 5e-324, 30), (-1e308, 1e308, 5)])
-def test_module_evolves_refuse_a_step_that_is_not_normal(t0, t1, nsteps):
+def test_step_size_refuses_a_step_that_is_not_normal(t0, t1, nsteps):
     # a subnormal step (here 0.0 after the division) would step 30 times
     # without moving the time; an infinite one would end in a non-finite field
-    f = blob()
     with pytest.raises(ValueError, match=r"the step \(t1 - t0\) / nsteps"):
-        spectral.evolve(f, GaussianWell(), t0, t1, nsteps,
-                        spectral.SpectralStepConfig(dt=0.1))
-    with pytest.raises(ValueError, match=r"the step \(t1 - t0\) / nsteps"):
-        pseudoparticle.evolve(f, GaussianWell(), t0, t1, nsteps)
+        step_size(t0, t1, nsteps)
+

@@ -11,9 +11,9 @@ from wigprop.phasespace import (NumericalError, WignerField,
                                 diff_metrics, norm, save_field)
 from wigprop.potentials import Constant, GaussianWell, Harmonic, Linear
 from wigprop.pseudoparticle import (DFunctionParams, Ensemble, auto_alpha,
-                                    d_function, d_p3, deposit, evolve,
-                                    load_ensemble, nlo_correction,
-                                    save_ensemble, stable_p3_cutoff, step_lo,
+                                    d_function, d_p3, deposit, load_ensemble,
+                                    nlo_correction, save_ensemble,
+                                    stable_p3_cutoff, step_lo, stepper,
                                     to_ensemble)
 from wigprop.spectral import SpectralStepConfig, step_full
 
@@ -402,7 +402,7 @@ class TestEvolveNlo:
 
     def test_invalid_order(self, bench):
         with pytest.raises(ValueError):
-            evolve(bench.f0, bench.pot, 0.0, 1.0, 10, order=2)
+            stepper(bench.grid, bench.pot, 0.0, 0.1, order=2)
 
 
 class TestLinearPotentialExactness:

@@ -1,4 +1,4 @@
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,14 +7,21 @@ from hypothesis import strategies as st
 
 from wigprop import make_grid, spectral
 from wigprop.phasespace import (PhaseSpaceGridND, StepDiagnostics, WignerField,
-                                WignerFieldND, diff_metrics, norm, norm_nd)
+                                WignerFieldND, diff_metrics, evolve, norm,
+                                norm_nd, step_size)
 from wigprop.potentials import (Constant, GaussianWell, Harmonic, Linear,
                                 SeparableSum)
 from wigprop.spectral import (SpectralStepConfig, _drift_values, _kick_values,
-                              drift, evolve, kick_full, step, step_first_order,
-                              step_full, step_separable)
+                              drift, kick_full, step_first_order, step_full,
+                              step_separable)
 
 GRID = make_grid(-8, 8, 256, -8, 8, 256)
+STEPS = {"full": step_full, "first_order": step_first_order}
+
+
+def run(stepper, f, pot, t0, cfg, nsteps):
+    """``phasespace.evolve`` of nsteps steps of ``stepper`` from t0."""
+    return evolve(lambda f, t: stepper(f, pot, t, cfg), f, t0, cfg.dt, nsteps)
 
 
 def blob(grid, x0=0.0, p0=0.0, width_sq=2.0):
@@ -114,7 +121,7 @@ class TestStepFull:
 class TestStepFirstOrder:
     def test_constant_potential_equals_pure_drift(self):
         f = blob(GRID, x0=0.5)
-        cfg = SpectralStepConfig(dt=0.1, variant="first_order")
+        cfg = SpectralStepConfig(dt=0.1)
         out = step_first_order(f, Constant(c=2.0), 0.0, cfg)
         want = drift(f, 0.1)
         np.testing.assert_allclose(out.values, want.values, atol=1e-13)
@@ -133,8 +140,8 @@ class TestStepFirstOrder:
     def test_long_run_stays_close_to_full_variant(self, bench):
         # 300 first-order steps must land within 1.5x of the 30-step full
         # variant's distance from the reference solution
-        res = evolve(bench.f0, bench.pot, 0.0, 3.0, 300,
-                     SpectralStepConfig(dt=0.01, variant="first_order"))
+        res = run(step_first_order, bench.f0, bench.pot, 0.0,
+                  SpectralStepConfig(dt=0.01), 300)
         gap_fo = diff_metrics(res.field, bench.oracle_t3).linf
         gap_full = diff_metrics(bench.spectral30.field, bench.oracle_t3).linf
         assert gap_fo <= 1.5 * gap_full
@@ -168,7 +175,7 @@ class TestKernelEquivalence:
 class TestEvolve:
     def test_single_step_matches_step_full(self, bench):
         cfg = SpectralStepConfig(dt=0.1)
-        res = evolve(bench.f0, bench.pot, 0.0, 0.1, 1, cfg)
+        res = run(step_full, bench.f0, bench.pot, 0.0, cfg, 1)
         direct = step_full(bench.f0, bench.pot, 0.0, cfg)
         np.testing.assert_array_equal(res.field.values, direct.values)
 
@@ -182,18 +189,18 @@ class TestEvolve:
     def test_no_warnings_for_contained_field(self, bench):
         assert bench.spectral30.warnings == []
 
-    def test_invalid_arguments(self, bench):
-        cfg = SpectralStepConfig(dt=0.1)
+    def test_invalid_arguments(self):
+        # a run's step is checked before it starts
         with pytest.raises(ValueError):
-            evolve(bench.f0, bench.pot, 0.0, 1.0, 0, cfg)
+            step_size(0.0, 1.0, 0)
         with pytest.raises(ValueError):
-            evolve(bench.f0, bench.pot, 1.0, 0.5, 5, cfg)
+            step_size(1.0, 0.5, 5)
 
 
 class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(dt=0.0), dict(dt=-0.1), dict(dt=0.1, mass=0.0),
-        dict(dt=0.1, variant="exact"), dict(dt=0.1, mass=float("nan")),
+        dict(dt=float("nan")), dict(dt=0.1, mass=float("nan")),
     ])
     def test_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -266,7 +273,7 @@ class TestStepSeparable:
         # the step itself leaves a p-constant field of a static sum unchanged
         pot = SeparableSum(terms=(Harmonic(k=1.0), GaussianWell(),
                                   Linear(g=0.5))[:d])
-        kicked = step(f, pot, 0.0, SpectralStepConfig(dt=0.1))
+        kicked = step_full(f, pot, 0.0, SpectralStepConfig(dt=0.1))
         np.testing.assert_allclose(kicked.values, f.values, atol=1e-12)
 
     def test_term_count_must_match_axes(self):
@@ -289,11 +296,10 @@ class TestStepSeparable:
         axis = make_grid(-6, 6, 4, -6, 6, 4)
         grid = PhaseSpaceGridND(axes=(axis,) * d)
         f = WignerFieldND(grid=grid, values=np.ones(grid.shape()))
-        for variant in ("full", "first_order"):
-            cfg = SpectralStepConfig(dt=0.1, variant=variant)
-            for stepper in (step, step_separable):
-                with pytest.raises(ValueError, match=f"{d}-d lattice .* SeparableSum"):
-                    stepper(f, pot, 0.0, cfg)
+        cfg = SpectralStepConfig(dt=0.1)
+        for stepper in (step_full, step_first_order, step_separable):
+            with pytest.raises(ValueError, match=f"{d}-d lattice .* SeparableSum"):
+                stepper(f, pot, 0.0, cfg)
 
     def test_a_potential_that_cannot_kick_raises_before_the_drift(self, monkeypatch):
         drifts = []
@@ -307,19 +313,20 @@ class TestStepSeparable:
         grid = PhaseSpaceGridND(axes=(axis, axis))
         f = WignerFieldND(grid=grid, values=np.ones(grid.shape()))
         with pytest.raises(ValueError, match="2-d lattice .* SeparableSum"):
-            step(f, GaussianWell(depth=1.0, sigma=2.0), 0.0, SpectralStepConfig(dt=0.1))
+            step_full(f, GaussianWell(depth=1.0, sigma=2.0), 0.0,
+                      SpectralStepConfig(dt=0.1))
         assert drifts == []
-        step(f, SeparableSum((Harmonic(k=1.0),) * 2), 0.0, SpectralStepConfig(dt=0.1))
+        step_full(f, SeparableSum((Harmonic(k=1.0),) * 2), 0.0, SpectralStepConfig(dt=0.1))
         assert len(drifts) == 1
 
     def test_one_term_sum_on_one_axis_steps_as_its_term(self):
         f = blob(make_grid(-6, 6, 32, -5, 5, 32), x0=0.5)
         well = GaussianWell(depth=1.0, sigma=2.0)
         pot = SeparableSum(terms=(well,))
-        for variant in ("full", "first_order"):
-            cfg = SpectralStepConfig(dt=0.1, variant=variant)
-            assert np.array_equal(step(f, pot, 0.3, cfg).values,
-                                  step(f, well, 0.3, cfg).values)
+        cfg = SpectralStepConfig(dt=0.1)
+        for stepper in (step_full, step_first_order):
+            assert np.array_equal(stepper(f, pot, 0.3, cfg).values,
+                                  stepper(f, well, 0.3, cfg).values)
         assert np.array_equal(kick_full(f, pot, 0.3, 0.1).values,
                               kick_full(f, well, 0.3, 0.1).values)
 
@@ -340,11 +347,12 @@ class TestStepSeparable3D:
         values = np.einsum("ad,be,cf->abcdef", *(p.values for p in parts))
         f3 = WignerFieldND(grid=grid_3d, values=values)
         pot3 = SeparableSum(terms=pots)
-        cfg = SpectralStepConfig(dt=0.07, variant=variant)
+        cfg = SpectralStepConfig(dt=0.07)
+        stepper = STEPS[variant]
         norm0 = norm_nd(f3)
         for k in range(3):
-            f3 = step_separable(f3, pot3, k * cfg.dt, cfg)
-            parts = [step(p, pots[j], k * cfg.dt, cfg)
+            f3 = stepper(f3, pot3, k * cfg.dt, cfg)
+            parts = [stepper(p, pots[j], k * cfg.dt, cfg)
                      for j, p in enumerate(parts)]
         want = np.einsum("ad,be,cf->abcdef", *(p.values for p in parts))
         np.testing.assert_allclose(f3.values, want, atol=1e-12)
@@ -369,36 +377,42 @@ ND_POTENTIALS = {
 
 
 class TestStepAnyDimension:
-    """``step``, ``step_full``, ``step_first_order`` and ``evolve`` take
-    2-d/3-d fields through the same body as ``step_separable``."""
+    """``step_full`` and ``step_first_order`` take 2-d/3-d fields through
+    the body of ``step_separable``, the drift and then the kick of their
+    variant, and ``phasespace.evolve`` runs them."""
 
     @pytest.mark.parametrize("variant", ["full", "first_order"])
     @pytest.mark.parametrize("d, n, which", [(2, 16, 0), (2, 16, 1), (3, 8, 0), (3, 8, 1)])
     def test_step_and_evolve_equal_step_separable(self, d, n, which, variant):
         f = random_field_nd(d, n)
         pot = ND_POTENTIALS[d][which]
-        cfg = SpectralStepConfig(dt=0.1, variant=variant)
-        want = step_separable(f, pot, 0.3, cfg)
-        by_name = step_full if variant == "full" else step_first_order
-        for got in (step(f, pot, 0.3, cfg), by_name(f, pot, 0.3, cfg)):
-            assert np.array_equal(got.values, want.values)
-            assert got.time == want.time
+        cfg = SpectralStepConfig(dt=0.1)
 
-        res = evolve(f, pot, 0.2, 0.5, 3, cfg)
-        want = f
-        dt = (0.5 - 0.2) / 3
+        def body(values, t):
+            drifted = _drift_values(values, f.grid, cfg.dt, cfg.mass)
+            return _kick_values(drifted, f.grid, pot, t, cfg.dt, variant)
+
+        got = STEPS[variant](f, pot, 0.3, cfg)
+        assert np.array_equal(got.values, body(f.values, 0.3))
+        assert got.time == f.time + cfg.dt
+        if variant == "full":
+            assert np.array_equal(step_separable(f, pot, 0.3, cfg).values, got.values)
+
+        res = run(STEPS[variant], f, pot, 0.2, cfg, 3)
+        want = f.values
         for k in range(3):
-            want = step_separable(want, pot, 0.2 + k * dt, replace(cfg, dt=dt))
-        assert np.array_equal(res.field.values, want.values)
+            want = body(want, 0.2 + k * cfg.dt)
+        assert np.array_equal(res.field.values, want)
         assert len(res.diagnostics) == 3
 
     def test_one_axis_product_grid_steps_as_its_axis(self):
         axis = make_grid(-6, 6, 32, -5, 5, 32)
         f = random_field_nd(1, 32)
         pot, cfg = GaussianWell(depth=1.0, sigma=2.0), SpectralStepConfig(dt=0.1)
-        got = step(f, pot, 0.0, cfg)
-        want = step(WignerField(grid=axis, values=f.values), pot, 0.0, cfg)
-        assert got.grid == f.grid and np.array_equal(got.values, want.values)
+        for stepper in (step_full, step_first_order):
+            got = stepper(f, pot, 0.0, cfg)
+            want = stepper(WignerField(grid=axis, values=f.values), pot, 0.0, cfg)
+            assert got.grid == f.grid and np.array_equal(got.values, want.values)
 
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
     def test_variants_differ_by_the_kick_truncation(self, d, n):
@@ -406,9 +420,10 @@ class TestStepAnyDimension:
         pot = ND_POTENTIALS[d][1]
 
         def gap(dt):
-            full = step(f, pot, 0.0, SpectralStepConfig(dt=dt)).values
-            first = step(f, pot, 0.0, SpectralStepConfig(dt=dt, variant="first_order"))
-            return np.abs(full - first.values).max() / np.abs(full).max()
+            cfg = SpectralStepConfig(dt=dt)
+            full = step_full(f, pot, 0.0, cfg).values
+            first = step_first_order(f, pot, 0.0, cfg).values
+            return np.abs(full - first).max() / np.abs(full).max()
         # the first-order kernel drops terms of order (dt dV)^2, so halving
         # dt quarters the gap
         assert 0 < gap(0.05) < 1e-3

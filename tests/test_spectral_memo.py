@@ -177,10 +177,10 @@ class TestMemoSafety:
     def test_variants_and_step_sizes_never_share_an_entry(self):
         pot = Harmonic(k=1.0)
         f = blob(GRID)
-        for cfg in (SpectralStepConfig(dt=0.1), SpectralStepConfig(dt=0.2),
-                    SpectralStepConfig(dt=0.1, variant="first_order")):
-            got = spectral.step(f, pot, 0.0, cfg)
-            want = reference_step(f, pot, 0.0, cfg.dt, variant=cfg.variant)
+        for dt, variant, stepper in ((0.1, "full", step_full), (0.2, "full", step_full),
+                                     (0.1, "first_order", step_first_order)):
+            got = stepper(f, pot, 0.0, SpectralStepConfig(dt=dt))
+            want = reference_step(f, pot, 0.0, dt, variant=variant)
             assert max_rel(got.values, want) <= 1e-12
         assert len(kick_keys()) == 3
 
@@ -192,10 +192,11 @@ class TestMemoSafety:
         grid = PhaseSpaceGridND((axis, axis))
         f = WignerFieldND(grid=grid, values=np.random.default_rng(3).random(grid.shape()))
         for _ in range(2):      # the second pass is served from the memo
-            for variant in ("full", "first_order"):
-                cfg = SpectralStepConfig(dt=0.1, variant=variant)
-                got = spectral.step(f, pot, 0.0, cfg)
-                want = rfft_step_separable(f, pot, 0.0, cfg)
+            for variant, stepper in (("full", step_full),
+                                     ("first_order", step_first_order)):
+                cfg = SpectralStepConfig(dt=0.1)
+                got = stepper(f, pot, 0.0, cfg)
+                want = rfft_step_separable(f, pot, 0.0, cfg, variant)
                 assert max_rel(got.values, want) <= 1e-12
         # one matrix set per axis and variant
         assert len(kick_keys()) == 4
@@ -210,10 +211,11 @@ class TestMemoSafety:
         pot = SeparableSum((Harmonic(k=1.0), GaussianWell(depth=1.0, sigma=2.0),
                             Linear(g=0.5))[:d])
         f = WignerFieldND(grid=grid, values=np.random.default_rng(4).random(grid.shape()))
-        for variant, build in (("full", _kick_phase),
-                               ("first_order", _kick_multiplier_first_order)):
-            cfg = SpectralStepConfig(dt=0.1, variant=variant)
-            spectral.step(f, pot, 0.0, cfg)
+        cfg = SpectralStepConfig(dt=0.1)
+        for variant, stepper, build in (
+                ("full", step_full, _kick_phase),
+                ("first_order", step_first_order, _kick_multiplier_first_order)):
+            stepper(f, pot, 0.0, cfg)
             for j, (g, term) in enumerate(zip(axes, pot.terms)):
                 got = spectral._MEMO[("kick_nd", variant, grid, pot, cfg.dt, j)]
                 want = _transfer_matrices(build(g, term, 0.0, cfg.dt), 1, g.np,
@@ -305,7 +307,7 @@ class TestHalfSpectrumProperties:
         field, pot, dt, mass = case
         for variant, stepper in (("full", step_full),
                                  ("first_order", step_first_order)):
-            cfg = SpectralStepConfig(dt=dt, mass=mass, variant=variant)
+            cfg = SpectralStepConfig(dt=dt, mass=mass)
             want = reference_step(field, pot, 0.0, dt, mass, variant)
             for _ in range(2):      # built, then served from the memo
                 got = stepper(field, pot, 0.0, cfg)
@@ -372,8 +374,8 @@ def on_axis_kick_phase(grid, pot, t, dt, j, variant="full"):
     return real_half_nyquist(phase, axis=d + j)
 
 
-def rfft_step_separable(field, pot, t, cfg):
-    """step_separable as one rfft/irfft pair per sub-step and axis: the
+def rfft_step_separable(field, pot, t, cfg, variant="full"):
+    """A 2-d/3-d step as one rfft/irfft pair per sub-step and axis: the
     drift multiplies the x_j half spectrum by the 1-d drift phase, the
     kick the p_j half spectrum by the variant's on-axis kick multiplier."""
     grid = field.grid
@@ -388,7 +390,7 @@ def rfft_step_separable(field, pot, t, cfg):
         values = np.fft.irfft(np.fft.rfft(values, axis=j) * phase.reshape(shape),
                               n=g.nx, axis=j)
     for j, g in enumerate(grid.axes):
-        phase = on_axis_kick_phase(grid, pot, t, cfg.dt, j, cfg.variant)
+        phase = on_axis_kick_phase(grid, pot, t, cfg.dt, j, variant)
         values = np.fft.irfft(np.fft.rfft(values, axis=d + j) * phase,
                               n=g.np, axis=d + j)
     return values
@@ -420,21 +422,23 @@ def separable_cases(draw):
         st.builds(lambda g, k: SeparableSum(tuple(
             DrivenLinear(g=g) if i == k else term for i, term in enumerate(terms))),
             st.floats(-3.0, 3.0), st.integers(0, d - 1))))
-    cfg = SpectralStepConfig(dt=draw(st.floats(1e-3, 0.5)), mass=draw(st.floats(0.2, 5.0)),
-                             variant=draw(st.sampled_from(["full", "first_order"])))
-    return field, pot, draw(st.floats(0.0, 2.0)), cfg
+    cfg = SpectralStepConfig(dt=draw(st.floats(1e-3, 0.5)), mass=draw(st.floats(0.2, 5.0)))
+    return (field, pot, draw(st.floats(0.0, 2.0)), cfg,
+            draw(st.sampled_from(["full", "first_order"])))
 
 
 @settings(max_examples=40, deadline=None, database=None)
 @given(separable_cases())
 def test_separable_step_matches_rfft_formulation(case):
-    field, pot, t, cfg = case
+    field, pot, t, cfg, variant = case
     before = field.values.copy()
+    steppers = ((step_full, step_separable) if variant == "full"
+                else (step_first_order,))
     # other step sizes and masses share the memo but never an entry
     for cfg in (cfg, replace(cfg, dt=cfg.dt / 2), replace(cfg, mass=2 * cfg.mass)):
-        want = rfft_step_separable(field, pot, t, cfg)
-        for _ in range(2):      # built, then served from the memo if static
-            got = step_separable(field, pot, t, cfg)
+        want = rfft_step_separable(field, pot, t, cfg, variant)
+        for stepper in steppers * 2:    # built, then served from the memo if static
+            got = stepper(field, pot, t, cfg)
             assert np.abs(got.values - want).max() <= 1e-12 * np.abs(want).max()
             assert got.time == field.time + cfg.dt
     assert np.array_equal(field.values, before)
