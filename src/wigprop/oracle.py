@@ -523,13 +523,14 @@ def numeric_wigner(psi: np.ndarray, x_fine: np.ndarray,
         out[(points < lo) | (points > hi)] = 0.0
         return out
 
-    s = grid.s_lattice
+    axis = _one_dimensional(grid, "numeric_wigner")
+    s = axis.s_lattice
     # f(x, p_j) = ds * sum_k exp(i s_k p_j) psi(x - s_k/2) conj(psi(x + s_k/2))
     # with exp(i s_k p_j) = exp(i s_k p_min) * (inverse-DFT kernel at j)
-    values = np.empty(grid.shape())
-    base_phase = np.exp(1j * s * grid.p_min)
-    for i, xi in enumerate(grid.x_lattice):
+    values = np.empty(axis.shape())
+    base_phase = np.exp(1j * s * axis.p_min)
+    for i, xi in enumerate(axis.x_lattice):
         integrand = psi_at(xi - s / 2.0) * np.conj(psi_at(xi + s / 2.0))
-        row = grid.np * np.fft.ifft(integrand * base_phase) * grid.ds
+        row = axis.np * np.fft.ifft(integrand * base_phase) * axis.ds
         values[i], _ = truncate_real(row, context="numeric wigner transform")
     return WignerField(grid=grid, values=values, time=0.0)

@@ -27,8 +27,7 @@ from .spectral import _is_static, _memoized
 
 #: The factor |dt V''' s^3 / 24| at the ``stable_p3_cutoff`` band edge.
 P3_SAFETY = 0.25
-#: Particles ``deposit`` sums per chunk, and distinct stencil offsets it
-#: solves per call of ``_stencil_weights``.  Each chunk's sums are added to
+#: Particles ``deposit`` sums per chunk.  Each chunk's sums are added to
 #: the field as one lattice, so the chunk size fixes the result's bits.
 _DEPOSIT_CHUNK = 4096
 #: Stencil values ``deposit`` forms at a time within a chunk (at least one
@@ -196,8 +195,9 @@ def stable_p3_cutoff(grid: PhaseSpaceGrid, pot: Potential, t: float,
     exceeds one grows without bound under iteration.  The returned cutoff
     caps that factor at ``P3_SAFETY``.
     """
-    v3max = float(np.abs(_third_derivative(pot, grid, t)).max())
-    s_max = float(np.abs(grid.s_lattice).max())
+    axis = _one_dimensional(grid, "stable_p3_cutoff")
+    v3max = float(np.abs(_third_derivative(pot, axis, t)).max())
+    s_max = float(np.abs(axis.s_lattice).max())
     if v3max == 0.0:
         return s_max
     return min(s_max, (24.0 * P3_SAFETY / (dt * v3max)) ** (1.0 / 3.0))
@@ -389,9 +389,10 @@ def _stencil_weights(frac: np.ndarray, offsets: np.ndarray, delta: float,
 def _axis_stencils(pos: np.ndarray, lo: float, delta: float, n: int,
                    params: DFunctionParams):
     """Nearest node, stencil offsets, and the weight table with each
-    particle's row in it, along an axis of ``n`` nodes.  Weights depend
-    only on the particle's offset from its node, so each distinct offset
-    is solved once (a single row for particles on lattice nodes).
+    particle's row in it, along an axis of ``n`` nodes, for one chunk of
+    particles.  Weights depend only on the particle's offset from its
+    node, so each distinct offset of the chunk is solved once (a single
+    row for particles on lattice nodes).
 
     A particle whose stencil cannot reach a node of the axis, however far
     out (its node need not fit an integer), gets the node -half - 1 and
@@ -409,9 +410,7 @@ def _axis_stencils(pos: np.ndarray, lo: float, delta: float, n: int,
     node[far] = -half - 1
     frac[far] = 0.0
     fracs, row = np.unique(frac, return_inverse=True)
-    table = np.concatenate([
-        _stencil_weights(fracs[s:s + _DEPOSIT_CHUNK], offsets, delta, params)
-        for s in range(0, len(fracs), _DEPOSIT_CHUNK)])
+    table = _stencil_weights(fracs, offsets, delta, params)
     return node.astype(int), offsets, table, row
 
 
@@ -431,41 +430,40 @@ def deposit(ensemble: Ensemble, grid: PhaseSpaceGrid,
     carry its moments.
 
     Particles are processed in a fixed order, in chunks of
-    ``_DEPOSIT_CHUNK``: each chunk's values are summed into a zeroed
-    lattice in particle order, and that lattice is added to the field, so
-    the result is deterministic.  Within a chunk the values are formed a
-    sub-block of at most ``_DEPOSIT_VALUES`` stencil values (and at least
-    one particle) at a time and added with ``np.add.at``, in the order and
-    with the bits of one ``np.bincount`` over the whole chunk, so the
-    working set is a sub-block's, not a chunk's.  Kernel tails are
+    ``_DEPOSIT_CHUNK``: each chunk builds its own stencils and weight
+    tables, its values are summed into a zeroed lattice in particle order,
+    and that lattice is added to the field, so the result is deterministic
+    and no array but the ensemble's own columns is as long as it.  Within
+    a chunk the values are formed a sub-block of at most
+    ``_DEPOSIT_VALUES`` stencil values (and at least one particle) at a
+    time and added with ``np.add.at``, in the order and with the bits of
+    one ``np.bincount`` over the whole chunk, so the working set is a
+    sub-block's, not a chunk's.  Kernel tails are
     truncated where they fall below double precision.  An ensemble carries
     no time, so the field is at time 0.
     """
     axis = _one_dimensional(grid, "deposit")
-    if len(ensemble) == 0:
-        return WignerField(grid=grid, values=np.zeros(axis.shape()))
-
-    ci, off_i, table_i, row_i = _axis_stencils(ensemble.r, axis.x_min, axis.dx,
-                                               axis.nx, params_r)
-    cj, off_j, table_j, row_j = _axis_stencils(ensemble.p, axis.p_min, axis.dp,
-                                               axis.np, params_p)
-    block = max(1, _DEPOSIT_VALUES // (len(off_i) * len(off_j)))
     flat = np.zeros(axis.nx * axis.np)
     sums = np.empty_like(flat)
     for chunk in range(0, len(ensemble), _DEPOSIT_CHUNK):
-        stop = min(chunk + _DEPOSIT_CHUNK, len(ensemble))
+        sl = slice(chunk, chunk + _DEPOSIT_CHUNK)
+        ci, off_i, table_i, row_i = _axis_stencils(ensemble.r[sl], axis.x_min,
+                                                   axis.dx, axis.nx, params_r)
+        cj, off_j, table_j, row_j = _axis_stencils(ensemble.p[sl], axis.p_min,
+                                                   axis.dp, axis.np, params_p)
+        w = ensemble.f_l[sl] * ensemble.dr[sl] * ensemble.dp[sl]
+        block = max(1, _DEPOSIT_VALUES // (len(off_i) * len(off_j)))
         sums.fill(0.0)
-        for start in range(chunk, stop, block):
-            sl = slice(start, min(start + block, stop))
-            w = ensemble.f_l[sl] * ensemble.dr[sl] * ensemble.dp[sl]
-            ii = ci[sl, None] + off_i[None, :]                    # (n, wi)
-            jj = cj[sl, None] + off_j[None, :]                    # (n, wj)
+        for start in range(0, len(w), block):
+            b = slice(start, start + block)
+            ii = ci[b, None] + off_i[None, :]                     # (n, wi)
+            jj = cj[b, None] + off_j[None, :]                     # (n, wj)
             # kernel values are densities; the particle weight already
             # carries the dr * dp cell volume.  Nodes outside the grid get
             # weight zero (on a clipped index), after the correction.
-            wi = np.where((ii >= 0) & (ii < axis.nx), table_i[row_i[sl]], 0.0)
-            wj = np.where((jj >= 0) & (jj < axis.np), table_j[row_j[sl]], 0.0)
-            contrib = (w[:, None] * wi)[:, :, None] * wj[:, None, :]
+            wi = np.where((ii >= 0) & (ii < axis.nx), table_i[row_i[b]], 0.0)
+            wj = np.where((jj >= 0) & (jj < axis.np), table_j[row_j[b]], 0.0)
+            contrib = (w[b, None] * wi)[:, :, None] * wj[:, None, :]
             index = (np.clip(ii, 0, axis.nx - 1)[:, :, None] * axis.np
                      + np.clip(jj, 0, axis.np - 1)[:, None, :])
             np.add.at(sums, index.ravel(), contrib.ravel())

@@ -8,7 +8,8 @@ at a time, with the bits of one ``np.bincount`` over the whole chunk.
   the chunk (4096) and the sub-block size, which is also shrunk to one
   particle and to a few.
 - Its tracemalloc peak over 65,536 particles is a sub-block's working
-  set, not a chunk's.
+  set, not a chunk's, on lattice nodes; off them it is one chunk's
+  stencils and weight table, not the ensemble's.
 """
 
 import tracemalloc
@@ -150,3 +151,31 @@ def test_deposit_peaks_at_a_sub_block_working_set():
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20, (order, peak / 2**20)
+
+
+def test_off_node_deposit_peaks_at_one_chunks_weight_table():
+    # 65,536 particles at uniform random positions on 256^2, so nearly
+    # every offset is distinct.  Each chunk solves its own at most 4096
+    # weight rows: the peak was 4.9 MiB at order 0 and 14.1 MiB at order 3
+    # (the 17-node, 8-term Hermite bases and Gram matrices of one chunk),
+    # against 19.6 and 31.1 MiB when one table held every row of the
+    # ensemble (on nodes, per-chunk stencils also cut the previous test's
+    # 4.9 and 4.8 MiB to 3.1 and 3.0).  The bounds leave 3-4 MiB for
+    # numpy's temporaries.
+    grid = make_grid(-8.0, 8.0, 256, -8.0, 8.0, 256)
+    rng = np.random.default_rng(3)
+    n = 65536
+    ens = Ensemble(r=rng.uniform(-8.0, 8.0, n), p=rng.uniform(-8.0, 8.0, n),
+                   f_l=rng.normal(size=n), dr=np.full(n, grid.dx),
+                   dp=np.full(n, grid.dp))
+    for order, bound in ((0, 8), (3, 18)):
+        params_r = DFunctionParams(alpha=auto_alpha(grid.dx), order=order)
+        params_p = DFunctionParams(alpha=auto_alpha(grid.dp), order=order)
+        deposit(ens, grid, params_r, params_p)
+        tracemalloc.start()
+        try:
+            deposit(ens, grid, params_r, params_p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 2**20, (order, peak / 2**20)

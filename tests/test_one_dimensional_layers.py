@@ -1,7 +1,8 @@
 """The layers that read one (x, p) axis: the transported steps, the NLO
-correction and its third derivative, transcription and the oracle's
-sampling.  A 2-d/3-d lattice raises ``ValueError`` naming the function,
-and a one-axis product grid steps, transcribes and samples as its axis."""
+correction, its third derivative and its stable band, transcription, and
+the oracle's sampling and direct transform.  A 2-d/3-d lattice raises
+``ValueError`` naming the function, and a one-axis product grid steps,
+transcribes and samples as its axis."""
 
 import numpy as np
 import pytest
@@ -25,6 +26,10 @@ def state():
     return oracle.superposition(oracle.solve(oracle.GaussianBasis(), 3.0), 1.0, 1.0)
 
 
+X_FINE = np.linspace(-9.0, 9.0, 721)
+PSI = np.exp(-(X_FINE - 0.5) ** 2 / 2 + 0.7j * X_FINE) / np.pi**0.25
+
+
 def entry_points(f, grid):
     """Each entry point, by the name its error gives, called on the field f
     and the grid it lives on; every call returns arrays to compare."""
@@ -37,10 +42,12 @@ def entry_points(f, grid):
             pseudoparticle.nlo_correction(f, POT, 0.0, 0.1, s_cutoff=cutoff).values
             for cutoff in (None, 3.0)],
         "d_p3": lambda: [pseudoparticle.d_p3(f).values],
+        "stable_p3_cutoff": lambda: [pseudoparticle.stable_p3_cutoff(grid, POT, 0.0, 0.1)],
         "to_ensemble": lambda: list(vars(pseudoparticle.to_ensemble(f)).values()),
         "deposit": lambda: [pseudoparticle.deposit(ensemble, grid, PARAMS, PARAMS).values],
         "sample_fields": lambda: [g.values for g in
                                   oracle.sample_fields(state(), [0.0, 1.5], grid)],
+        "numeric_wigner": lambda: [oracle.numeric_wigner(PSI, X_FINE, grid).values],
         "interpolate": lambda: [interpolate(f, [0.25, -1.3], [0.1, 2.2])],
     }
 

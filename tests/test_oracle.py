@@ -7,13 +7,13 @@ from scipy.integrate import quad
 
 from wigprop import make_grid
 from wigprop.oracle import (N_MAX_SOLVABLE, ConditioningError, GaussianBasis,
-                            SuperpositionState,
+                            SuperpositionState, _jacobi_eigh, basis_function,
                             basis_coefficients, eigen_wavefunction,
                             kinetic_matrix, numeric_wigner, overlap_matrix,
                             potential_matrix, sample_field, solve,
                             superposition, wavefunction, wigner_at,
                             wigner_basis, wigner_dp3_at)
-from wigprop.phasespace import diff_metrics, norm
+from wigprop.phasespace import NumericalError, diff_metrics, norm
 
 SIGMA = 3.0
 
@@ -95,8 +95,26 @@ class TestMatrixElements:
                     worst = max(worst, abs(got - ref) / abs(ref))
         assert worst < 1e-8
 
+    def test_basis_needs_two_functions(self):
+        with pytest.raises(ValueError, match="^n_max must be at least 2$"):
+            GaussianBasis(n_max=1)
+
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_basis_function_index_range(self, n):
+        with pytest.raises(ValueError, match=r"^n must be in 1\.\.4$"):
+            basis_function(GaussianBasis(n_max=4), n, 0.0)
+
 
 class TestSolve:
+    def test_jacobi_reports_non_convergence(self):
+        # one sweep rotates every pair of a full matrix, so it never ends
+        # on a sweep without rotations
+        mat = np.array([[2.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 4.0]])
+        with pytest.raises(NumericalError, match="^Jacobi eigensolver failed to converge$"):
+            _jacobi_eigh(mat, max_sweeps=1)
+        evals, _ = _jacobi_eigh(mat)
+        np.testing.assert_allclose(evals, np.linalg.eigvalsh(mat), rtol=1e-13)
+
     def test_benchmark_energies(self):
         solution = solve(GaussianBasis(), SIGMA)
         assert solution.energies[0] == pytest.approx(-0.844, abs=0.002)
@@ -241,6 +259,14 @@ class TestSuperpositionState:
         np.testing.assert_allclose(np.abs(state.amplitudes) ** 2, [0.5, 0.5],
                                    rtol=1e-14)
 
+    @pytest.mark.parametrize("amplitudes", [[[1.0]], [0.6, 0.0, 0.8]])
+    def test_amplitudes_are_a_vector_over_the_solved_states(self, amplitudes):
+        solution = solve(GaussianBasis(n_max=2), SIGMA)
+        assert solution.n_states == 2
+        with pytest.raises(ValueError, match="^amplitudes must be a vector over "
+                                             "the solved states$"):
+            SuperpositionState(solution=solution, amplitudes=np.array(amplitudes))
+
     def test_basis_coefficients_at_t0(self):
         solution = solve(GaussianBasis(), SIGMA)
         state = superposition(solution, 1.0, 1.0)
@@ -336,3 +362,10 @@ class TestNumericWigner:
         f = numeric_wigner(psi_g, x_fine, grid)
         # p-lattice excludes +p_max, so compare rows 1..n-1 against reversal
         np.testing.assert_allclose(f.values[:, 1:], f.values[:, :0:-1], atol=1e-10)
+
+    @pytest.mark.parametrize("psi, x_fine", [(np.ones(4), np.linspace(0, 1, 5)),
+                                             (np.ones((2, 4)), np.ones((2, 4)))])
+    def test_psi_and_x_fine_must_be_matching_vectors(self, psi, x_fine):
+        with pytest.raises(ValueError, match="^psi and x_fine must be matching "
+                                             "1-d arrays$"):
+            numeric_wigner(psi, x_fine, make_grid(-2, 2, 4, -2, 2, 4))

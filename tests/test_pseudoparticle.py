@@ -245,6 +245,33 @@ class TestEnsemble:
             Ensemble(r=np.zeros(3), p=np.zeros(2), f_l=np.zeros(3),
                      dr=np.ones(3), dp=np.ones(3))    # length mismatch
 
+    @pytest.mark.parametrize("name", ["r", "p", "f_l", "dr", "dp"])
+    def test_columns_must_be_finite_vectors(self, name):
+        columns = {k: np.ones(3) for k in ("r", "p", "f_l", "dr", "dp")}
+        with pytest.raises(ValueError, match=f"^{name} must be one-dimensional$"):
+            Ensemble(**{**columns, name: np.ones((3, 1))})
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                Ensemble(**{**columns, name: np.array([1.0, bad, 1.0])})
+
+    @pytest.mark.parametrize("header", ["", "ensemble 3", "# ensemble", "# field 3",
+                                        "ensemble # 3", "# ensemble 3 extra"])
+    def test_load_rejects_a_file_without_the_ensemble_header(self, tmp_path, header):
+        path = tmp_path / "ens.txt"
+        path.write_text(header + "\n1 2 3 4 5\n")
+        with pytest.raises(ValueError, match="not an ensemble file$"):
+            load_ensemble(path)
+
+    @pytest.mark.parametrize("count, rows", [(2, "1 2 3 4 5\n"),
+                                             (1, "1 2 3 4 5\n1 2 3 4 5\n"),
+                                             (1, "1 2 3 4\n")])
+    def test_load_rejects_a_row_count_the_header_does_not_give(self, tmp_path,
+                                                               count, rows):
+        path = tmp_path / "ens.txt"
+        path.write_text(f"# ensemble {count}\n{rows}")
+        with pytest.raises(ValueError, match=f"expected {count} rows of 5 columns, got"):
+            load_ensemble(path)
+
     def test_save_load_roundtrip(self, tmp_path):
         rng = np.random.default_rng(6)
         ens = Ensemble(r=rng.uniform(-1, 1, 9), p=rng.uniform(-1, 1, 9),
