@@ -2,17 +2,12 @@
 
 The propagators evaluate V at points off the x-lattice (the shifted
 arguments x +/- s/2 of the momentum kernel), so potentials are kept in
-closed form and never sampled on a grid.  The time argument is threaded
-through every evaluation even though the built-ins are static; driven
-potentials can then be added without touching the propagator interfaces.
-
-Every potential declares whether it depends on time through the class
-attribute ``time_dependent``.  The base class says it does, so a new
-potential is treated as driven until it declares otherwise; the built-ins
-declare that they do not, and ``SeparableSum`` is static exactly when all
-of its terms are.  The spectral propagator caches the kick multiplier of
-a static potential (equal potentials, by dataclass equality, share it)
-and rebuilds the kick of a driven one at every step time.
+closed form and never sampled on a grid.  Potentials are cached by value:
+the propagators memoize what they build from one (kick multipliers,
+backtrack stencils) under the potential itself, and every built-in is a
+frozen dataclass, equal when its parameters are.  An unhashable potential
+is rebuilt at every step.  One whose values depend on t is unsupported,
+because the arrays built at its first step would be cached.
 """
 
 from __future__ import annotations
@@ -27,11 +22,11 @@ import numpy as np
 class Potential:
     """One-dimensional scalar potential, evaluable at arbitrary points.
 
-    Subclasses provide value/grad/d3 as vectorized functions of x, and set
-    ``time_dependent = False`` when the values do not depend on t.
+    Subclasses provide value/grad/d3 as vectorized functions of x.  They
+    are cached by value, so equal potentials should hash equal (a frozen
+    dataclass does); an unhashable one is rebuilt at every step, and one
+    whose values depend on t is unsupported, since its arrays are cached.
     """
-
-    time_dependent = True
 
     def value(self, x, t: float = 0.0):
         raise NotImplementedError
@@ -47,7 +42,6 @@ class Potential:
 @dataclass(frozen=True)
 class Constant(Potential):
     c: float = 0.0
-    time_dependent = False
 
     def value(self, x, t: float = 0.0):
         return np.full_like(np.asarray(x, dtype=float), self.c)
@@ -62,7 +56,6 @@ class Constant(Potential):
 @dataclass(frozen=True)
 class Linear(Potential):
     g: float = 1.0
-    time_dependent = False
 
     def value(self, x, t: float = 0.0):
         return self.g * np.asarray(x, dtype=float)
@@ -79,7 +72,6 @@ class Harmonic(Potential):
     """V(x) = k x^2 / 2."""
 
     k: float = 1.0
-    time_dependent = False
 
     def __post_init__(self):
         if self.k < 0:
@@ -116,7 +108,6 @@ class GaussianWell(Potential):
 
     depth: float = 1.0
     sigma: float = 3.0
-    time_dependent = False
 
     def __post_init__(self):
         check_sigma(self.sigma)
@@ -143,20 +134,9 @@ class GaussianWell(Potential):
 @dataclass(frozen=True)
 class SeparableSum:
     """V(r) = sum_j V_j(x_j) built from one-dimensional potentials, one per
-    axis; the spectral step kicks along p_j by term j alone.  ``value_nd``
-    evaluates V on coords, one broadcastable array per axis."""
+    axis; the spectral step kicks along p_j by term j alone."""
 
     terms: tuple[Potential, ...]
-
-    @property
-    def time_dependent(self) -> bool:
-        return any(getattr(pot, "time_dependent", True) for pot in self.terms)
-
-    def value_nd(self, coords, t: float = 0.0):
-        out = self.terms[0].value(coords[0], t)
-        for pot, c in zip(self.terms[1:], coords[1:]):
-            out = out + pot.value(c, t)
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ interpolation) for potentials whose third and higher spatial derivatives
 vanish.  The next order adds the leading quantum correction
  -(dt * hbar^2 / 24) V'''(x) d^3 f / dp^3, with the derivative taken from
 the uncorrected transported field, which keeps the correction loop from
-feeding back on itself.
+feeding back on itself.  Backtrack stencils are cached by the potential's
+value (see ``potentials``): an unhashable potential is rebuilt at every
+step, and one whose values depend on t is unsupported.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .phasespace import (_BLOCK_ROWS, HBAR, REALNESS_TOL, NonFiniteFieldError,
                          _one_dimensional, _spline_stencil,
                          at_lattice_coordinates, truncate_real, write_rows)
 from .potentials import Potential
-from .spectral import _is_static, _memoized
+from .spectral import _memoized
 
 #: The factor |dt V''' s^3 / 24| at the ``stable_p3_cutoff`` band edge.
 P3_SAFETY = 0.25
@@ -84,20 +86,17 @@ def step_lo(field_in: WignerField, pot: Potential, t: float, dt: float,
     O(dt^2) per step and visibly shrinks structures over long runs.
 
     The spline stencil of the backtracked points (each one's stencil
-    corner and its two fractional offsets, one (3, nx, np) array) is
-    built on the calling thread.  For a static (``time_dependent =
-    False``) hashable potential it depends only on (grid, potential, dt,
-    mass), so it is built once and kept in the bounded memo of
-    ``spectral`` under that key; any other potential gets it rebuilt at
-    every step.  Non-finite backtracked points raise
+    corner and its two fractional offsets, one (3, nx, np) array) depends
+    only on (grid, potential, dt, mass), so it is kept in the memo of
+    ``spectral`` under that key; an unhashable potential gets it rebuilt
+    at every step.  Non-finite backtracked points raise
     ``NonFiniteFieldError``.  A step is then one spline prefilter and one
-    evaluation over the stencil, both on the calling thread, with the
-    same result bits from the memo or not.
+    evaluation over the stencil, all on the calling thread, with the same
+    result bits from the memo or not.
     """
     grid = _one_dimensional(field_in.grid, "step_lo")
     stencil = _memoized(("backtrack", grid, pot, dt, mass),
-                        lambda: _backtrack_stencil(grid, pot, t, dt, mass),
-                        static=_is_static(pot))
+                        lambda: _backtrack_stencil(grid, pot, t, dt, mass))
     values = at_lattice_coordinates(field_in, stencil)
     return WignerField(grid=field_in.grid, values=values, time=field_in.time + dt)
 

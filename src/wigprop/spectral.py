@@ -24,10 +24,9 @@ dimension.  The variant is the function called, ``step_full`` or
 The multipliers depend only on the grid, dt and the mass (drift) or the
 potential and variant (kick), so each is built once and kept in a small
 module-level memo, bounded in entries and in bytes, that every step
-function consults; callers hold no plan object.  A kick is memoized only
-for a potential that declares ``time_dependent = False`` and can be
-hashed; any other potential gets its kick rebuilt at every step time, so
-the memo never serves a kick built at another time.
+function consults; callers hold no plan object.  Potentials are cached by
+value: equal ones share a kick, an unhashable one gets its kick rebuilt at
+every step, and one whose values depend on t is unsupported.
 
 The grid's dimension picks how the multipliers are applied.  On a 1-d
 lattice a sub-map is numpy.fft.rfft along its axis, the multiply and irfft
@@ -41,8 +40,8 @@ order; the kick multiplies every p_j line by its kick matrices.  The lattice hol
 n^(2d) values, so its axes are short, and on lines of 32 points
 pocketfft's per-line overhead costs more than the extra arithmetic of a
 dense 32 x 32 product: a 32^4 step takes under a third of its rfft/irfft
-time.  The matrices of a static potential are memoized like the
-multipliers, n^3 values per axis (256 KiB at n = 32).
+time.  The matrices are memoized like the multipliers, n^3 values per
+axis (256 KiB at n = 32).
 """
 
 from __future__ import annotations
@@ -69,10 +68,9 @@ class SpectralStepConfig:
     mass: float = 1.0
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if not self.mass > 0:
-            raise ValueError("mass must be positive")
+        for name, value in (("dt", self.dt), ("mass", self.mass)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 #: Most arrays the memo holds; the oldest entries are dropped beyond it.
@@ -83,19 +81,16 @@ _MEMO_BYTES = 32 * 2**20
 _MEMO: dict = {}
 
 
-def _memoized(key, build, static: bool = True) -> np.ndarray:
-    """build() stored under key, or built afresh when the array may change
-    with time (static false), key cannot be hashed, or the array alone
-    exceeds _MEMO_BYTES.
+def _memoized(key, build) -> np.ndarray:
+    """build() stored under key, or built afresh when key cannot be hashed
+    or the array alone exceeds _MEMO_BYTES.
 
-    The one memo of time-independent lattice arrays: the drift and kick
-    multipliers and transfer matrices here, and the pseudoparticle
-    backtrack stencils and third-derivative multiplier.  A key starts
-    with the name of what it holds and carries everything the array
-    depends on; stored arrays are read-only.  Entries are dropped oldest
-    first until both _MEMO_SIZE and _MEMO_BYTES hold."""
-    if not static:
-        return build()
+    The one memo of lattice arrays: the drift and kick multipliers and
+    transfer matrices here, and the pseudoparticle backtrack stencils and
+    third-derivative multiplier.  A key starts with the name of what it
+    holds and carries everything the array depends on, the potential by
+    value; stored arrays are read-only.  Entries are dropped oldest first
+    until both _MEMO_SIZE and _MEMO_BYTES hold."""
     try:
         out = _MEMO.get(key)
     except TypeError:
@@ -110,10 +105,6 @@ def _memoized(key, build, static: bool = True) -> np.ndarray:
             _MEMO.pop(next(iter(_MEMO)))
         _MEMO[key] = out
     return out
-
-
-def _is_static(pot) -> bool:
-    return not getattr(pot, "time_dependent", True)
 
 
 def _real_nyquist(multiplier: np.ndarray, axis: int) -> np.ndarray:
@@ -231,15 +222,13 @@ def _kick_values(values: np.ndarray, grid, pot, t: float, dt: float,
     build = _KICK_BUILDERS[variant]
     if grid.ndim == 1:
         multiplier = _memoized(("kick", variant, grid, terms[0], dt),
-                               lambda: build(grid, terms[0], t, dt),
-                               static=_is_static(terms[0]))
+                               lambda: build(grid, terms[0], t, dt))
         return _apply_kick(values, multiplier)[0]
     spare = np.empty(values.size)
     for j, (g, term) in enumerate(zip(grid.axes, terms)):
         mats = _memoized(("kick_nd", variant, grid, pot, dt, j),
                          lambda: _transfer_matrices(build(g, term, t, dt), 1, g.np,
-                                                    j == grid.ndim - 1),
-                         static=_is_static(pot))
+                                                    j == grid.ndim - 1))
         values, spare = _apply_matrices(values, mats, j, spare), (
             values if values.flags.writeable else np.empty(values.size))
     return values

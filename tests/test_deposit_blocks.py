@@ -129,13 +129,14 @@ def test_sub_blocks_equal_whole_chunks(nx, n_p, order, alpha_cell, kinds_r,
 
 
 def test_deposit_peaks_at_a_sub_block_working_set():
-    # 65,536 on-node particles on 256^2.  The working set is about sixteen
-    # arrays of 65,536 doubles or integers (0.5 MiB each): the nodes,
-    # offsets and table rows of both axes and their temporaries, the field
-    # and the chunk's sums, and one sub-block's values and indices; it
-    # peaked at 4.9 MiB (order 0) and 4.8 MiB (order 3).  The bound leaves
-    # 3 MiB for numpy's temporaries and is half the 16.1 and 32.9 MiB that
-    # whole 4096-particle chunks of values and indices peak at.
+    # 65,536 on-node particles on 256^2.  The working set is about six
+    # arrays of 65,536 doubles or integers (0.5 MiB each): the field and
+    # the chunk's sums, and one sub-block's values and indices with their
+    # temporaries; a chunk's nodes, offsets and weight table (4096
+    # particles, one row per axis) add little.  It peaked at 3.1 MiB
+    # (order 0) and 3.0 MiB (order 3).  The bound leaves 5 MiB for numpy's
+    # temporaries and is half the 16.1 and 32.9 MiB that whole
+    # 4096-particle chunks of values and indices peak at.
     grid = make_grid(-8.0, 8.0, 256, -8.0, 8.0, 256)
     x = grid.x_lattice[:, None]
     p = grid.p_lattice[None, :]

@@ -56,6 +56,19 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(*args)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["x_min", "x_max", "p_min", "p_max"])
+    def test_non_finite_bound_is_named(self, name, bad):
+        bounds = {"x_min": -1.0, "x_max": 1.0, "p_min": -1.0, "p_max": 1.0, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            make_grid(bounds["x_min"], bounds["x_max"], 4,
+                      bounds["p_min"], bounds["p_max"], 4)
+
+    @pytest.mark.parametrize("d", [0, 4])
+    def test_product_grid_takes_one_to_three_axes(self, d):
+        with pytest.raises(ValueError, match="only 1, 2 or 3 spatial dimensions"):
+            PhaseSpaceGridND((make_grid(0, 1, 4, 0, 1, 4),) * d)
+
     def test_rejects_a_product_lattice_too_big_for_one_array(self):
         # the grids allocate nothing: their lattices are built on first use
         axis = make_grid(0, 1, 2**20, 0, 1, 2**20)
@@ -185,10 +198,12 @@ class TestDiffMetrics:
             assert ac.linf <= ab.linf + bc.linf + 1e-12
 
     def test_grid_mismatch_rejected(self):
+        # a lattice of the same shape over other bounds is another grid too
         f = gaussian_field(DEFAULT_GRID)
-        other = gaussian_field(make_grid(-8, 8, 128, -4, 4, 128))
-        with pytest.raises(ValueError):
-            diff_metrics(f, other)
+        for grid in (make_grid(-8, 8, 128, -4, 4, 128),
+                     make_grid(-7, 7, DEFAULT_GRID.nx, -4, 4, DEFAULT_GRID.np)):
+            with pytest.raises(ValueError, match="different grids"):
+                diff_metrics(f, gaussian_field(grid))
 
 
 class TestOneDimensionalHelpers:
@@ -254,8 +269,15 @@ class TestSerialization:
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("not a field\n")
-        with pytest.raises(ValueError):
+        for header in ("not a field", "# ensemble 4 0 1 0 1 0 0", "# wignerfield 4 4"):
+            path.write_text(header + "\n")
+            with pytest.raises(ValueError, match="not a wignerfield file"):
+                load_field(path)
+
+    def test_rejects_a_value_count_the_header_does_not_give(self, tmp_path):
+        path = tmp_path / "short.txt"
+        path.write_text("# wignerfield 4 4 -1 1 -1 1 0\n" + "0 0 0 0\n" * 3)
+        with pytest.raises(ValueError, match="expected 4x4 values, got"):
             load_field(path)
 
 

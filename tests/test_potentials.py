@@ -5,7 +5,7 @@ import pytest
 
 from wigprop.oracle import GaussianBasis, potential_matrix
 from wigprop.potentials import (Constant, GaussianWell, Harmonic, Linear,
-                                SeparableSum, parse_potential)
+                                Potential, SeparableSum, parse_potential)
 
 ALL_VARIANTS = [Constant(c=0.7), Linear(g=-1.3), Harmonic(k=2.0),
                 GaussianWell(depth=1.0, sigma=3.0),
@@ -100,6 +100,11 @@ class TestParity:
 
 
 class TestValidation:
+    def test_base_class_has_no_values(self):
+        for method in (Potential().value, Potential().grad, Potential().d3):
+            with pytest.raises(NotImplementedError):
+                method(0.0)
+
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
             GaussianWell(depth=1.0, sigma=0.0)
@@ -133,11 +138,14 @@ class TestParse:
     def test_defaults_fill_in(self):
         assert parse_potential("gaussian_well") == GaussianWell(depth=1.0, sigma=3.0)
 
-    @pytest.mark.parametrize("text", [
-        "", "mystery", "harmonic k", "harmonic q=1", "harmonic k=abc",
-    ])
+    ERRORS = {"": "empty potential", "mystery": "unknown potential 'mystery'",
+              "harmonic k": "malformed potential parameter 'k'",
+              "harmonic q=1": "unknown parameter 'q'",
+              "harmonic k=abc": "parameter 'k' must be a number"}
+
+    @pytest.mark.parametrize("text", list(ERRORS))
     def test_errors(self, text):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=self.ERRORS[text]):
             parse_potential(text)
 
     @pytest.mark.parametrize("text,name", [
@@ -149,11 +157,26 @@ class TestParse:
             parse_potential(text)
 
 
-class TestMultiDimensional:
-    def test_separable_sum(self):
-        pot = SeparableSum(terms=(Harmonic(k=1.0), Harmonic(k=1.0)))
-        x1 = np.array([1.0, 2.0])[:, None]
-        x2 = np.array([0.0, 3.0])[None, :]
-        got = pot.value_nd([x1, x2])
-        want = 0.5 * x1**2 + 0.5 * x2**2
-        np.testing.assert_allclose(got, want, rtol=1e-15)
+class TestHashedByValue:
+    """The propagators' memo keys hold the potential itself, so the memo is
+    right only if every potential hashes, equal ones hashing equal."""
+
+    SPECS = ["constant c=0.7", "linear g=-1.3", "harmonic k=2.0",
+             "gaussian_well depth=1.0 sigma=3.0", "gaussian_well depth=0.5 sigma=1.2"]
+
+    def test_equal_potentials_hash_equal(self):
+        parsed = [parse_potential(text) for text in self.SPECS]
+        pairs = list(zip(ALL_VARIANTS, parsed))
+        pairs += [(cls(), parse_potential(name)) for name, cls in (
+            ("constant", Constant), ("linear", Linear), ("harmonic", Harmonic),
+            ("gaussian_well", GaussianWell))]
+        pairs.append((SeparableSum(tuple(ALL_VARIANTS)), SeparableSum(tuple(parsed))))
+        for pot, twin in pairs:
+            assert twin is not pot and twin == pot and hash(twin) == hash(pot)
+
+    def test_distinct_potentials_are_distinct_keys(self):
+        # the same parameter values under another class are another key
+        pots = ALL_VARIANTS + [Constant(c=-1.3), Linear(g=0.7), Harmonic(k=1.2),
+                               SeparableSum(tuple(ALL_VARIANTS[:2])),
+                               SeparableSum(tuple(ALL_VARIANTS[1::-1]))]
+        assert len(set(pots)) == len(pots)

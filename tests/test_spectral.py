@@ -1,3 +1,4 @@
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,9 +202,13 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(dt=0.0), dict(dt=-0.1), dict(dt=0.1, mass=0.0),
         dict(dt=float("nan")), dict(dt=0.1, mass=float("nan")),
+        dict(dt=math.inf), dict(dt=0.1, mass=math.inf),
     ])
     def test_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        # the message names the field at fault; an infinite one would
+        # otherwise fail only at the step, as a non-finite field
+        name = "mass" if "mass" in kwargs else "dt"
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
             SpectralStepConfig(**kwargs)
 
 
@@ -228,9 +233,8 @@ def blob_nd(grid_nd, x0=(1.0, 0.0), width_sq=1.62):
 
 @dataclass(frozen=True)
 class RadialWell:
-    """A static potential with only value_nd, whose terms couple the axes."""
-
-    time_dependent = False
+    """A potential given on all axes at once (``value_nd``), whose terms
+    couple the axes; not a ``SeparableSum``."""
 
     def value_nd(self, coords, t: float = 0.0):
         return -np.exp(-sum(np.asarray(c) ** 2 for c in coords) / 8.0)

@@ -3,13 +3,13 @@ propagator.
 
 The reference here is the full-spectrum form: complex fft/ifft along the
 transformed axis, with the multiplier built on the whole conjugate lattice
-and its unpaired Nyquist bin kept real.  Driven and distinct potentials
-check that the memo never serves a kick built for another potential or at
-another time.
+and its unpaired Nyquist bin kept real.  Distinct and unhashable
+potentials check that the memo never serves a kick built for another
+potential.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,21 +29,10 @@ from wigprop.spectral import (SpectralStepConfig, _apply_kick, _kick_phase,
 GRID = make_grid(-8, 8, 64, -8, 8, 64)
 
 
-@dataclass(frozen=True)
-class DrivenLinear(Linear):
-    """V(x, t) = g (1 + t) x: a force that grows with time."""
-
-    time_dependent = True
-
-    def value(self, x, t: float = 0.0):
-        return self.g * (1.0 + t) * np.asarray(x, dtype=float)
-
-
 class UnhashableWell(Potential):
-    """A static well whose depth can be changed in place; it cannot be
+    """A well whose depth can be changed in place; it cannot be
     hashed, so it can never be a memo key."""
 
-    time_dependent = False
     __hash__ = None
 
     def __init__(self, depth: float):
@@ -107,52 +96,7 @@ def kick_keys():
     return [key for key in spectral._MEMO if key[0].startswith("kick")]
 
 
-class TestTimeDependenceDeclaration:
-    def test_builtins_are_static(self):
-        for pot in (Constant(), Linear(), Harmonic(), GaussianWell()):
-            assert pot.time_dependent is False
-
-    def test_base_class_defaults_to_driven(self):
-        assert Potential.time_dependent is True
-
-    def test_separable_sum_is_static_only_if_every_term_is(self):
-        assert SeparableSum((Harmonic(), GaussianWell())).time_dependent is False
-        assert SeparableSum((Harmonic(), DrivenLinear())).time_dependent is True
-
-
 class TestMemoSafety:
-    def test_driven_kick_is_rebuilt_every_step(self):
-        pot = DrivenLinear(g=0.5)
-        cfg = SpectralStepConfig(dt=0.1)
-        got = want = stale = blob(GRID)
-        for k in range(10):
-            t = k * cfg.dt
-            got = step_full(got, pot, t, cfg)
-            want = rebuilt_step(want, pot, t, cfg)
-            stale = rebuilt_step(stale, pot, 0.0, cfg)
-        assert max_rel(got.values, want.values) <= 1e-14
-        # a kick served from t = 0 would be visibly wrong
-        assert max_rel(stale.values, want.values) > 1e-2
-        assert kick_keys() == []
-
-    def test_driven_term_makes_separable_kick_rebuilt(self):
-        # a separable sum with a driven term must step as the product of
-        # the 1-d steps of its terms, each rebuilt where driven
-        axis = make_grid(-6, 6, 16, -6, 6, 16)
-        pots = (DrivenLinear(g=0.5), Harmonic(k=1.0))
-        parts = [blob(axis, x0=0.5), blob(axis, x0=-0.5)]
-        f2 = WignerFieldND(grid=PhaseSpaceGridND((axis, axis)),
-                           values=np.einsum("ac,bd->abcd",
-                                            *(p.values for p in parts)))
-        cfg = SpectralStepConfig(dt=0.1)
-        for k in range(5):
-            f2 = step_separable(f2, SeparableSum(pots), k * cfg.dt, cfg)
-            parts = [step_full(p, pot, k * cfg.dt, cfg)
-                     for p, pot in zip(parts, pots)]
-        want = np.einsum("ac,bd->abcd", *(p.values for p in parts))
-        np.testing.assert_allclose(f2.values, want, atol=1e-12)
-        assert not any(key[0] == "kick_nd" for key in spectral._MEMO)
-
     def test_distinct_static_potentials_never_share_an_entry(self):
         pots = [Harmonic(k=1.0), Harmonic(k=2.0), Linear(g=1.0),
                 GaussianWell(depth=1.0, sigma=3.0),
@@ -231,6 +175,22 @@ class TestMemoSafety:
         pot.depth = 2.0
         got = step_full(f, pot, 0.0, cfg)
         want = reference_step(f, GaussianWell(depth=2.0, sigma=2.0), 0.0, cfg.dt)
+        assert max_rel(got.values, want) <= 1e-12
+        assert kick_keys() == []
+
+    def test_unhashable_term_makes_separable_kick_rebuilt(self):
+        # a sum that holds an unhashable term cannot be a key either, so
+        # its kick matrices are rebuilt and a change made in place is seen
+        axis = make_grid(-6, 6, 8, -6, 6, 8)
+        grid = PhaseSpaceGridND((axis, axis))
+        well = UnhashableWell(depth=1.0)
+        f = WignerFieldND(grid=grid, values=np.random.default_rng(5).random(grid.shape()))
+        cfg = SpectralStepConfig(dt=0.1)
+        step_full(f, SeparableSum((well, Harmonic(k=1.0))), 0.0, cfg)
+        well.depth = 2.0
+        got = step_full(f, SeparableSum((well, Harmonic(k=1.0))), 0.0, cfg)
+        want = rfft_step_separable(f, SeparableSum((GaussianWell(depth=2.0, sigma=2.0),
+                                                    Harmonic(k=1.0))), 0.0, cfg)
         assert max_rel(got.values, want) <= 1e-12
         assert kick_keys() == []
 
@@ -353,10 +313,15 @@ def real_half_nyquist(phase, axis):
     return phase
 
 
+def separable_value(pot, coords, t):
+    """sum_i V_i(x_i) of a separable sum, one broadcastable array per axis."""
+    return sum(term.value(c, t) for term, c in zip(pot.terms, coords))
+
+
 def on_axis_kick_phase(grid, pot, t, dt, j, variant="full"):
     """exp(-i [V(x - s_j e_j / 2) - V(x + s_j e_j / 2)] dt), or its first-order
-    truncation, on the s_j >= 0 half from value_nd over the whole x lattice,
-    Nyquist bin kept real."""
+    truncation, on the s_j >= 0 half from V = sum_i V_i(x_i) over the whole
+    x lattice, Nyquist bin kept real."""
     d = grid.ndim
     coords = [g.x_lattice.reshape(axis_shape(2 * d, i, g.nx))
               for i, g in enumerate(grid.axes)]
@@ -366,7 +331,7 @@ def on_axis_kick_phase(grid, pot, t, dt, j, variant="full"):
     minus, plus = list(coords), list(coords)
     minus[j] = coords[j] - s / 2.0
     plus[j] = coords[j] + s / 2.0
-    delta_v = pot.value_nd(minus, t) - pot.value_nd(plus, t)
+    delta_v = separable_value(pot, minus, t) - separable_value(pot, plus, t)
     if variant == "full":
         phase = np.exp(-1j * delta_v * dt) + 0j
     else:
@@ -416,12 +381,7 @@ def separable_cases(draw):
     grid = PhaseSpaceGridND(axes)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     field = WignerFieldND(grid=grid, values=rng.random(grid.shape()))
-    terms = [draw(POTENTIALS) for _ in range(d)]
-    pot = draw(st.one_of(
-        st.just(SeparableSum(tuple(terms))),
-        st.builds(lambda g, k: SeparableSum(tuple(
-            DrivenLinear(g=g) if i == k else term for i, term in enumerate(terms))),
-            st.floats(-3.0, 3.0), st.integers(0, d - 1))))
+    pot = SeparableSum(tuple(draw(POTENTIALS) for _ in range(d)))
     cfg = SpectralStepConfig(dt=draw(st.floats(1e-3, 0.5)), mass=draw(st.floats(0.2, 5.0)))
     return (field, pot, draw(st.floats(0.0, 2.0)), cfg,
             draw(st.sampled_from(["full", "first_order"])))
@@ -437,7 +397,7 @@ def test_separable_step_matches_rfft_formulation(case):
     # other step sizes and masses share the memo but never an entry
     for cfg in (cfg, replace(cfg, dt=cfg.dt / 2), replace(cfg, mass=2 * cfg.mass)):
         want = rfft_step_separable(field, pot, t, cfg, variant)
-        for stepper in steppers * 2:    # built, then served from the memo if static
+        for stepper in steppers * 2:    # built, then served from the memo
             got = stepper(field, pot, t, cfg)
             assert np.abs(got.values - want).max() <= 1e-12 * np.abs(want).max()
             assert got.time == field.time + cfg.dt
