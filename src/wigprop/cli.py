@@ -22,8 +22,8 @@ import numpy as np
 from . import oracle, pseudoparticle, spectral
 from .phasespace import (DEFAULT_GRID_SPEC, HBAR, NumericalError,
                          PhaseSpaceGrid, StepDiagnostics, WignerField,
-                         diff_metrics, evolve, load_field, make_grid, norm,
-                         save_field, step_size)
+                         check_mass, diff_metrics, evolve, load_field,
+                         make_grid, norm, save_field, step_size)
 from .potentials import GaussianWell, parse_potential
 
 METHODS = ("spectral-full", "spectral-fo", "lo", "nlo", "oracle")
@@ -203,9 +203,10 @@ def _validate_scenario(sc: Scenario) -> None:
 
     check(math.isfinite(sc.t0), "t0", "t0 must be finite")
     check(1 <= sc.nsteps <= sys.maxsize, "nsteps", "nsteps must be from 1 to sys.maxsize")
-    check(0 < sc.mass < math.inf, "mass", "mass must be positive and finite")
     with _bad_input(line=sc.lines.get("t1")):
         dt = step_size(sc.t0, sc.t1, sc.nsteps)
+    with _bad_input(line=sc.lines.get("mass")):
+        check_mass(dt, sc.mass)
     for tc in sc.checkpoints:
         check(sc.t0 - 1e-9 <= tc <= sc.t1 + 1e-9, "checkpoints",
               f"checkpoint {tc} outside [{sc.t0}, {sc.t1}]")
@@ -343,12 +344,12 @@ def run_scenario(sc: Scenario, outdir) -> Path:
             spectral_step = (spectral.step_full if sc.method == "spectral-full"
                              else spectral.step_first_order)
             cfg = spectral.SpectralStepConfig(dt=dt, mass=sc.mass)
-            step = lambda f, t: spectral_step(f, sc.potential, t, cfg)
+            step = lambda f: spectral_step(f, sc.potential, cfg)
         else:
-            step = pseudoparticle.stepper(sc.grid, sc.potential, sc.t0, dt,
+            step = pseudoparticle.stepper(sc.grid, sc.potential, dt,
                                           order=0 if sc.method == "lo" else 1,
                                           mass=sc.mass)
-        result = evolve(step, start(), sc.t0, dt, sc.nsteps,
+        result = evolve(step, start(), sc.nsteps,
                         on_step=lambda k, f: emit(f) if k in want else None)
         diag_rows += result.diagnostics
         warnings = result.warnings

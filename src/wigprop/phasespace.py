@@ -243,10 +243,17 @@ def step_size(t0: float, t1: float, nsteps: int) -> float:
     return dt
 
 
-def evolve(step, field: WignerField, t0: float, dt: float, nsteps: int,
-           on_step=None) -> EvolveResult:
-    """Apply ``step(field, t)`` nsteps times, the k-th at t = t0 + (k-1) dt,
-    with one ``StepDiagnostics`` row per step.
+def check_mass(dt: float, mass: float) -> None:
+    """Raise ``ValueError`` naming the mass unless it is positive and
+    finite and dt / mass, the drift per unit momentum, is finite."""
+    if not (0 < mass < math.inf and math.isfinite(float(dt) / float(mass))):
+        raise ValueError(f"mass must be positive and finite, with dt / mass "
+                         f"finite, got mass {mass!r} for dt {dt!r}")
+
+
+def evolve(step, field: WignerField, nsteps: int, on_step=None) -> EvolveResult:
+    """Apply ``step(field)`` nsteps times, with one ``StepDiagnostics`` row
+    per step; each step advances the field's own time.
 
     The one stepping loop of every propagator and command.  A relative norm
     drift beyond NORM_DRIFT_WARN is recorded as a warning, not an error (a
@@ -264,7 +271,7 @@ def evolve(step, field: WignerField, t0: float, dt: float, nsteps: int,
     norm0 = norm(field)
     for k in range(1, nsteps + 1):
         try:
-            field = step(field, t0 + (k - 1) * dt)
+            field = step(field)
         except NumericalError as exc:
             raise NumericalError(f"step {k}: {exc}") from None
         rows.append(StepDiagnostics.of(k, field))

@@ -2,12 +2,11 @@
 
 The propagators evaluate V at points off the x-lattice (the shifted
 arguments x +/- s/2 of the momentum kernel), so potentials are kept in
-closed form and never sampled on a grid.  Potentials are cached by value:
-the propagators memoize what they build from one (kick multipliers,
-backtrack stencils) under the potential itself, and every built-in is a
-frozen dataclass, equal when its parameters are.  An unhashable potential
-is rebuilt at every step.  One whose values depend on t is unsupported,
-because the arrays built at its first step would be cached.
+closed form and never sampled on a grid.  A potential is a function of x
+alone, cached by value: the propagators memoize what they build from one
+(kick multipliers, backtrack stencils) under the potential itself, and
+every built-in is a frozen dataclass, equal when its parameters are.  An
+unhashable potential is rebuilt at every step.
 """
 
 from __future__ import annotations
@@ -22,19 +21,17 @@ import numpy as np
 class Potential:
     """One-dimensional scalar potential, evaluable at arbitrary points.
 
-    Subclasses provide value/grad/d3 as vectorized functions of x.  They
-    are cached by value, so equal potentials should hash equal (a frozen
-    dataclass does); an unhashable one is rebuilt at every step, and one
-    whose values depend on t is unsupported, since its arrays are cached.
-    """
+    Subclasses provide value/grad/d3 as vectorized functions of x alone,
+    cached by value: equal potentials should hash equal (a frozen dataclass
+    does), and an unhashable one is rebuilt at every step."""
 
-    def value(self, x, t: float = 0.0):
+    def value(self, x):
         raise NotImplementedError
 
-    def grad(self, x, t: float = 0.0):
+    def grad(self, x):
         raise NotImplementedError
 
-    def d3(self, x, t: float = 0.0):
+    def d3(self, x):
         """Third spatial derivative (drives the hbar^2 correction)."""
         raise NotImplementedError
 
@@ -43,13 +40,13 @@ class Potential:
 class Constant(Potential):
     c: float = 0.0
 
-    def value(self, x, t: float = 0.0):
+    def value(self, x):
         return np.full_like(np.asarray(x, dtype=float), self.c)
 
-    def grad(self, x, t: float = 0.0):
+    def grad(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    def d3(self, x, t: float = 0.0):
+    def d3(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
 
 
@@ -57,13 +54,13 @@ class Constant(Potential):
 class Linear(Potential):
     g: float = 1.0
 
-    def value(self, x, t: float = 0.0):
+    def value(self, x):
         return self.g * np.asarray(x, dtype=float)
 
-    def grad(self, x, t: float = 0.0):
+    def grad(self, x):
         return np.full_like(np.asarray(x, dtype=float), self.g)
 
-    def d3(self, x, t: float = 0.0):
+    def d3(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
 
 
@@ -77,13 +74,13 @@ class Harmonic(Potential):
         if self.k < 0:
             raise ValueError("spring constant k must be >= 0")
 
-    def value(self, x, t: float = 0.0):
+    def value(self, x):
         return 0.5 * self.k * np.asarray(x, dtype=float) ** 2
 
-    def grad(self, x, t: float = 0.0):
+    def grad(self, x):
         return self.k * np.asarray(x, dtype=float)
 
-    def d3(self, x, t: float = 0.0):
+    def d3(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
 
 
@@ -112,16 +109,16 @@ class GaussianWell(Potential):
     def __post_init__(self):
         check_sigma(self.sigma)
 
-    def value(self, x, t: float = 0.0):
+    def value(self, x):
         x = np.asarray(x, dtype=float)
         return -self.depth * np.exp(-x**2 / (2.0 * self.sigma**2))
 
-    def grad(self, x, t: float = 0.0):
+    def grad(self, x):
         x = np.asarray(x, dtype=float)
         s2 = self.sigma**2
         return self.depth * (x / s2) * np.exp(-x**2 / (2.0 * s2))
 
-    def d3(self, x, t: float = 0.0):
+    def d3(self, x):
         x = np.asarray(x, dtype=float)
         s2 = self.sigma**2
         return self.depth * (x**3 / s2**3 - 3.0 * x / s2**2) * np.exp(-x**2 / (2.0 * s2))

@@ -9,8 +9,7 @@ vanish.  The next order adds the leading quantum correction
  -(dt * hbar^2 / 24) V'''(x) d^3 f / dp^3, with the derivative taken from
 the uncorrected transported field, which keeps the correction loop from
 feeding back on itself.  Backtrack stencils are cached by the potential's
-value (see ``potentials``): an unhashable potential is rebuilt at every
-step, and one whose values depend on t is unsupported.
+value (see ``potentials``); an unhashable potential is rebuilt at every step.
 """
 
 from __future__ import annotations
@@ -23,7 +22,8 @@ import numpy as np
 from .phasespace import (_BLOCK_ROWS, HBAR, REALNESS_TOL, NonFiniteFieldError,
                          NumericalError, PhaseSpaceGrid, WignerField,
                          _one_dimensional, _spline_stencil,
-                         at_lattice_coordinates, truncate_real, write_rows)
+                         at_lattice_coordinates, check_mass, truncate_real,
+                         write_rows)
 from .potentials import Potential
 from .spectral import _memoized
 
@@ -37,8 +37,8 @@ _DEPOSIT_CHUNK = 4096
 _DEPOSIT_VALUES = 1 << 16
 
 
-def _backtrack_stencil(grid: PhaseSpaceGrid, pot: Potential, t: float,
-                       dt: float, mass: float) -> np.ndarray:
+def _backtrack_stencil(grid: PhaseSpaceGrid, pot: Potential, dt: float,
+                       mass: float) -> np.ndarray:
     """The spline stencil (``phasespace._spline_stencil``) of the
     backtracked points, from their lattice coordinates (x0 - x_min) / dx
     and (p0 - p_min) / dp.
@@ -62,19 +62,19 @@ def _backtrack_stencil(grid: PhaseSpaceGrid, pot: Potential, t: float,
         rows = slice(start, start + _BLOCK_ROWS)
         x0 = grid.x_lattice[rows, None] - p * (dt / mass)
         with np.errstate(over="ignore", invalid="ignore"):
-            p0 = p + pot.grad(x0, t) * dt
+            p0 = p + pot.grad(x0) * dt
         x0 -= grid.x_min
         x0 /= grid.dx
         p0 -= grid.p_min
         p0 /= grid.dp
         if not (np.isfinite(x0).all() and np.isfinite(p0).all()):
             raise NonFiniteFieldError(
-                f"backtracked points at t={t:g} must be finite (the force overflows)")
+                "backtracked points must be finite (the force overflows)")
         stencil[:, rows] = _spline_stencil(grid.shape(), x0, p0)
     return stencil
 
 
-def step_lo(field_in: WignerField, pot: Potential, t: float, dt: float,
+def step_lo(field_in: WignerField, pot: Potential, dt: float,
             mass: float = 1.0) -> WignerField:
     """Lowest-order step on the fixed lattice.
 
@@ -96,7 +96,7 @@ def step_lo(field_in: WignerField, pot: Potential, t: float, dt: float,
     """
     grid = _one_dimensional(field_in.grid, "step_lo")
     stencil = _memoized(("backtrack", grid, pot, dt, mass),
-                        lambda: _backtrack_stencil(grid, pot, t, dt, mass))
+                        lambda: _backtrack_stencil(grid, pot, dt, mass))
     values = at_lattice_coordinates(field_in, stencil)
     return WignerField(grid=field_in.grid, values=values, time=field_in.time + dt)
 
@@ -145,19 +145,18 @@ def d_p3(field_in: WignerField, s_cutoff: float | None = None) -> WignerField:
                        values=_spectral_p3(f, grid, s_cutoff, _realness_tol(f)))
 
 
-def _third_derivative(pot: Potential, grid: PhaseSpaceGrid, t: float) -> np.ndarray:
+def _third_derivative(pot: Potential, grid: PhaseSpaceGrid) -> np.ndarray:
     """V'''(x) on the x-lattice.  Raises ``NumericalError`` naming V''' and
     the potential where it is not finite (a Gaussian well so narrow that
     x^3 / sigma^6 overflows where its envelope underflows to 0)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        v3 = pot.d3(grid.x_lattice, t)
+        v3 = pot.d3(grid.x_lattice)
     if not np.isfinite(v3).all():
-        raise NumericalError(f"V''' of {pot!r} at t={t:g} is not finite "
-                             "on the x-lattice")
+        raise NumericalError(f"V''' of {pot!r} is not finite on the x-lattice")
     return v3
 
 
-def nlo_correction(field_lo: WignerField, pot: Potential, t: float, dt: float,
+def nlo_correction(field_lo: WignerField, pot: Potential, dt: float,
                    s_cutoff: float | None = None) -> WignerField:
     """Add the leading quantum correction to a transported field:
     f - (dt hbar^2 / 24) V'''(x) d^3f/dp^3, with the spectral third
@@ -174,7 +173,7 @@ def nlo_correction(field_lo: WignerField, pot: Potential, t: float, dt: float,
     lattice derivatives that amplify noise faster than they add accuracy.
     """
     grid = _one_dimensional(field_lo.grid, "nlo_correction")
-    scale = (dt * HBAR**2 / 24.0) * _third_derivative(pot, grid, t)[:, None]
+    scale = (dt * HBAR**2 / 24.0) * _third_derivative(pot, grid)[:, None]
     f = field_lo.values
     tol = _realness_tol(f)
     values = np.empty(grid.shape())
@@ -185,8 +184,7 @@ def nlo_correction(field_lo: WignerField, pot: Potential, t: float, dt: float,
     return WignerField(grid=field_lo.grid, values=values, time=field_lo.time)
 
 
-def stable_p3_cutoff(grid: PhaseSpaceGrid, pot: Potential, t: float,
-                     dt: float) -> float:
+def stable_p3_cutoff(grid: PhaseSpaceGrid, pot: Potential, dt: float) -> float:
     """Largest s-band for which the correction loop cannot self-amplify.
 
     One corrected step multiplies the p-spectrum at wavenumber s by
@@ -195,27 +193,29 @@ def stable_p3_cutoff(grid: PhaseSpaceGrid, pot: Potential, t: float,
     caps that factor at ``P3_SAFETY``.
     """
     axis = _one_dimensional(grid, "stable_p3_cutoff")
-    v3max = float(np.abs(_third_derivative(pot, axis, t)).max())
+    v3max = float(np.abs(_third_derivative(pot, axis)).max())
     s_max = float(np.abs(axis.s_lattice).max())
     if v3max == 0.0:
         return s_max
     return min(s_max, (24.0 * P3_SAFETY / (dt * v3max)) ** (1.0 / 3.0))
 
 
-def stepper(grid: PhaseSpaceGrid, pot: Potential, t0: float, dt: float,
+def stepper(grid: PhaseSpaceGrid, pot: Potential, dt: float,
             order: int = 0, mass: float = 1.0):
-    """The step ``f, t -> f at t + dt`` that ``phasespace.evolve`` runs from
-    t0: the transported step (order 0, ``lo``), or with order 1 (``nlo``)
-    the transported field corrected before it seeds the next step, its
-    third derivative band-limited at the stability bound at t0."""
+    """The step ``f -> f one dt later`` that ``phasespace.evolve`` runs:
+    the transported step (order 0, ``lo``), or with order 1 (``nlo``) the
+    transported field corrected before it seeds the next step, its third
+    derivative band-limited at the stability bound.  A mass that
+    ``phasespace.check_mass`` rejects raises its ``ValueError``."""
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
     axis = _one_dimensional(grid, "stepper")
+    check_mass(dt, mass)
     if order == 0:
-        return lambda f, t: step_lo(f, pot, t, dt, mass=mass)
-    cutoff = stable_p3_cutoff(axis, pot, t0, dt)
-    return lambda f, t: nlo_correction(step_lo(f, pot, t, dt, mass=mass),
-                                       pot, t, dt, s_cutoff=cutoff)
+        return lambda f: step_lo(f, pot, dt, mass=mass)
+    cutoff = stable_p3_cutoff(axis, pot, dt)
+    return lambda f: nlo_correction(step_lo(f, pot, dt, mass=mass),
+                                    pot, dt, s_cutoff=cutoff)
 
 
 # ---------------------------------------------------------------------------

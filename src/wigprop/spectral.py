@@ -24,9 +24,9 @@ dimension.  The variant is the function called, ``step_full`` or
 The multipliers depend only on the grid, dt and the mass (drift) or the
 potential and variant (kick), so each is built once and kept in a small
 module-level memo, bounded in entries and in bytes, that every step
-function consults; callers hold no plan object.  Potentials are cached by
-value: equal ones share a kick, an unhashable one gets its kick rebuilt at
-every step, and one whose values depend on t is unsupported.
+function consults; callers hold no plan object.  Potentials are functions
+of x alone, cached by value: equal ones share a kick, an unhashable one
+gets its kick rebuilt at every step, and no step takes a time.
 
 The grid's dimension picks how the multipliers are applied.  On a 1-d
 lattice a sub-map is numpy.fft.rfft along its axis, the multiply and irfft
@@ -52,7 +52,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .phasespace import HBAR, PhaseSpaceGrid, WignerField
+from .phasespace import HBAR, PhaseSpaceGrid, WignerField, check_mass
 from .potentials import Potential, SeparableSum
 
 #: The kick multiplier builder of each variant.  Each entry looks up the
@@ -68,9 +68,9 @@ class SpectralStepConfig:
     mass: float = 1.0
 
     def __post_init__(self):
-        for name, value in (("dt", self.dt), ("mass", self.mass)):
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+        check_mass(self.dt, self.mass)
 
 
 #: Most arrays the memo holds; the oldest entries are dropped beyond it.
@@ -184,24 +184,24 @@ def _axis_terms(grid, pot) -> tuple[Potential, ...]:
     return (pot,)
 
 
-def _delta_v(grid, pot, t: float) -> np.ndarray:
+def _delta_v(grid, pot) -> np.ndarray:
     """V(x - s/2) - V(x + s/2) on the s >= 0 half, shape (nx, np//2 + 1),
     for a 1-d potential on the first axis of grid."""
     g = grid.axes[0]
     x = g.x_lattice[:, None]
     s = g.s_lattice[None, :g.np // 2 + 1]
-    return pot.value(x - s / 2.0, t) - pot.value(x + s / 2.0, t)
+    return pot.value(x - s / 2.0) - pot.value(x + s / 2.0)
 
 
-def _kick_phase(grid, pot, t: float, dt: float) -> np.ndarray:
+def _kick_phase(grid, pot, dt: float) -> np.ndarray:
     """The kick phase exp(-i dV dt / hbar), with dV from ``_delta_v``."""
-    return _real_nyquist(np.exp(-1j * _delta_v(grid, pot, t) * dt / HBAR), axis=1)
+    return _real_nyquist(np.exp(-1j * _delta_v(grid, pot) * dt / HBAR), axis=1)
 
 
-def _kick_multiplier_first_order(grid, pot, t: float, dt: float) -> np.ndarray:
+def _kick_multiplier_first_order(grid, pot, dt: float) -> np.ndarray:
     # truncating the kernel phase at first order in dt is the convolution
     # of the drifted field with the odd potential-difference transform
-    return _real_nyquist(1.0 - 1j * _delta_v(grid, pot, t) * dt / HBAR + 0j, axis=1)
+    return _real_nyquist(1.0 - 1j * _delta_v(grid, pot) * dt / HBAR + 0j, axis=1)
 
 
 def _apply_kick(values: np.ndarray, multiplier: np.ndarray) -> tuple[np.ndarray, float]:
@@ -210,8 +210,7 @@ def _apply_kick(values: np.ndarray, multiplier: np.ndarray) -> tuple[np.ndarray,
     return _apply_half(values, multiplier, axis=1), 0.0
 
 
-def _kick_values(values: np.ndarray, grid, pot, t: float, dt: float,
-                 variant: str) -> np.ndarray:
+def _kick_values(values: np.ndarray, grid, pot, dt: float, variant: str) -> np.ndarray:
     """values kicked by dt: every p_j by the variant's multiplier of term j
     of pot (``_axis_terms``).  By rfft along p on a 1-d lattice; on a
     larger one by the kick matrices of each p_j, batched over x.  The kicks
@@ -222,58 +221,57 @@ def _kick_values(values: np.ndarray, grid, pot, t: float, dt: float,
     build = _KICK_BUILDERS[variant]
     if grid.ndim == 1:
         multiplier = _memoized(("kick", variant, grid, terms[0], dt),
-                               lambda: build(grid, terms[0], t, dt))
+                               lambda: build(grid, terms[0], dt))
         return _apply_kick(values, multiplier)[0]
     spare = np.empty(values.size)
     for j, (g, term) in enumerate(zip(grid.axes, terms)):
         mats = _memoized(("kick_nd", variant, grid, pot, dt, j),
-                         lambda: _transfer_matrices(build(g, term, t, dt), 1, g.np,
+                         lambda: _transfer_matrices(build(g, term, dt), 1, g.np,
                                                     j == grid.ndim - 1))
         values, spare = _apply_matrices(values, mats, j, spare), (
             values if values.flags.writeable else np.empty(values.size))
     return values
 
 
-def kick_full(field_in: WignerField, pot: Potential, t: float,
-              dt: float) -> WignerField:
+def kick_full(field_in: WignerField, pot: Potential, dt: float) -> WignerField:
     """Momentum kernel for one time increment, on a lattice of any
     dimension.
 
     Per x-column: transform p -> s, multiply exp(-i dV(x, s) dt / hbar)
-    with dV(x, s) = V(x - s/2, t) - V(x + s/2, t), transform back.  This
+    with dV(x, s) = V(x - s/2) - V(x + s/2), transform back.  This
     is the complex form of the cosine/sine transform pair; the real part
     of the product reproduces that pair term by term.  A 2-d/3-d lattice
     takes a ``SeparableSum`` with one term per axis, and each p_j gets the
     kernel of its term.
     """
-    values = _kick_values(field_in.values, field_in.grid, pot, t, dt, "full")
+    values = _kick_values(field_in.values, field_in.grid, pot, dt, "full")
     return replace(field_in, values=values)
 
 
-def _drift_kick(field_in: WignerField, pot, t: float, cfg: SpectralStepConfig,
+def _drift_kick(field_in: WignerField, pot, cfg: SpectralStepConfig,
                 variant: str) -> WignerField:
     """The drift, then the variant's kick; time advances by cfg.dt.  A
     potential the lattice cannot kick raises before the drift runs."""
     _axis_terms(field_in.grid, pot)
     drifted = _drift_values(field_in.values, field_in.grid, cfg.dt, cfg.mass)
-    kicked = _kick_values(drifted, field_in.grid, pot, t, cfg.dt, variant)
+    kicked = _kick_values(drifted, field_in.grid, pot, cfg.dt, variant)
     return replace(field_in, values=kicked, time=field_in.time + cfg.dt)
 
 
-def step_full(field_in: WignerField, pot: Potential, t: float,
+def step_full(field_in: WignerField, pot: Potential,
               cfg: SpectralStepConfig) -> WignerField:
     """One full explicit step: drift, then kick; time advances by cfg.dt."""
-    return _drift_kick(field_in, pot, t, cfg, "full")
+    return _drift_kick(field_in, pot, cfg, "full")
 
 
-def step_first_order(field_in: WignerField, pot: Potential, t: float,
+def step_first_order(field_in: WignerField, pot: Potential,
                      cfg: SpectralStepConfig) -> WignerField:
     """First-order-in-dt variant: drift plus the linearized kernel.
 
     Valid while dt * |V| / hbar stays well below one; the full variant has
     no such restriction.
     """
-    return _drift_kick(field_in, pot, t, cfg, "first_order")
+    return _drift_kick(field_in, pot, cfg, "first_order")
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +335,7 @@ def _swap_halves(values: np.ndarray, out: np.ndarray) -> np.ndarray:
 def step_separable(field_in: WignerField, pot, t: float,
                    cfg: SpectralStepConfig) -> WignerField:
     """``step_full`` on 2-d/3-d lattices only, under a ``SeparableSum``
-    with one term per axis."""
+    with one term per axis; ``t`` is ignored (kept for positional callers)."""
     if field_in.grid.ndim not in (2, 3):
         raise ValueError("separable stepping supports 2 or 3 dimensions only")
-    return _drift_kick(field_in, pot, t, cfg, "full")
+    return _drift_kick(field_in, pot, cfg, "full")

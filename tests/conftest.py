@@ -53,13 +53,12 @@ def bench() -> Benchmark:
 
     def spectral_run(nsteps):
         cfg = spectral.SpectralStepConfig(dt=T_FINAL / nsteps)
-        return evolve(lambda f, t: spectral.step_full(f, pot, t, cfg),
-                      f0, 0.0, cfg.dt, nsteps)
+        return evolve(lambda f: spectral.step_full(f, pot, cfg), f0, nsteps)
 
     def transported(order):
         dt = T_FINAL / NSTEPS
-        step = pseudoparticle.stepper(grid, pot, 0.0, dt, order=order)
-        return evolve(step, f0, 0.0, dt, NSTEPS).field
+        step = pseudoparticle.stepper(grid, pot, dt, order=order)
+        return evolve(step, f0, NSTEPS).field
 
     spectral30 = spectral_run(NSTEPS)
     spectral60 = spectral_run(2 * NSTEPS).field

@@ -98,7 +98,7 @@ def test_criterion_5_conservation(bench):
     norm_ok = all(abs(d.norm - norm0) <= 1e-10 * abs(norm0)
                   for d in bench.spectral30.diagnostics)
 
-    kicked = kick_full(bench.f0, bench.pot, 0.0, 0.1)
+    kicked = kick_full(bench.f0, bench.pot, 0.1)
     before = bench.f0.values.sum(axis=1)
     after = kicked.values.sum(axis=1)
     marginal_err = float(np.abs(after - before).max() / np.abs(before).max())
@@ -107,7 +107,7 @@ def test_criterion_5_conservation(bench):
     _, drift_resid = _spectral_shift_rows(bench.f0.values, bench.grid,
                                           cfg.dt, cfg.mass)
     _, kick_resid = _apply_kick(bench.f0.values,
-                                _kick_phase(bench.grid, bench.pot, 0.0, cfg.dt))
+                                _kick_phase(bench.grid, bench.pot, cfg.dt))
     resid = max(drift_resid, kick_resid)
 
     ok = norm_ok and marginal_err < 1e-12 and resid < REALNESS_TOL
@@ -127,9 +127,9 @@ def test_criterion_6_exactness_classes():
 
     cfg = SpectralStepConfig(dt=0.05)
     cur_s, cur_l = f, f
-    for k in range(20):
-        cur_s = step_full(cur_s, Constant(c=0.0), k * 0.05, cfg)
-        cur_l = step_lo(cur_l, Constant(c=0.0), k * 0.05, 0.05)
+    for _ in range(20):
+        cur_s = step_full(cur_s, Constant(c=0.0), cfg)
+        cur_l = step_lo(cur_l, Constant(c=0.0), 0.05)
     free_s = float(np.abs(cur_s.values - want).max())
     free_l = float(np.abs(cur_l.values - want).max())
 
@@ -137,13 +137,13 @@ def test_criterion_6_exactness_classes():
     f = rotation_blob(g, x0=1.0)
     cfg = SpectralStepConfig(dt=2 * np.pi / 200)
     cur_s = f
-    for k in range(200):
-        cur_s = step_full(cur_s, Harmonic(k=1.0), k * cfg.dt, cfg)
+    for _ in range(200):
+        cur_s = step_full(cur_s, Harmonic(k=1.0), cfg)
     harm_s = float(np.abs(cur_s.values - f.values).max())
     dt = 2 * np.pi / 400
     cur_l = f
-    for k in range(400):
-        cur_l = step_lo(cur_l, Harmonic(k=1.0), k * dt, dt)
+    for _ in range(400):
+        cur_l = step_lo(cur_l, Harmonic(k=1.0), dt)
     harm_l = float(np.abs(cur_l.values - f.values).max())
 
     ok = free_s < 1e-6 and free_l < 1e-3 and harm_s < 1e-3 and harm_l < 5e-3
@@ -244,8 +244,8 @@ def test_criterion_10_convergence(bench):
     gaps = []
     for dt in (0.1, 0.05):
         cfg = SpectralStepConfig(dt=dt)
-        full = step_full(bench.f0, bench.pot, 0.0, cfg)
-        fo = step_first_order(bench.f0, bench.pot, 0.0, cfg)
+        full = step_full(bench.f0, bench.pot, cfg)
+        fo = step_first_order(bench.f0, bench.pot, cfg)
         gaps.append(float(np.abs(full.values - fo.values).max()))
     ratio = gaps[0] / gaps[1]
 

@@ -2,6 +2,7 @@ import hashlib
 import pathlib
 
 import math
+import re
 import sys
 import warnings
 
@@ -95,6 +96,19 @@ class TestScenarioParsing:
     def test_non_power_of_two_grid(self):
         text = SCENARIO_ORACLE.replace("nx = 64", "nx = 60")
         with pytest.raises(ConfigError, match="power of two"):
+            parse_scenario_text(text)
+
+    @pytest.mark.parametrize("old, new, line, message", [
+        ("nx = 64", "nx 64", 4, "expected key = value, got 'nx 64'"),
+        ("[grid]\n", "", 1, "entry before any [section] header"),
+        ("np = 64", "np = 64\nnx = 64", 8, "duplicate key 'nx' in section [grid]"),
+        ("state = oracle", "state = file", 13, "state = file needs a path"),
+        ("state = oracle", "state = wavepacket", 13,
+         "state must be 'oracle' or 'file <path>', got 'wavepacket'"),
+    ], ids=["no-equals", "no-section", "duplicate", "file-without-path", "bad-state"])
+    def test_malformed_entry_names_its_line(self, old, new, line, message):
+        text = SCENARIO_ORACLE.replace(old, new, 1)
+        with pytest.raises(ConfigError, match=f"^line {line}: {re.escape(message)}$"):
             parse_scenario_text(text)
 
 
@@ -239,6 +253,17 @@ class TestCompare:
         assert res.exit_code == 2, res.output
         assert "config error" in res.output and name in res.output
 
+    def test_runs_without_snapshots_or_shared_times_rejected(self, tmp_path):
+        run_scenario(parse_scenario_text(SCENARIO_ORACLE.replace(
+            "checkpoints = 0 3", "checkpoints = 0")), tmp_path / "a")
+        run_scenario(parse_scenario_text(SCENARIO_ORACLE.replace(
+            "checkpoints = 0 3", "checkpoints = 3")), tmp_path / "b")
+        (tmp_path / "empty").mkdir()
+        with pytest.raises(ConfigError, match="empty: no field snapshots found$"):
+            compare_runs(tmp_path / "a", tmp_path / "empty")
+        with pytest.raises(ConfigError, match="^runs share no checkpoint times$"):
+            compare_runs(tmp_path / "a", tmp_path / "b")
+
     def test_mismatched_runs_rejected(self, tmp_path):
         run_scenario(parse_scenario_text(SCENARIO_ORACLE), tmp_path / "a")
         run_scenario(parse_scenario_text(
@@ -283,6 +308,14 @@ class TestCommands:
         assert res.exit_code == 2, res.output
         assert "config error: cannot read scenario file: 'utf-8'" in res.output
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("grid", ["-8 8 64 -4 4", "-8 8 64 -4 4 64 64"])
+    def test_grid_option_needs_six_numbers(self, tmp_path, grid):
+        res = CliRunner().invoke(main, ["oracle", "field", "--grid", grid,
+                                        "-o", str(tmp_path / "f.txt")])
+        assert res.exit_code == 2, res.output
+        assert "config error: grid must be 'x_min x_max nx p_min p_max np'" in res.output
+        assert not (tmp_path / "f.txt").exists()
 
     def test_oracle_solve_prints_energies(self):
         runner = CliRunner()
@@ -615,6 +648,9 @@ class TestBadValuesExit2:
     @pytest.mark.parametrize("method, key, value", [
         ("spectral-full", "mass", "0"), ("spectral-full", "mass", "nan"),
         ("lo", "mass", "0"), ("lo", "mass", "nan"),
+        # dt / mass overflows: no backtracked point or drift phase is finite
+        ("lo", "mass", "1e-310"), ("nlo", "mass", "1e-310"),
+        ("spectral-full", "mass", "1e-310"), ("spectral-fo", "mass", "1e-310"),
         ("spectral-full", "slices", "nan"),
         ("spectral-full", "checkpoints", "0 nan"),
         ("spectral-full", "t1", "inf"),
@@ -664,6 +700,7 @@ class TestBadValuesExit2:
         ("--method", "spectral-full", "--t0", "nan"),
         ("--method", "lo", "--slices", "9"),
         ("--method", "spectral-full", "--checkpoints", "0 x"),
+        ("--method", "nlo", "--mass", "1e-310"),
     ])
     def test_evolve_option(self, tmp_path, options):
         runner = CliRunner()
@@ -1067,11 +1104,11 @@ class TestRunEqualsLibrary:
         f0 = _initial_state(sc)
         if method == "spectral-fo":
             cfg = spectral.SpectralStepConfig(dt=0.1)
-            step = lambda f, t: spectral.step_first_order(f, sc.potential, t, cfg)
+            step = lambda f: spectral.step_first_order(f, sc.potential, cfg)
         else:
-            step = pseudoparticle.stepper(sc.grid, sc.potential, 0.0, 0.1,
+            step = pseudoparticle.stepper(sc.grid, sc.potential, 0.1,
                                           order=0 if method == "lo" else 1)
-        res = evolve(step, f0, 0.0, 0.1, 5)
+        res = evolve(step, f0, 5)
         rows = (outdir / "diagnostics.csv").read_text().splitlines()[2:]
         assert rows == [",".join([str(d.step)] + [_fmt(v) for v in (
             d.time, d.norm, d.min, d.max)]) for d in res.diagnostics]

@@ -3,6 +3,7 @@ with the spectral and transported steps that ``wigprop run`` gives it,
 and ``phasespace.step_size``, which checks a run's step."""
 
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,13 +26,13 @@ def blob(x0=0.0, p0=0.0, width_sq=1.0):
 
 def scaling(factor, dt=0.1):
     """A fake step: the field times factor, time advanced by dt."""
-    return lambda f, t: WignerField(grid=f.grid, values=factor * f.values,
-                                    time=f.time + dt)
+    return lambda f: WignerField(grid=f.grid, values=factor * f.values,
+                                 time=f.time + dt)
 
 
 def test_rows_times_and_result():
     f = blob()
-    res = evolve(scaling(1.0), f, 0.0, 0.1, 4)
+    res = evolve(scaling(1.0), f, 4)
     assert [d.step for d in res.diagnostics] == [1, 2, 3, 4]
     assert res.diagnostics[-1].time == pytest.approx(0.4)
     assert res.diagnostics[-1] == StepDiagnostics.of(4, res.field)
@@ -42,16 +43,16 @@ def test_rows_times_and_result():
 def test_step_times_are_t0_plus_multiples_of_dt():
     seen = []
 
-    def step(f, t):
-        seen.append(t)
-        return f
-    evolve(step, blob(), 0.5, 0.25, 3)
+    def step(f):
+        seen.append(f.time)
+        return scaling(1.0, dt=0.25)(f)
+    evolve(step, replace(blob(), time=0.5), 3)
     assert seen == [0.5, 0.75, 1.0]
 
 
 def test_on_step_sees_each_step_in_order():
     calls = []
-    res = evolve(scaling(1.0), blob(), 0.0, 0.1, 5,
+    res = evolve(scaling(1.0), blob(), 5,
                  on_step=lambda k, f: calls.append((k, f.time)))
     assert [k for k, _ in calls] == [1, 2, 3, 4, 5]
     assert [t for _, t in calls] == [d.time for d in res.diagnostics]
@@ -62,42 +63,42 @@ def test_initial_field_is_freed_after_the_first_step():
     # holds one field at a time: the peak memory of a run
     refs = []
 
-    def step(f, t):
+    def step(f):
         refs.append(weakref.ref(f))
-        return scaling(1.0)(f, t)
+        return scaling(1.0)(f)
     alive = []
-    evolve(step, blob(), 0.0, 0.1, 3,
+    evolve(step, blob(), 3,
            on_step=lambda k, f: alive.append([r() is not None for r in refs]))
     assert alive == [[False], [False, False], [False, False, False]]
 
 
 def test_norm_blow_up_names_the_step():
     with pytest.raises(NumericalError, match="^norm blow-up at step 1: "):
-        evolve(scaling(1e7), blob(), 0.0, 0.1, 3)
+        evolve(scaling(1e7), blob(), 3)
 
 
 def test_non_finite_step_names_the_step():
-    def step(f, t):
-        if t > 0.15:
+    def step(f):
+        if f.time > 0.15:
             raise NonFiniteFieldError("field values must be finite")
-        return scaling(1.0)(f, t)
+        return scaling(1.0)(f)
     with pytest.raises(NumericalError, match="^step 3: field values must be finite"
                        ) as info:
-        evolve(step, blob(), 0.0, 0.1, 5)
+        evolve(step, blob(), 5)
     assert not isinstance(info.value, NonFiniteFieldError)
 
 
 def test_numerical_error_of_a_step_names_the_step():
-    def step(f, t):
-        if t > 0.05:
+    def step(f):
+        if f.time > 0.05:
             raise NumericalError("imaginary residue 1e-3 exceeds 1e-10")
-        return scaling(1.0)(f, t)
+        return scaling(1.0)(f)
     with pytest.raises(NumericalError, match="^step 2: imaginary residue 1e-3"):
-        evolve(step, blob(), 0.0, 0.1, 5)
+        evolve(step, blob(), 5)
 
 
 def test_norm_loss_warns_with_its_drift():
-    res = evolve(scaling(0.5), blob(), 0.0, 0.1, 2)
+    res = evolve(scaling(0.5), blob(), 2)
     assert res.warnings == ["step 1: relative norm drift 5.000e-01",
                             "step 2: relative norm drift 7.500e-01"]
 
@@ -105,7 +106,7 @@ def test_norm_loss_warns_with_its_drift():
 def spectral_step(pot, dt):
     """The step of a spectral-full run."""
     cfg = spectral.SpectralStepConfig(dt=dt)
-    return lambda f, t: spectral.step_full(f, pot, t, cfg)
+    return lambda f: spectral.step_full(f, pot, cfg)
 
 
 def test_real_steps_have_the_guards(monkeypatch):
@@ -113,11 +114,11 @@ def test_real_steps_have_the_guards(monkeypatch):
     pot = GaussianWell()
     monkeypatch.setattr(spectral, "_kick_values", lambda values, *args: 1e7 * values)
     with pytest.raises(NumericalError, match="^norm blow-up at step 1: "):
-        evolve(spectral_step(pot, 0.1), f, 0.0, 0.1, 10)
+        evolve(spectral_step(pot, 0.1), f, 10)
     monkeypatch.setattr(pseudoparticle, "step_lo",
-                        lambda f, pot, t, dt, mass: scaling(1e7)(f, t))
+                        lambda f, pot, dt, mass: scaling(1e7)(f))
     with pytest.raises(NumericalError, match="^norm blow-up at step 1: "):
-        evolve(pseudoparticle.stepper(GRID, pot, 0.0, 0.1), f, 0.0, 0.1, 10)
+        evolve(pseudoparticle.stepper(GRID, pot, 0.1), f, 10)
 
 
 def test_transport_through_the_boundary_warns_every_step():
@@ -126,10 +127,10 @@ def test_transport_through_the_boundary_warns_every_step():
     # reports it; the periodic spectral drift wraps it round and keeps it
     f = blob(x0=2.0, p0=2.0)
     pot = Constant(c=0.0)
-    res = evolve(pseudoparticle.stepper(GRID, pot, 0.0, 0.2), f, 0.0, 0.2, 10)
+    res = evolve(pseudoparticle.stepper(GRID, pot, 0.2), f, 10)
     assert [w.split(":")[0] for w in res.warnings] == [
         f"step {k}" for k in range(1, 11)]
-    res = evolve(spectral_step(pot, 0.2), f, 0.0, 0.2, 10)
+    res = evolve(spectral_step(pot, 0.2), f, 10)
     assert res.warnings == []
 
 

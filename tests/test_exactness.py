@@ -56,13 +56,12 @@ def smooth_fields(draw):
 
 
 @PROPERTY
-@given(smooth_fields(), QUADRATIC, st.floats(0.01, 0.5), st.floats(0.2, 5.0),
-       st.floats(0.0, 2.0))
+@given(smooth_fields(), QUADRATIC, st.floats(0.01, 0.5), st.floats(0.2, 5.0))
 def test_nlo_correction_adds_nothing_when_the_third_derivative_vanishes(
-        f, pot, dt, mass, t):
-    lo = step_lo(f, pot, t, dt, mass=mass)
-    cutoff = stable_p3_cutoff(f.grid, pot, t, dt)
-    nlo = nlo_correction(lo, pot, t, dt, s_cutoff=cutoff)
+        f, pot, dt, mass):
+    lo = step_lo(f, pot, dt, mass=mass)
+    cutoff = stable_p3_cutoff(f.grid, pot, dt)
+    nlo = nlo_correction(lo, pot, dt, s_cutoff=cutoff)
     assert np.array_equal(nlo.values, lo.values)
     assert nlo.time == lo.time
 
@@ -97,7 +96,7 @@ def free_streaming_cases(draw):
 def test_step_full_under_a_constant_potential_is_the_analytic_shear(case, c, t):
     grid, blobs, mass, dt = case
     f = WignerField(grid=grid, values=gaussians(grid, blobs), time=t)
-    got = step_full(f, Constant(c=c), t, SpectralStepConfig(dt=dt, mass=mass))
+    got = step_full(f, Constant(c=c), SpectralStepConfig(dt=dt, mass=mass))
     want = gaussians(grid, blobs, shear=dt / mass)
     assert np.abs(got.values - want).max() <= 1e-10
     assert got.time == t + dt
@@ -135,14 +134,14 @@ def kick_drift_cases(draw):
 
 
 @settings(max_examples=100, deadline=None, database=None)
-@given(kick_drift_cases(), st.floats(0.0, 2.0))
-def test_step_lo_under_a_quadratic_potential_is_a_kick_then_a_drift(case, t):
+@given(kick_drift_cases())
+def test_step_lo_under_a_quadratic_potential_is_a_kick_then_a_drift(case):
     f, pot, dt, mass = case
-    kick_first = drift(kick_full(f, pot, t, dt), dt, mass).values
+    kick_first = drift(kick_full(f, pot, dt), dt, mass).values
     scale = np.abs(f.values).max()
-    lo = step_lo(f, pot, t, dt, mass=mass).values
+    lo = step_lo(f, pot, dt, mass=mass).values
     assert np.abs(lo - kick_first).max() <= KICK_DRIFT_BOUND * scale
     if not isinstance(pot, Constant) and dt >= 0.05:
         # the drift-first step is outside the bound, so the bound pins the order
-        full = step_full(f, pot, t, SpectralStepConfig(dt=dt, mass=mass)).values
+        full = step_full(f, pot, SpectralStepConfig(dt=dt, mass=mass)).values
         assert np.abs(full - kick_first).max() > KICK_DRIFT_BOUND * scale

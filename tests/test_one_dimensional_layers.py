@@ -35,14 +35,14 @@ def entry_points(f, grid):
     and the grid it lives on; every call returns arrays to compare."""
     ensemble = pseudoparticle.to_ensemble(blob(AXIS))
     return {
-        "step_lo": lambda: [pseudoparticle.step_lo(f, POT, 0.0, 0.1).values],
-        "stepper": lambda: [pseudoparticle.stepper(grid, POT, 0.0, 0.1, order)(f, 0.0)
+        "step_lo": lambda: [pseudoparticle.step_lo(f, POT, 0.1).values],
+        "stepper": lambda: [pseudoparticle.stepper(grid, POT, 0.1, order)(f)
                             .values for order in (0, 1)],
         "nlo_correction": lambda: [
-            pseudoparticle.nlo_correction(f, POT, 0.0, 0.1, s_cutoff=cutoff).values
+            pseudoparticle.nlo_correction(f, POT, 0.1, s_cutoff=cutoff).values
             for cutoff in (None, 3.0)],
         "d_p3": lambda: [pseudoparticle.d_p3(f).values],
-        "stable_p3_cutoff": lambda: [pseudoparticle.stable_p3_cutoff(grid, POT, 0.0, 0.1)],
+        "stable_p3_cutoff": lambda: [pseudoparticle.stable_p3_cutoff(grid, POT, 0.1)],
         "to_ensemble": lambda: list(vars(pseudoparticle.to_ensemble(f)).values()),
         "deposit": lambda: [pseudoparticle.deposit(ensemble, grid, PARAMS, PARAMS).values],
         "sample_fields": lambda: [g.values for g in
@@ -77,8 +77,8 @@ def test_fields_keep_their_product_grid():
     grid = PhaseSpaceGridND((AXIS,))
     f = blob(grid)
     ensemble = pseudoparticle.to_ensemble(f)
-    for out in (pseudoparticle.step_lo(f, POT, 0.0, 0.1),
-                pseudoparticle.nlo_correction(f, POT, 0.0, 0.1),
+    for out in (pseudoparticle.step_lo(f, POT, 0.1),
+                pseudoparticle.nlo_correction(f, POT, 0.1),
                 pseudoparticle.d_p3(f),
                 pseudoparticle.deposit(ensemble, grid, PARAMS, PARAMS),
                 oracle.sample_field(state(), 0.0, grid)):

@@ -54,10 +54,10 @@ def random_field(nx, n_p, seed):
 
 
 @settings(max_examples=15, deadline=None)
-@given(nx=sizes, n_p=sizes, t=times, dt=steps, seed=st.integers(0, 2**32 - 1))
-def test_step_lo(nx, n_p, t, dt, seed):
+@given(nx=sizes, n_p=sizes, dt=steps, seed=st.integers(0, 2**32 - 1))
+def test_step_lo(nx, n_p, dt, seed):
     field = random_field(nx, n_p, seed)
-    assert_same_bits(lambda: step_lo(field, GaussianWell(), t, dt).values)
+    assert_same_bits(lambda: step_lo(field, GaussianWell(), dt).values)
 
 
 @settings(max_examples=15, deadline=None)

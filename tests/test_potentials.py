@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -97,6 +98,17 @@ class TestParity:
         np.testing.assert_allclose(w.value(-xs), w.value(xs), rtol=1e-15)
         np.testing.assert_allclose(w.grad(-xs), -w.grad(xs), rtol=1e-15)
         np.testing.assert_allclose(w.d3(-xs), -w.d3(xs), rtol=1e-15)
+
+
+class TestSignature:
+    @pytest.mark.parametrize("pot", [Potential(), *ALL_VARIANTS] + [
+        parse_potential(text) for text in ("constant", "linear", "harmonic",
+                                           "gaussian_well")],
+                             ids=lambda pot: type(pot).__name__)
+    def test_methods_take_x_alone(self, pot):
+        # a potential is a function of x: time lives on the field
+        for name in ("value", "grad", "d3"):
+            assert list(inspect.signature(getattr(pot, name)).parameters) == ["x"]
 
 
 class TestValidation:

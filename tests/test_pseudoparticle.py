@@ -30,14 +30,14 @@ def blob(grid, x0=0.0, p0=0.0, width_sq=2.0):
 class TestStepLo:
     def test_zero_dt_is_identity(self):
         f = blob(GRID, x0=1.0)
-        out = step_lo(f, GaussianWell(), 0.0, 0.0)
+        out = step_lo(f, GaussianWell(), 0.0)
         np.testing.assert_allclose(out.values, f.values, atol=1e-12)
 
     def test_free_particle_matches_shear(self):
         f = blob(GRID, x0=1.0)
         current = f
-        for k in range(20):
-            current = step_lo(current, Constant(c=0.0), k * 0.05, 0.05)
+        for _ in range(20):
+            current = step_lo(current, Constant(c=0.0), 0.05)
         x = GRID.x_lattice[:, None]
         p = GRID.p_lattice[None, :]
         want = 2.0 * np.exp(-((x - p - 1.0) ** 2) / 2.0 - p**2 * 2.0)
@@ -49,8 +49,8 @@ class TestStepLo:
         f = blob(GRID, x0=1.0)
         dt = 2 * np.pi / 400
         current = f
-        for k in range(400):
-            current = step_lo(current, Harmonic(k=1.0), k * dt, dt)
+        for _ in range(400):
+            current = step_lo(current, Harmonic(k=1.0), dt)
         assert np.abs(current.values - f.values).max() < 5e-3
 
     def test_benchmark_deviation_exceeds_spectral(self, bench):
@@ -64,11 +64,11 @@ class TestStepLo:
         from scipy.ndimage import map_coordinates
         f, pot, dt = blob(GRID, x0=1.0), GaussianWell(), 0.05
         x0 = GRID.x_lattice[:, None] - GRID.p_lattice[None, :] * dt
-        p0 = GRID.p_lattice[None, :] + pot.grad(x0, 0.0) * dt
+        p0 = GRID.p_lattice[None, :] + pot.grad(x0) * dt
         want = map_coordinates(f.values, [(x0 - GRID.x_min) / GRID.dx,
                                           (p0 - GRID.p_min) / GRID.dp],
                                order=3, mode="constant", cval=0.0)
-        np.testing.assert_array_equal(step_lo(f, pot, 0.0, dt).values, want)
+        np.testing.assert_array_equal(step_lo(f, pot, dt).values, want)
 
     def test_points_off_the_grid_save_as_zero_not_minus_zero(self, tmp_path):
         # %.17g writes -0.0 as "-0"; the spline sum starts from +0.0, so no
@@ -79,9 +79,9 @@ class TestStepLo:
         p = grid.p_lattice[None, :]
         f = WignerField(grid=grid, values=np.full(grid.shape(), -5e-324))
         pot, dt = Linear(g=-5.0), 0.5
-        out = step_lo(f, pot, 0.0, dt).values
+        out = step_lo(f, pot, dt).values
         x0 = x - p * dt
-        p0 = p + pot.grad(x0, 0.0) * dt
+        p0 = p + pot.grad(x0) * dt
         off_x = (x0 < grid.x_min) | (x0 > grid.x_lattice[-1])
         off_p = (p0 < grid.p_min) | (p0 > grid.p_lattice[-1])
         assert (off_x & ~off_p).any() and (off_p & ~off_x).any()
@@ -94,13 +94,13 @@ class TestStepLo:
 class TestNloCorrection:
     def test_harmonic_correction_vanishes(self):
         f = blob(GRID, x0=0.5)
-        out = nlo_correction(f, Harmonic(k=2.0), 0.0, 0.1)
+        out = nlo_correction(f, Harmonic(k=2.0), 0.1)
         np.testing.assert_array_equal(out.values, f.values)
 
     def test_odd_in_potential(self):
         f = blob(GRID, x0=1.0)
-        plus = nlo_correction(f, GaussianWell(depth=1.0, sigma=3.0), 0.0, 0.1)
-        minus = nlo_correction(f, GaussianWell(depth=-1.0, sigma=3.0), 0.0, 0.1)
+        plus = nlo_correction(f, GaussianWell(depth=1.0, sigma=3.0), 0.1)
+        minus = nlo_correction(f, GaussianWell(depth=-1.0, sigma=3.0), 0.1)
         np.testing.assert_allclose(plus.values - f.values,
                                    -(minus.values - f.values), rtol=1e-12)
 
@@ -108,9 +108,9 @@ class TestNloCorrection:
         # the correction field must point the same way as the gap between
         # the full kernel and plain transport
         dt = 0.05
-        f_lo = step_lo(bench.f0, bench.pot, 0.0, dt)
-        corrected = nlo_correction(f_lo, bench.pot, 0.0, dt)
-        f_full = step_full(bench.f0, bench.pot, 0.0, SpectralStepConfig(dt=dt))
+        f_lo = step_lo(bench.f0, bench.pot, dt)
+        corrected = nlo_correction(f_lo, bench.pot, dt)
+        f_full = step_full(bench.f0, bench.pot, SpectralStepConfig(dt=dt))
         a = (corrected.values - f_lo.values).ravel()
         b = (f_full.values - f_lo.values).ravel()
         corr = a @ b / np.sqrt((a @ a) * (b @ b))
@@ -420,16 +420,24 @@ class TestEvolveNlo:
         assert gap_nlo.linf < gap_lo.linf
 
     def test_stability_cutoff_value(self, bench):
-        cutoff = stable_p3_cutoff(bench.grid, bench.pot, 0.0, 0.1)
+        cutoff = stable_p3_cutoff(bench.grid, bench.pot, 0.1)
         assert 5.0 < cutoff < np.abs(bench.grid.s_lattice).max()
 
     def test_harmonic_cutoff_is_full_band(self):
-        cutoff = stable_p3_cutoff(GRID, Harmonic(k=1.0), 0.0, 0.1)
+        cutoff = stable_p3_cutoff(GRID, Harmonic(k=1.0), 0.1)
         assert cutoff == np.abs(GRID.s_lattice).max()
 
     def test_invalid_order(self, bench):
         with pytest.raises(ValueError):
-            stepper(bench.grid, bench.pot, 0.0, 0.1, order=2)
+            stepper(bench.grid, bench.pot, 0.1, order=2)
+
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize("mass", [0.0, -1.0, math.nan, math.inf, 1e-310])
+    def test_invalid_mass_names_the_mass(self, order, mass):
+        # at 1e-310, dt / mass overflows and no point can be backtracked
+        with pytest.raises(ValueError, match="^mass must be positive and finite, "
+                           "with dt / mass finite"):
+            stepper(GRID, GaussianWell(), 0.1, order=order, mass=mass)
 
 
 class TestLinearPotentialExactness:
@@ -452,9 +460,9 @@ class TestLinearPotentialExactness:
             dt = horizon / nsteps
             cfg = SpectralStepConfig(dt=dt)
             cur_s, cur_l = f0, f0
-            for k in range(nsteps):
-                cur_s = step_full(cur_s, Linear(g=grav), k * dt, cfg)
-                cur_l = step_lo(cur_l, Linear(g=grav), k * dt, dt)
+            for _ in range(nsteps):
+                cur_s = step_full(cur_s, Linear(g=grav), cfg)
+                cur_l = step_lo(cur_l, Linear(g=grav), dt)
             gaps[nsteps] = (np.abs(cur_s.values - want).max(),
                             np.abs(cur_l.values - want).max())
         assert gaps[200][0] < 2.5e-3 and gaps[200][1] < 2.5e-3

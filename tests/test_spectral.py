@@ -20,9 +20,9 @@ GRID = make_grid(-8, 8, 256, -8, 8, 256)
 STEPS = {"full": step_full, "first_order": step_first_order}
 
 
-def run(stepper, f, pot, t0, cfg, nsteps):
-    """``phasespace.evolve`` of nsteps steps of ``stepper`` from t0."""
-    return evolve(lambda f, t: stepper(f, pot, t, cfg), f, t0, cfg.dt, nsteps)
+def run(stepper, f, pot, cfg, nsteps):
+    """``phasespace.evolve`` of nsteps steps of ``stepper``."""
+    return evolve(lambda f: stepper(f, pot, cfg), f, nsteps)
 
 
 def blob(grid, x0=0.0, p0=0.0, width_sq=2.0):
@@ -65,28 +65,28 @@ class TestDrift:
 class TestKick:
     def test_constant_potential_is_identity(self):
         f = blob(GRID)
-        out = kick_full(f, Constant(c=5.0), 0.0, 0.3)
+        out = kick_full(f, Constant(c=5.0), 0.3)
         np.testing.assert_allclose(out.values, f.values, atol=1e-13)
 
     def test_linear_potential_is_momentum_shift(self):
         # dV(x, s) = g s exactly, so the kick translates p by -g dt
         g, dt = 0.8, 0.25
         f = blob(GRID)
-        out = kick_full(f, Linear(g=g), 0.0, dt)
+        out = kick_full(f, Linear(g=g), dt)
         x = GRID.x_lattice[:, None]
         p = GRID.p_lattice[None, :]
         want = 2.0 * np.exp(-x**2 / 2.0 - ((p + g * dt) ** 2) * 2.0)
         assert np.abs(out.values - want).max() < 1e-10
 
     def test_momentum_marginal_invariant(self, bench):
-        kicked = kick_full(bench.f0, bench.pot, 0.0, 0.1)
+        kicked = kick_full(bench.f0, bench.pot, 0.1)
         before = bench.f0.values.sum(axis=1)
         after = kicked.values.sum(axis=1)
         scale = np.abs(before).max()
         assert np.abs(after - before).max() < 1e-12 * scale
 
     def test_output_is_real_array(self, bench):
-        out = kick_full(bench.f0, bench.pot, 0.0, 0.1)
+        out = kick_full(bench.f0, bench.pot, 0.1)
         assert out.values.dtype == np.float64
 
 
@@ -96,8 +96,8 @@ class TestStepFull:
         f = blob(GRID, x0=1.0)
         cfg = SpectralStepConfig(dt=0.05)
         current = f
-        for k in range(10):
-            current = step_full(current, Constant(c=0.0), k * 0.05, cfg)
+        for _ in range(10):
+            current = step_full(current, Constant(c=0.0), cfg)
         x = GRID.x_lattice[:, None]
         p = GRID.p_lattice[None, :]
         want = 2.0 * np.exp(-((x - p * 0.5 - 1.0) ** 2) / 2.0 - p**2 * 2.0)
@@ -109,8 +109,8 @@ class TestStepFull:
         f = blob(GRID, x0=1.0)
         cfg = SpectralStepConfig(dt=2 * np.pi / 200)
         current = f
-        for k in range(200):
-            current = step_full(current, Harmonic(k=1.0), k * cfg.dt, cfg)
+        for _ in range(200):
+            current = step_full(current, Harmonic(k=1.0), cfg)
         assert np.abs(current.values - f.values).max() < 1e-3
 
     def test_norm_conserved_each_step(self, bench):
@@ -123,7 +123,7 @@ class TestStepFirstOrder:
     def test_constant_potential_equals_pure_drift(self):
         f = blob(GRID, x0=0.5)
         cfg = SpectralStepConfig(dt=0.1)
-        out = step_first_order(f, Constant(c=2.0), 0.0, cfg)
+        out = step_first_order(f, Constant(c=2.0), cfg)
         want = drift(f, 0.1)
         np.testing.assert_allclose(out.values, want.values, atol=1e-13)
 
@@ -132,8 +132,8 @@ class TestStepFirstOrder:
         gaps = []
         for dt in (0.1, 0.05):
             cfg = SpectralStepConfig(dt=dt)
-            full = step_full(bench.f0, bench.pot, 0.0, cfg)
-            fo = step_first_order(bench.f0, bench.pot, 0.0, cfg)
+            full = step_full(bench.f0, bench.pot, cfg)
+            fo = step_first_order(bench.f0, bench.pot, cfg)
             gaps.append(np.abs(full.values - fo.values).max())
         ratio = gaps[0] / gaps[1]
         assert 3.5 < ratio < 4.5
@@ -141,8 +141,7 @@ class TestStepFirstOrder:
     def test_long_run_stays_close_to_full_variant(self, bench):
         # 300 first-order steps must land within 1.5x of the 30-step full
         # variant's distance from the reference solution
-        res = run(step_first_order, bench.f0, bench.pot, 0.0,
-                  SpectralStepConfig(dt=0.01), 300)
+        res = run(step_first_order, bench.f0, bench.pot, SpectralStepConfig(dt=0.01), 300)
         gap_fo = diff_metrics(res.field, bench.oracle_t3).linf
         gap_full = diff_metrics(bench.spectral30.field, bench.oracle_t3).linf
         assert gap_fo <= 1.5 * gap_full
@@ -158,7 +157,7 @@ class TestKernelEquivalence:
         rng = np.random.default_rng(12)
         f = WignerField(grid=grid, values=rng.standard_normal(grid.shape()))
 
-        got = kick_full(f, pot, 0.0, dt).values
+        got = kick_full(f, pot, dt).values
 
         s = grid.s_lattice
         p = grid.p_lattice
@@ -176,8 +175,8 @@ class TestKernelEquivalence:
 class TestEvolve:
     def test_single_step_matches_step_full(self, bench):
         cfg = SpectralStepConfig(dt=0.1)
-        res = run(step_full, bench.f0, bench.pot, 0.0, cfg, 1)
-        direct = step_full(bench.f0, bench.pot, 0.0, cfg)
+        res = run(step_full, bench.f0, bench.pot, cfg, 1)
+        direct = step_full(bench.f0, bench.pot, cfg)
         np.testing.assert_array_equal(res.field.values, direct.values)
 
     def test_diagnostics_rows(self, bench):
@@ -202,7 +201,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(dt=0.0), dict(dt=-0.1), dict(dt=0.1, mass=0.0),
         dict(dt=float("nan")), dict(dt=0.1, mass=float("nan")),
-        dict(dt=math.inf), dict(dt=0.1, mass=math.inf),
+        dict(dt=math.inf), dict(dt=0.1, mass=math.inf), dict(dt=0.1, mass=1e-310),
     ])
     def test_rejected(self, kwargs):
         # the message names the field at fault; an infinite one would
@@ -236,7 +235,7 @@ class RadialWell:
     """A potential given on all axes at once (``value_nd``), whose terms
     couple the axes; not a ``SeparableSum``."""
 
-    def value_nd(self, coords, t: float = 0.0):
+    def value_nd(self, coords):
         return -np.exp(-sum(np.asarray(c) ** 2 for c in coords) / 8.0)
 
 
@@ -256,6 +255,21 @@ class TestStepSeparable:
             current = step_separable(current, pot, k * cfg.dt, cfg)
         assert np.abs(current.values - f.values).max() < 1e-2
 
+    def test_time_argument_is_ignored(self, monkeypatch):
+        # t stays in the signature for positional callers; each call
+        # builds its kick afresh, and every t gives step_full's bits
+        f = blob_nd(grid_nd_square())
+        pot = SeparableSum(terms=(Harmonic(k=1.0), GaussianWell(depth=1.0, sigma=2.0)))
+        cfg = SpectralStepConfig(dt=0.1)
+        outs = []
+        for t in (0.0, 7.5):
+            monkeypatch.setattr(spectral, "_MEMO", {})
+            outs.append(step_separable(f, pot, t, cfg))
+        want = step_full(f, pot, cfg)
+        for out in outs:
+            assert out.values.tobytes() == want.values.tobytes()
+            assert out.time == want.time
+
     def test_one_dimension_rejected(self):
         axis = make_grid(-8, 8, 32, -8, 8, 32)
         grid_1d = PhaseSpaceGridND(axes=(axis,))
@@ -273,11 +287,11 @@ class TestStepSeparable:
         grid = PhaseSpaceGridND(axes=(axis,) * d)
         f = WignerFieldND(grid=grid, values=np.ones(grid.shape()))
         with pytest.raises(ValueError, match=f"{d}-d lattice .* SeparableSum"):
-            kick_full(f, GaussianWell(), 0.0, 0.1)
+            kick_full(f, GaussianWell(), 0.1)
         # the step itself leaves a p-constant field of a static sum unchanged
         pot = SeparableSum(terms=(Harmonic(k=1.0), GaussianWell(),
                                   Linear(g=0.5))[:d])
-        kicked = step_full(f, pot, 0.0, SpectralStepConfig(dt=0.1))
+        kicked = step_full(f, pot, SpectralStepConfig(dt=0.1))
         np.testing.assert_allclose(kicked.values, f.values, atol=1e-12)
 
     def test_term_count_must_match_axes(self):
@@ -301,9 +315,10 @@ class TestStepSeparable:
         grid = PhaseSpaceGridND(axes=(axis,) * d)
         f = WignerFieldND(grid=grid, values=np.ones(grid.shape()))
         cfg = SpectralStepConfig(dt=0.1)
-        for stepper in (step_full, step_first_order, step_separable):
+        for stepper in (step_full, step_first_order,
+                        lambda f, pot, cfg: step_separable(f, pot, 0.0, cfg)):
             with pytest.raises(ValueError, match=f"{d}-d lattice .* SeparableSum"):
-                stepper(f, pot, 0.0, cfg)
+                stepper(f, pot, cfg)
 
     def test_a_potential_that_cannot_kick_raises_before_the_drift(self, monkeypatch):
         drifts = []
@@ -317,10 +332,10 @@ class TestStepSeparable:
         grid = PhaseSpaceGridND(axes=(axis, axis))
         f = WignerFieldND(grid=grid, values=np.ones(grid.shape()))
         with pytest.raises(ValueError, match="2-d lattice .* SeparableSum"):
-            step_full(f, GaussianWell(depth=1.0, sigma=2.0), 0.0,
+            step_full(f, GaussianWell(depth=1.0, sigma=2.0),
                       SpectralStepConfig(dt=0.1))
         assert drifts == []
-        step_full(f, SeparableSum((Harmonic(k=1.0),) * 2), 0.0, SpectralStepConfig(dt=0.1))
+        step_full(f, SeparableSum((Harmonic(k=1.0),) * 2), SpectralStepConfig(dt=0.1))
         assert len(drifts) == 1
 
     def test_one_term_sum_on_one_axis_steps_as_its_term(self):
@@ -329,10 +344,10 @@ class TestStepSeparable:
         pot = SeparableSum(terms=(well,))
         cfg = SpectralStepConfig(dt=0.1)
         for stepper in (step_full, step_first_order):
-            assert np.array_equal(stepper(f, pot, 0.3, cfg).values,
-                                  stepper(f, well, 0.3, cfg).values)
-        assert np.array_equal(kick_full(f, pot, 0.3, 0.1).values,
-                              kick_full(f, well, 0.3, 0.1).values)
+            assert np.array_equal(stepper(f, pot, cfg).values,
+                                  stepper(f, well, cfg).values)
+        assert np.array_equal(kick_full(f, pot, 0.1).values,
+                              kick_full(f, well, 0.1).values)
 
 
 class TestStepSeparable3D:
@@ -354,9 +369,9 @@ class TestStepSeparable3D:
         cfg = SpectralStepConfig(dt=0.07)
         stepper = STEPS[variant]
         norm0 = norm_nd(f3)
-        for k in range(3):
-            f3 = stepper(f3, pot3, k * cfg.dt, cfg)
-            parts = [stepper(p, pots[j], k * cfg.dt, cfg)
+        for _ in range(3):
+            f3 = stepper(f3, pot3, cfg)
+            parts = [stepper(p, pots[j], cfg)
                      for j, p in enumerate(parts)]
         want = np.einsum("ad,be,cf->abcdef", *(p.values for p in parts))
         np.testing.assert_allclose(f3.values, want, atol=1e-12)
@@ -392,20 +407,20 @@ class TestStepAnyDimension:
         pot = ND_POTENTIALS[d][which]
         cfg = SpectralStepConfig(dt=0.1)
 
-        def body(values, t):
+        def body(values):
             drifted = _drift_values(values, f.grid, cfg.dt, cfg.mass)
-            return _kick_values(drifted, f.grid, pot, t, cfg.dt, variant)
+            return _kick_values(drifted, f.grid, pot, cfg.dt, variant)
 
-        got = STEPS[variant](f, pot, 0.3, cfg)
-        assert np.array_equal(got.values, body(f.values, 0.3))
+        got = STEPS[variant](f, pot, cfg)
+        assert np.array_equal(got.values, body(f.values))
         assert got.time == f.time + cfg.dt
         if variant == "full":
             assert np.array_equal(step_separable(f, pot, 0.3, cfg).values, got.values)
 
-        res = run(STEPS[variant], f, pot, 0.2, cfg, 3)
+        res = run(STEPS[variant], f, pot, cfg, 3)
         want = f.values
-        for k in range(3):
-            want = body(want, 0.2 + k * cfg.dt)
+        for _ in range(3):
+            want = body(want)
         assert np.array_equal(res.field.values, want)
         assert len(res.diagnostics) == 3
 
@@ -414,8 +429,8 @@ class TestStepAnyDimension:
         f = random_field_nd(1, 32)
         pot, cfg = GaussianWell(depth=1.0, sigma=2.0), SpectralStepConfig(dt=0.1)
         for stepper in (step_full, step_first_order):
-            got = stepper(f, pot, 0.0, cfg)
-            want = stepper(WignerField(grid=axis, values=f.values), pot, 0.0, cfg)
+            got = stepper(f, pot, cfg)
+            want = stepper(WignerField(grid=axis, values=f.values), pot, cfg)
             assert got.grid == f.grid and np.array_equal(got.values, want.values)
 
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
@@ -425,8 +440,8 @@ class TestStepAnyDimension:
 
         def gap(dt):
             cfg = SpectralStepConfig(dt=dt)
-            full = step_full(f, pot, 0.0, cfg).values
-            first = step_first_order(f, pot, 0.0, cfg).values
+            full = step_full(f, pot, cfg).values
+            first = step_first_order(f, pot, cfg).values
             return np.abs(full - first).max() / np.abs(full).max()
         # the first-order kernel drops terms of order (dt dV)^2, so halving
         # dt quarters the gap
@@ -473,16 +488,15 @@ def reversible_cases(draw):
     # 2.8 cells wide along p at every x
     dt = draw(st.floats(0.01, 1.0)) * min(0.5, mass * min(widths) / (4 * grid.dp))
     cfg = SpectralStepConfig(dt=dt, mass=mass)
-    return WignerField(grid=grid, values=values), draw(POTENTIALS_1D), \
-        draw(st.floats(0.0, 2.0)), cfg
+    return WignerField(grid=grid, values=values), draw(POTENTIALS_1D), cfg
 
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(reversible_cases())
 def test_step_full_is_time_reversible(case):
-    f, pot, t, cfg = case
-    forward = step_full(f, pot, t, cfg)
-    back = drift(kick_full(forward, pot, t, -cfg.dt), -cfg.dt, cfg.mass)
+    f, pot, cfg = case
+    forward = step_full(f, pot, cfg)
+    back = drift(kick_full(forward, pot, -cfg.dt), -cfg.dt, cfg.mass)
     scale = np.abs(f.values).max()
     assert np.abs(back.values - f.values).max() <= 1e-12 * scale
 
@@ -494,8 +508,8 @@ def test_step_full_is_time_reversible(case):
 @st.composite
 def composition_cases(draw):
     """A random field on a 1-, 2- or 3-d lattice of 4 or 8 points per axis,
-    the 1-d potential or a separable sum of one term per axis, a time and
-    a step config."""
+    the 1-d potential or a separable sum of one term per axis, and a step
+    config."""
     d = draw(st.integers(1, 3))
     axes = tuple(make_grid(-draw(st.floats(2.0, 8.0)), draw(st.floats(2.0, 8.0)),
                            draw(st.sampled_from([4, 8])),
@@ -510,20 +524,20 @@ def composition_cases(draw):
     pot = terms[0] if d == 1 else SeparableSum(terms)
     cfg = SpectralStepConfig(dt=draw(st.floats(0.01, 0.5)),
                              mass=draw(st.floats(0.2, 5.0)))
-    return f, pot, draw(st.floats(0.0, 2.0)), cfg
+    return f, pot, cfg
 
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(composition_cases())
 def test_sub_steps_compose_to_the_step_on_every_dimension(case):
-    f, pot, t, cfg = case
+    f, pot, cfg = case
     before = f.values.copy()
     # the kicks of the compositions read read-only drifted values, and
     # those of the steps reuse the writable array their drift returns
-    composed = kick_full(drift(f, cfg.dt, cfg.mass), pot, t, cfg.dt)
-    assert np.array_equal(composed.values, step_full(f, pot, t, cfg).values)
+    composed = kick_full(drift(f, cfg.dt, cfg.mass), pot, cfg.dt)
+    assert np.array_equal(composed.values, step_full(f, pot, cfg).values)
     drifted = _drift_values(f.values, f.grid, cfg.dt, cfg.mass)
     drifted.setflags(write=False)
-    composed = _kick_values(drifted, f.grid, pot, t, cfg.dt, "first_order")
-    assert np.array_equal(composed, step_first_order(f, pot, t, cfg).values)
+    composed = _kick_values(drifted, f.grid, pot, cfg.dt, "first_order")
+    assert np.array_equal(composed, step_first_order(f, pot, cfg).values)
     assert np.array_equal(f.values, before)

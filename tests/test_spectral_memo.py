@@ -38,8 +38,8 @@ class UnhashableWell(Potential):
     def __init__(self, depth: float):
         self.depth = depth
 
-    def value(self, x, t: float = 0.0):
-        return GaussianWell(depth=self.depth, sigma=2.0).value(x, t)
+    def value(self, x):
+        return GaussianWell(depth=self.depth, sigma=2.0).value(x)
 
 
 @pytest.fixture(autouse=True)
@@ -63,7 +63,7 @@ def _sym_nyquist(phase, axis):
     return phase
 
 
-def reference_step(field, pot, t, dt, mass=1.0, variant="full"):
+def reference_step(field, pot, dt, mass=1.0, variant="full"):
     """Drift then kick through complex transforms of the full spectrum."""
     g = field.grid
     kx = 2.0 * np.pi * np.fft.fftfreq(g.nx, g.dx)
@@ -72,7 +72,7 @@ def reference_step(field, pot, t, dt, mass=1.0, variant="full"):
     values = np.fft.ifft(np.fft.fft(field.values, axis=0) * phase, axis=0).real
     x = g.x_lattice[:, None]
     s = g.s_lattice[None, :]
-    delta_v = pot.value(x - s / 2.0, t) - pot.value(x + s / 2.0, t)
+    delta_v = pot.value(x - s / 2.0) - pot.value(x + s / 2.0)
     if variant == "full":
         mult = np.exp(-1j * delta_v * dt)
     else:
@@ -81,10 +81,10 @@ def reference_step(field, pot, t, dt, mass=1.0, variant="full"):
     return np.fft.ifft(np.fft.fft(values, axis=1) * mult, axis=1).real
 
 
-def rebuilt_step(field, pot, t, cfg):
-    """step_full with the kick built afresh for this t, bypassing the memo."""
+def rebuilt_step(field, pot, cfg):
+    """step_full with the kick built afresh, bypassing the memo."""
     drifted = drift(field, cfg.dt, cfg.mass)
-    values, _ = _apply_kick(drifted.values, _kick_phase(field.grid, pot, t, cfg.dt))
+    values, _ = _apply_kick(drifted.values, _kick_phase(field.grid, pot, cfg.dt))
     return WignerField(grid=field.grid, values=values, time=field.time + cfg.dt)
 
 
@@ -105,8 +105,8 @@ class TestMemoSafety:
         f = blob(GRID)
         for _ in range(2):      # the second pass is served from the memo
             for pot in pots:
-                got = step_full(f, pot, 0.0, cfg)
-                want = rebuilt_step(f, pot, 0.0, cfg)
+                got = step_full(f, pot, cfg)
+                want = rebuilt_step(f, pot, cfg)
                 assert max_rel(got.values, want.values) <= 1e-14
         entries = [spectral._MEMO[key] for key in kick_keys()]
         assert len(entries) == len(pots)
@@ -114,8 +114,8 @@ class TestMemoSafety:
 
     def test_equal_potentials_share_an_entry(self):
         cfg = SpectralStepConfig(dt=0.1)
-        step_full(blob(GRID), Harmonic(k=1.0), 0.0, cfg)
-        step_full(blob(GRID), Harmonic(k=1.0), 0.5, cfg)
+        step_full(blob(GRID), Harmonic(k=1.0), cfg)
+        step_full(blob(GRID), Harmonic(k=1.0), cfg)
         assert len(kick_keys()) == 1
 
     def test_variants_and_step_sizes_never_share_an_entry(self):
@@ -123,8 +123,8 @@ class TestMemoSafety:
         f = blob(GRID)
         for dt, variant, stepper in ((0.1, "full", step_full), (0.2, "full", step_full),
                                      (0.1, "first_order", step_first_order)):
-            got = stepper(f, pot, 0.0, SpectralStepConfig(dt=dt))
-            want = reference_step(f, pot, 0.0, dt, variant=variant)
+            got = stepper(f, pot, SpectralStepConfig(dt=dt))
+            want = reference_step(f, pot, dt, variant=variant)
             assert max_rel(got.values, want) <= 1e-12
         assert len(kick_keys()) == 3
 
@@ -139,8 +139,8 @@ class TestMemoSafety:
             for variant, stepper in (("full", step_full),
                                      ("first_order", step_first_order)):
                 cfg = SpectralStepConfig(dt=0.1)
-                got = stepper(f, pot, 0.0, cfg)
-                want = rfft_step_separable(f, pot, 0.0, cfg, variant)
+                got = stepper(f, pot, cfg)
+                want = rfft_step_separable(f, pot, cfg, variant)
                 assert max_rel(got.values, want) <= 1e-12
         # one matrix set per axis and variant
         assert len(kick_keys()) == 4
@@ -159,10 +159,10 @@ class TestMemoSafety:
         for variant, stepper, build in (
                 ("full", step_full, _kick_phase),
                 ("first_order", step_first_order, _kick_multiplier_first_order)):
-            stepper(f, pot, 0.0, cfg)
+            stepper(f, pot, cfg)
             for j, (g, term) in enumerate(zip(axes, pot.terms)):
                 got = spectral._MEMO[("kick_nd", variant, grid, pot, cfg.dt, j)]
-                want = _transfer_matrices(build(g, term, 0.0, cfg.dt), 1, g.np,
+                want = _transfer_matrices(build(g, term, cfg.dt), 1, g.np,
                                           right=j == d - 1)
                 assert got.shape == (g.nx, g.np, g.np)
                 assert np.array_equal(got, want)
@@ -171,10 +171,10 @@ class TestMemoSafety:
         pot = UnhashableWell(depth=1.0)
         cfg = SpectralStepConfig(dt=0.1)
         f = blob(GRID)
-        step_full(f, pot, 0.0, cfg)
+        step_full(f, pot, cfg)
         pot.depth = 2.0
-        got = step_full(f, pot, 0.0, cfg)
-        want = reference_step(f, GaussianWell(depth=2.0, sigma=2.0), 0.0, cfg.dt)
+        got = step_full(f, pot, cfg)
+        want = reference_step(f, GaussianWell(depth=2.0, sigma=2.0), cfg.dt)
         assert max_rel(got.values, want) <= 1e-12
         assert kick_keys() == []
 
@@ -186,11 +186,11 @@ class TestMemoSafety:
         well = UnhashableWell(depth=1.0)
         f = WignerFieldND(grid=grid, values=np.random.default_rng(5).random(grid.shape()))
         cfg = SpectralStepConfig(dt=0.1)
-        step_full(f, SeparableSum((well, Harmonic(k=1.0))), 0.0, cfg)
+        step_full(f, SeparableSum((well, Harmonic(k=1.0))), cfg)
         well.depth = 2.0
-        got = step_full(f, SeparableSum((well, Harmonic(k=1.0))), 0.0, cfg)
+        got = step_full(f, SeparableSum((well, Harmonic(k=1.0))), cfg)
         want = rfft_step_separable(f, SeparableSum((GaussianWell(depth=2.0, sigma=2.0),
-                                                    Harmonic(k=1.0))), 0.0, cfg)
+                                                    Harmonic(k=1.0))), cfg)
         assert max_rel(got.values, want) <= 1e-12
         assert kick_keys() == []
 
@@ -198,20 +198,20 @@ class TestMemoSafety:
         cfg = SpectralStepConfig(dt=0.1)
         f = blob(GRID)
         for c in range(2 * spectral._MEMO_SIZE):
-            step_full(f, Harmonic(k=float(c)), 0.0, cfg)
+            step_full(f, Harmonic(k=float(c)), cfg)
         assert len(spectral._MEMO) == spectral._MEMO_SIZE
 
     def test_memo_is_bounded_by_bytes(self, monkeypatch):
         cfg = SpectralStepConfig(dt=0.1)
         f = blob(GRID)
-        step_full(f, Harmonic(k=0.0), 0.0, cfg)
+        step_full(f, Harmonic(k=0.0), cfg)
         entry = max(m.nbytes for m in spectral._MEMO.values())
         spectral._MEMO.clear()
         monkeypatch.setattr(spectral, "_MEMO_BYTES", 3 * entry)
         pots = [Harmonic(k=float(c)) for c in range(6)]
         for pot in pots:
-            got = step_full(f, pot, 0.0, cfg)
-            want = reference_step(f, pot, 0.0, cfg.dt)
+            got = step_full(f, pot, cfg)
+            want = reference_step(f, pot, cfg.dt)
             assert max_rel(got.values, want) <= 1e-12
             assert sum(m.nbytes for m in spectral._MEMO.values()) <= 3 * entry
         # the oldest entries went first, so the newest kicks are kept
@@ -221,12 +221,12 @@ class TestMemoSafety:
         # an array larger than the whole budget is used but never kept
         spectral._MEMO.clear()
         monkeypatch.setattr(spectral, "_MEMO_BYTES", entry - 1)
-        got = step_full(f, pots[1], 0.0, cfg)
-        assert max_rel(got.values, reference_step(f, pots[1], 0.0, cfg.dt)) <= 1e-12
+        got = step_full(f, pots[1], cfg)
+        assert max_rel(got.values, reference_step(f, pots[1], cfg.dt)) <= 1e-12
         assert spectral._MEMO == {}
 
     def test_cached_multipliers_are_read_only(self):
-        step_full(blob(GRID), Harmonic(k=1.0), 0.0, SpectralStepConfig(dt=0.1))
+        step_full(blob(GRID), Harmonic(k=1.0), SpectralStepConfig(dt=0.1))
         assert spectral._MEMO
         assert not any(m.flags.writeable for m in spectral._MEMO.values())
 
@@ -268,9 +268,9 @@ class TestHalfSpectrumProperties:
         for variant, stepper in (("full", step_full),
                                  ("first_order", step_first_order)):
             cfg = SpectralStepConfig(dt=dt, mass=mass)
-            want = reference_step(field, pot, 0.0, dt, mass, variant)
+            want = reference_step(field, pot, dt, mass, variant)
             for _ in range(2):      # built, then served from the memo
-                got = stepper(field, pot, 0.0, cfg)
+                got = stepper(field, pot, cfg)
                 assert max_rel(got.values, want) <= 1e-12
 
     @PROPERTY
@@ -279,7 +279,7 @@ class TestHalfSpectrumProperties:
         field, pot, dt, mass = case
         norm0 = norm(field)
         for stepper in (step_full, step_first_order):
-            out = stepper(field, pot, 0.0, SpectralStepConfig(dt=dt, mass=mass))
+            out = stepper(field, pot, SpectralStepConfig(dt=dt, mass=mass))
             assert abs(norm(out) - norm0) <= 1e-12 * abs(norm0)
 
     @PROPERTY
@@ -287,9 +287,9 @@ class TestHalfSpectrumProperties:
     def test_kick_keeps_momentum_marginal_at_every_x(self, case):
         field, pot, dt, _ = case
         before = field.values.sum(axis=1)
-        full = kick_full(field, pot, 0.0, dt).values
+        full = kick_full(field, pot, dt).values
         first, _ = _apply_kick(field.values, _kick_multiplier_first_order(
-            field.grid, pot, 0.0, dt))
+            field.grid, pot, dt))
         for after in (full, first):
             err = np.abs(after.sum(axis=1) - before).max()
             assert err <= 1e-12 * np.abs(before).max()
@@ -313,12 +313,12 @@ def real_half_nyquist(phase, axis):
     return phase
 
 
-def separable_value(pot, coords, t):
+def separable_value(pot, coords):
     """sum_i V_i(x_i) of a separable sum, one broadcastable array per axis."""
-    return sum(term.value(c, t) for term, c in zip(pot.terms, coords))
+    return sum(term.value(c) for term, c in zip(pot.terms, coords))
 
 
-def on_axis_kick_phase(grid, pot, t, dt, j, variant="full"):
+def on_axis_kick_phase(grid, pot, dt, j, variant="full"):
     """exp(-i [V(x - s_j e_j / 2) - V(x + s_j e_j / 2)] dt), or its first-order
     truncation, on the s_j >= 0 half from V = sum_i V_i(x_i) over the whole
     x lattice, Nyquist bin kept real."""
@@ -331,7 +331,7 @@ def on_axis_kick_phase(grid, pot, t, dt, j, variant="full"):
     minus, plus = list(coords), list(coords)
     minus[j] = coords[j] - s / 2.0
     plus[j] = coords[j] + s / 2.0
-    delta_v = separable_value(pot, minus, t) - separable_value(pot, plus, t)
+    delta_v = separable_value(pot, minus) - separable_value(pot, plus)
     if variant == "full":
         phase = np.exp(-1j * delta_v * dt) + 0j
     else:
@@ -339,7 +339,7 @@ def on_axis_kick_phase(grid, pot, t, dt, j, variant="full"):
     return real_half_nyquist(phase, axis=d + j)
 
 
-def rfft_step_separable(field, pot, t, cfg, variant="full"):
+def rfft_step_separable(field, pot, cfg, variant="full"):
     """A 2-d/3-d step as one rfft/irfft pair per sub-step and axis: the
     drift multiplies the x_j half spectrum by the 1-d drift phase, the
     kick the p_j half spectrum by the variant's on-axis kick multiplier."""
@@ -355,7 +355,7 @@ def rfft_step_separable(field, pot, t, cfg, variant="full"):
         values = np.fft.irfft(np.fft.rfft(values, axis=j) * phase.reshape(shape),
                               n=g.nx, axis=j)
     for j, g in enumerate(grid.axes):
-        phase = on_axis_kick_phase(grid, pot, t, cfg.dt, j, variant)
+        phase = on_axis_kick_phase(grid, pot, cfg.dt, j, variant)
         values = np.fft.irfft(np.fft.rfft(values, axis=d + j) * phase,
                               n=g.np, axis=d + j)
     return values
@@ -383,22 +383,21 @@ def separable_cases(draw):
     field = WignerFieldND(grid=grid, values=rng.random(grid.shape()))
     pot = SeparableSum(tuple(draw(POTENTIALS) for _ in range(d)))
     cfg = SpectralStepConfig(dt=draw(st.floats(1e-3, 0.5)), mass=draw(st.floats(0.2, 5.0)))
-    return (field, pot, draw(st.floats(0.0, 2.0)), cfg,
-            draw(st.sampled_from(["full", "first_order"])))
+    return field, pot, cfg, draw(st.sampled_from(["full", "first_order"]))
 
 
 @settings(max_examples=40, deadline=None, database=None)
 @given(separable_cases())
 def test_separable_step_matches_rfft_formulation(case):
-    field, pot, t, cfg, variant = case
+    field, pot, cfg, variant = case
     before = field.values.copy()
-    steppers = ((step_full, step_separable) if variant == "full"
-                else (step_first_order,))
+    separable = lambda f, pot, cfg: step_separable(f, pot, 0.0, cfg)
+    steppers = (step_full, separable) if variant == "full" else (step_first_order,)
     # other step sizes and masses share the memo but never an entry
     for cfg in (cfg, replace(cfg, dt=cfg.dt / 2), replace(cfg, mass=2 * cfg.mass)):
-        want = rfft_step_separable(field, pot, t, cfg, variant)
+        want = rfft_step_separable(field, pot, cfg, variant)
         for stepper in steppers * 2:    # built, then served from the memo
-            got = stepper(field, pot, t, cfg)
+            got = stepper(field, pot, cfg)
             assert np.abs(got.values - want).max() <= 1e-12 * np.abs(want).max()
             assert got.time == field.time + cfg.dt
     assert np.array_equal(field.values, before)

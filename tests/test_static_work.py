@@ -46,11 +46,11 @@ class UnhashableWell(Potential):
     def __init__(self, depth: float):
         self.well = GaussianWell(depth=depth, sigma=2.0)
 
-    def value(self, x, t: float = 0.0):
-        return self.well.value(x, t)
+    def value(self, x):
+        return self.well.value(x)
 
-    def grad(self, x, t: float = 0.0):
-        return self.well.grad(x, t)
+    def grad(self, x):
+        return self.well.grad(x)
 
 
 @pytest.fixture(autouse=True)
@@ -139,7 +139,7 @@ def test_pair_exponent_buffer_equals_three_temporaries(nx, n_p, times, amps,
 # pseudoparticle.nlo_correction
 # ---------------------------------------------------------------------------
 
-def whole_array_nlo(field, pot, t, dt, s_cutoff):
+def whole_array_nlo(field, pot, dt, s_cutoff):
     """The correction over the whole lattice at once."""
     grid = field.grid
     s = grid.s_lattice
@@ -149,23 +149,23 @@ def whole_array_nlo(field, pot, t, dt, s_cutoff):
         mult = mult * (np.abs(s) <= s_cutoff)
     out = np.fft.ifft(np.fft.fft(field.values, axis=1) * mult[None, :], axis=1)
     third = np.real(out)
-    v3 = pot.d3(grid.x_lattice, t)[:, None]
+    v3 = pot.d3(grid.x_lattice)[:, None]
     return field.values - (dt * HBAR**2 / 24.0) * v3 * third
 
 
 @settings(max_examples=25, deadline=None)
 @given(nx=row_counts, n_p=st.sampled_from([8, 16, 32, 64, 128]),
-       seed=st.integers(0, 2**32 - 1), t=st.floats(-5.0, 5.0),
+       seed=st.integers(0, 2**32 - 1),
        dt=st.floats(-0.5, 0.5), depth=st.floats(-2.0, 2.0),
        sigma=st.floats(0.5, 4.0),
        s_cutoff=st.none() | st.floats(0.0, 30.0))
-def test_blocked_nlo_correction_equals_whole_array(nx, n_p, seed, t, dt, depth,
+def test_blocked_nlo_correction_equals_whole_array(nx, n_p, seed, dt, depth,
                                                    sigma, s_cutoff):
     grid = make_grid(-8.0, 8.0, nx, -8.0, 8.0, n_p)
     field = blobs(grid, seed)
     pot = GaussianWell(depth=depth, sigma=sigma)
-    got = nlo_correction(field, pot, t, dt, s_cutoff=s_cutoff)
-    assert same_bits(got.values, whole_array_nlo(field, pot, t, dt, s_cutoff))
+    got = nlo_correction(field, pot, dt, s_cutoff=s_cutoff)
+    assert same_bits(got.values, whole_array_nlo(field, pot, dt, s_cutoff))
     assert got.time == field.time
 
 
@@ -173,22 +173,22 @@ def test_blocked_nlo_correction_equals_whole_array(nx, n_p, seed, t, dt, depth,
 # pseudoparticle.step_lo and the backtrack memo
 # ---------------------------------------------------------------------------
 
-def fresh_step(field, pot, t, dt, mass=1.0):
-    """step_lo's values with the backtrack built here, for this t."""
+def fresh_step(field, pot, dt, mass=1.0):
+    """step_lo's values with the backtrack built here."""
     grid = field.grid
     x = grid.x_lattice[:, None]
     p = grid.p_lattice[None, :]
     x0 = x - p * (dt / mass)
-    p0 = p + pot.grad(x0, t) * dt
+    p0 = p + pot.grad(x0) * dt
     return interpolate(field, x0, p0)
 
 
-def whole_array_stencil(grid, pot, t, dt, mass):
+def whole_array_stencil(grid, pot, dt, mass):
     """The backtrack stencil built over the whole lattice at once."""
     x = grid.x_lattice[:, None]
     p = grid.p_lattice[None, :]
     x0 = x - p * (dt / mass)
-    p0 = p + pot.grad(x0, t) * dt
+    p0 = p + pot.grad(x0) * dt
     return _spline_stencil(grid.shape(), (x0 - grid.x_min) / grid.dx,
                            (p0 - grid.p_min) / grid.dp)
 
@@ -206,21 +206,21 @@ potentials = st.one_of(
 @settings(max_examples=40, deadline=None)
 @given(nx=st.sampled_from([4, 8, 32, 64, 128]), n_p=sizes,
        pot=potentials | st.builds(Constant, c=st.floats(-2.0, 2.0)),
-       t=st.floats(-5.0, 5.0), dt=st.floats(-2.0, 2.0), mass=st.floats(0.2, 5.0))
-def test_blocked_stencil_equals_whole_array(nx, n_p, pot, t, dt, mass):
+       dt=st.floats(-2.0, 2.0), mass=st.floats(0.2, 5.0))
+def test_blocked_stencil_equals_whole_array(nx, n_p, pot, dt, mass):
     # lattices of fewer rows than one block, exactly one block, and several
     grid = make_grid(-8.0, 8.0, nx, -4.0, 4.0, n_p)
-    assert same_bits(_backtrack_stencil(grid, pot, t, dt, mass),
-                     whole_array_stencil(grid, pot, t, dt, mass))
+    assert same_bits(_backtrack_stencil(grid, pot, dt, mass),
+                     whole_array_stencil(grid, pot, dt, mass))
 
 
 def test_stencil_build_peaks_near_its_own_bytes():
     grid = make_grid(-10.0, 10.0, 512, -8.0, 8.0, 512)
     pot = GaussianWell(depth=1.0, sigma=2.0)
-    _backtrack_stencil(grid, pot, 0.0, 0.05, 1.0)     # lattices cached
+    _backtrack_stencil(grid, pot, 0.05, 1.0)     # lattices cached
     tracemalloc.start()
     try:
-        stencil = _backtrack_stencil(grid, pot, 0.0, 0.05, 1.0)
+        stencil = _backtrack_stencil(grid, pot, 0.05, 1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -229,15 +229,15 @@ def test_stencil_build_peaks_near_its_own_bytes():
 
 @settings(max_examples=20, deadline=None)
 @given(nx=sizes, n_p=sizes, seed=st.integers(0, 2**32 - 1), pot=potentials,
-       t=st.floats(-5.0, 5.0), dt=st.floats(-0.5, 0.5), mass=st.floats(0.2, 5.0))
-def test_memoized_step_equals_fresh_backtrack(nx, n_p, seed, pot, t, dt, mass):
+       dt=st.floats(-0.5, 0.5), mass=st.floats(0.2, 5.0))
+def test_memoized_step_equals_fresh_backtrack(nx, n_p, seed, pot, dt, mass):
     spectral._MEMO.clear()
     field = blobs(make_grid(-8.0, 8.0, nx, -4.0, 4.0, n_p), seed)
-    want = fresh_step(field, pot, t, dt, mass)
-    first = step_lo(field, pot, t, dt, mass=mass)
+    want = fresh_step(field, pot, dt, mass)
+    first = step_lo(field, pot, dt, mass=mass)
     assert len(backtrack_keys()) == 1
-    # a static potential's backtrack does not depend on the step time
-    again = step_lo(field, pot, t + 1.0, dt, mass=mass)
+    # the second step is served from the memo
+    again = step_lo(field, pot, dt, mass=mass)
     assert same_bits(first.values, want)
     assert same_bits(again.values, want)
     assert len(backtrack_keys()) == 1
@@ -251,7 +251,7 @@ def test_distinct_keys_never_share_an_entry(seed, dt, mass, depth, change):
     spectral._MEMO.clear()
     grid = make_grid(-8.0, 8.0, 32, -4.0, 4.0, 32)
     pot = GaussianWell(depth=depth, sigma=2.0)
-    step_lo(blobs(grid, seed), pot, 0.0, dt, mass=mass)
+    step_lo(blobs(grid, seed), pot, dt, mass=mass)
     grid_b, pot_b, dt_b, mass_b = grid, pot, dt, mass
     if change == "grid":
         grid_b = make_grid(-8.0, 8.0, 32, -4.5, 4.5, 32)
@@ -264,25 +264,24 @@ def test_distinct_keys_never_share_an_entry(seed, dt, mass, depth, change):
     else:
         pot_b = Linear(g=depth)
     field_b = blobs(grid_b, seed)
-    got = step_lo(field_b, pot_b, 0.0, dt_b, mass=mass_b)
-    assert same_bits(got.values, fresh_step(field_b, pot_b, 0.0, dt_b, mass_b))
+    got = step_lo(field_b, pot_b, dt_b, mass=mass_b)
+    assert same_bits(got.values, fresh_step(field_b, pot_b, dt_b, mass_b))
     assert len(backtrack_keys()) == 2
 
 
 def test_unhashable_potential_is_rebuilt_each_step():
     field = blobs(make_grid(-8.0, 8.0, 64, -4.0, 4.0, 64), 3)
     pot = UnhashableWell(depth=1.0)
-    for k in range(4):
-        t = 0.5 * k
-        got = step_lo(field, pot, t, 0.1)
-        assert same_bits(got.values, fresh_step(field, pot, t, 0.1))
+    for _ in range(4):
+        got = step_lo(field, pot, 0.1)
+        assert same_bits(got.values, fresh_step(field, pot, 0.1))
     assert not backtrack_keys()
     # a change made in place to an unhashable potential is seen at once
     pot = UnhashableWell(depth=1.0)
-    step_lo(field, pot, 0.0, 0.1)
+    step_lo(field, pot, 0.1)
     pot.well = GaussianWell(depth=-1.0, sigma=2.0)
-    assert same_bits(step_lo(field, pot, 0.0, 0.1).values,
-                     fresh_step(field, pot, 0.0, 0.1))
+    assert same_bits(step_lo(field, pot, 0.1).values,
+                     fresh_step(field, pot, 0.1))
 
 
 def test_backtrack_memo_stays_bounded():
@@ -290,8 +289,8 @@ def test_backtrack_memo_stays_bounded():
     pot = GaussianWell()
     for k in range(2 * spectral._MEMO_SIZE):
         dt = 0.01 * (k + 1)
-        got = step_lo(field, pot, 0.0, dt)
-        assert same_bits(got.values, fresh_step(field, pot, 0.0, dt))
+        got = step_lo(field, pot, dt)
+        assert same_bits(got.values, fresh_step(field, pot, dt))
     assert len(spectral._MEMO) <= spectral._MEMO_SIZE
     assert not any(a.flags.writeable for a in spectral._MEMO.values())
 
@@ -302,7 +301,7 @@ def test_non_finite_backtrack_raises_and_is_not_kept():
     from wigprop.phasespace import NonFiniteFieldError
     field = blobs(make_grid(-8.0, 8.0, 16, -4.0, 4.0, 16), 7)
     with pytest.raises(NonFiniteFieldError, match="finite"):
-        step_lo(field, Harmonic(k=1e308), 0.0, 0.1)
+        step_lo(field, Harmonic(k=1e308), 0.1)
     assert not backtrack_keys()
 
 
@@ -312,7 +311,7 @@ class EdgeOverflow(Potential):
 
     edge: float
 
-    def grad(self, x, t: float = 0.0):
+    def grad(self, x):
         with np.errstate(over="ignore"):
             return 1e300 * np.exp(1e3 * (np.asarray(x) - self.edge))
 
@@ -328,7 +327,7 @@ def test_backtrack_overflowing_in_the_last_block_raises_and_is_not_kept():
     bad_rows = np.flatnonzero(~np.isfinite(p0).all(axis=1))
     assert bad_rows.size and bad_rows.min() >= nx - _BLOCK_ROWS
     field = blobs(grid, 11)
-    with pytest.raises(NonFiniteFieldError, match=r"^backtracked points at t=0 "
+    with pytest.raises(NonFiniteFieldError, match=r"^backtracked points "
                        r"must be finite \(the force overflows\)$"):
-        step_lo(field, pot, 0.0, 0.1)
+        step_lo(field, pot, 0.1)
     assert not backtrack_keys()
