@@ -72,14 +72,6 @@ def _fmt(v: float) -> str:
 # scenario files
 # ---------------------------------------------------------------------------
 
-_SECTION_KEYS = {
-    "grid": {"x_min", "x_max", "nx", "p_min", "p_max", "np"},
-    "potential": {"potential"},
-    "initial": {"state", "amplitudes", "beta0_sq", "n_max"},
-    "run": {"method", "t0", "t1", "nsteps", "checkpoints", "slices", "mass"},
-}
-
-
 @dataclass
 class Scenario:
     grid: PhaseSpaceGrid
@@ -106,10 +98,26 @@ def _parse_float_list(raw: str) -> list[float]:
     return [float(v) for v in items]
 
 
+#: Every scenario key by section: its converter and the text an absent key
+#: takes, or None for a required key.  A default is formatted with the
+#: given texts, so an absent ``checkpoints`` is the one time t1.
+_SCHEMA = {
+    "grid": {"x_min": (float, None), "x_max": (float, None), "nx": (int, None),
+             "p_min": (float, None), "p_max": (float, None), "np": (int, None)},
+    "potential": {"potential": (parse_potential, None)},
+    "run": {"method": (str, None), "t0": (float, None), "t1": (float, None),
+            "nsteps": (int, None), "checkpoints": (_parse_float_list, "{t1}"),
+            "slices": (_parse_float_list, "0 0.3 0.6"), "mass": (float, "1.0")},
+    "initial": {"state": (str, "oracle"), "amplitudes": (_parse_float_list, "1 1"),
+                "beta0_sq": (float, "1.0"), "n_max": (int, "10")},
+}
+
+
 def parse_scenario_text(text: str) -> Scenario:
     """Parse scenario text; unknown sections/keys are reported with their
     line numbers."""
-    entries: dict[tuple[str, str], tuple[str, int]] = {}
+    raws: dict[str, str] = {}
+    lines: dict[str, int] = {}
     section = None
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
@@ -117,7 +125,7 @@ def parse_scenario_text(text: str) -> Scenario:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SECTION_KEYS:
+            if section not in _SCHEMA:
                 raise ConfigError(f"unknown section [{section}]", lineno)
             continue
         if "=" not in line:
@@ -125,71 +133,41 @@ def parse_scenario_text(text: str) -> Scenario:
         if section is None:
             raise ConfigError("entry before any [section] header", lineno)
         key, _, value = (part.strip() for part in line.partition("="))
-        if key not in _SECTION_KEYS[section]:
+        if key not in _SCHEMA[section]:
             raise ConfigError(f"unknown key {key!r} in section [{section}]", lineno)
-        if (section, key) in entries:
+        if key in raws:
             raise ConfigError(f"duplicate key {key!r} in section [{section}]", lineno)
-        entries[(section, key)] = (value, lineno)
+        raws[key], lines[key] = value, lineno
 
-    def need(section: str, key: str) -> tuple[str, int]:
-        if (section, key) not in entries:
-            raise ConfigError(f"missing required key {key!r} in section [{section}]")
-        return entries[(section, key)]
-
-    def get(section: str, key: str, default: str) -> tuple[str, int | None]:
-        return entries.get((section, key), (default, None))
-
-    def conv(pair, fn, what):
-        raw, lineno = pair
-        with _bad_input(f"{what}: ", lineno):
-            return fn(raw)
+    values = {}
+    for section, keys in _SCHEMA.items():
+        for key, (convert, default) in keys.items():
+            if key not in raws and default is None:
+                raise ConfigError(f"missing required key {key!r} in section [{section}]")
+            raw = raws[key] if key in raws else default.format_map(raws)
+            with _bad_input("" if key == "potential" else f"{key}: ", lines.get(key)):
+                values[key] = convert(raw)
 
     with _bad_input("grid: "):
-        grid = make_grid(
-            conv(need("grid", "x_min"), float, "x_min"),
-            conv(need("grid", "x_max"), float, "x_max"),
-            conv(need("grid", "nx"), int, "nx"),
-            conv(need("grid", "p_min"), float, "p_min"),
-            conv(need("grid", "p_max"), float, "p_max"),
-            conv(need("grid", "np"), int, "np"))
-
-    pot_raw, pot_line = need("potential", "potential")
-    with _bad_input(line=pot_line):
-        potential = parse_potential(pot_raw)
-
-    method, method_line = need("run", "method")
-    if method not in METHODS:
-        raise ConfigError(f"method must be one of {', '.join(METHODS)}", method_line)
-    t0 = conv(need("run", "t0"), float, "t0")
-    t1 = conv(need("run", "t1"), float, "t1")
-    nsteps = conv(need("run", "nsteps"), int, "nsteps")
-    checkpoints = conv(get("run", "checkpoints", f"{t1}"), _parse_float_list,
-                       "checkpoints")
-    slices = conv(get("run", "slices", "0 0.3 0.6"), _parse_float_list, "slices")
-    mass = conv(get("run", "mass", "1.0"), float, "mass")
-
-    state_raw, state_line = get("initial", "state", "oracle")
-    parts = state_raw.split(None, 1)
+        grid = make_grid(*(values.pop(key) for key in _SCHEMA["grid"]))
+    if values["method"] not in METHODS:
+        raise ConfigError(f"method must be one of {', '.join(METHODS)}", lines["method"])
+    state = values.pop("state")
+    parts = state.split(None, 1)
     initial_kind = parts[0] if parts else ""
     field_path = None
     if initial_kind == "file":
         if len(parts) != 2:
-            raise ConfigError("state = file needs a path", state_line)
+            raise ConfigError("state = file needs a path", lines.get("state"))
         field_path = parts[1]
     elif initial_kind != "oracle":
-        raise ConfigError(f"state must be 'oracle' or 'file <path>', got {state_raw!r}",
-                          state_line)
-    amplitudes = tuple(conv(get("initial", "amplitudes", "1 1"), _parse_float_list,
-                            "amplitudes"))
-    beta0_sq = conv(get("initial", "beta0_sq", "1.0"), float, "beta0_sq")
-    n_max = conv(get("initial", "n_max", "10"), int, "n_max")
+        raise ConfigError(f"state must be 'oracle' or 'file <path>', got {state!r}",
+                          lines.get("state"))
+    values["amplitudes"] = tuple(values["amplitudes"])
 
-    sc = Scenario(grid=grid, potential=potential, method=method, t0=t0, t1=t1,
-                  nsteps=nsteps, checkpoints=checkpoints, slices=slices,
-                  mass=mass, initial_kind=initial_kind, amplitudes=amplitudes,
-                  beta0_sq=beta0_sq, n_max=n_max, initial_field=field_path,
-                  source_text=text,
-                  lines={key: lineno for (_, key), (_, lineno) in entries.items()})
+    # the keys left are the Scenario fields of the same names
+    sc = Scenario(grid=grid, initial_kind=initial_kind, initial_field=field_path,
+                  source_text=text, lines=lines, **values)
     _validate_scenario(sc)
     return sc
 
@@ -220,6 +198,8 @@ def _validate_scenario(sc: Scenario) -> None:
     if sc.initial_kind == "oracle":
         check(isinstance(sc.potential, GaussianWell), "potential",
               "oracle initial states require potential = gaussian_well")
+        check(sc.potential.depth == 1.0, "potential", "oracle initial states "
+              f"solve the unit-depth well: depth must be 1.0, got {sc.potential.depth!r}")
         check(2 <= sc.n_max <= oracle.N_MAX_SOLVABLE, "n_max", "n_max must be "
               f"from 2 to {oracle.N_MAX_SOLVABLE}; larger bases cannot be solved")
         with _bad_input(line=sc.lines.get("beta0_sq")):

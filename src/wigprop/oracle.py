@@ -4,10 +4,12 @@ from them.
 
 A non-orthogonal basis of even Gaussians psi_n(x) = exp(-x^2/2 beta_n^2) /
 sqrt(sqrt(pi) beta_n) with beta_n^2 = n * beta0^2 turns the Schroedinger
-problem H = -d^2/dx^2 / 2 - depth * exp(-x^2/2 sigma^2) into a small dense
-generalized eigenproblem (T + V) a = E B a with closed-form matrix
-elements.  The resulting eigenpairs give an analytic Wigner function at
-any time, which every propagator in the package is checked against.
+problem H = -d^2/dx^2 / 2 - exp(-x^2/2 sigma^2) of the unit-depth well
+into a small dense generalized eigenproblem (T + V) a = E B a with
+closed-form matrix elements.  The resulting eigenpairs give an analytic
+Wigner function at any time, which every propagator in the package is
+checked against.  A scenario with an oracle initial state in a well of
+any other depth is refused as a configuration error.
 
 The basis spans even-parity states only; odd states are out of reach by
 construction.  Matrix elements are exact for any n_max, but the overlap

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -571,6 +572,16 @@ def write_rows(fh, table: np.ndarray) -> None:
         fh.write(flat[flat != 0].tobytes().decode("ascii"))
 
 
+def read_rows(fh) -> np.ndarray:
+    """The rows left in ``fh`` as ``np.loadtxt(fh, ndmin=2)`` reads them.
+    No rows give an empty array without numpy's "no data" warning: the
+    caller's shape check reports them."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                UserWarning)
+        return np.loadtxt(fh, ndmin=2)
+
+
 def save_field(field: WignerField, path) -> None:
     g = _one_dimensional(field.grid, "save_field")
     header = (f"# wignerfield {g.nx} {g.np} {g.x_min:.17g} {g.x_max:.17g} "
@@ -588,7 +599,7 @@ def load_field(path) -> WignerField:
         try:
             nx, n_p = int(header[2]), int(header[3])
             x_min, x_max, p_min, p_max, time = map(float, header[4:9])
-            values = np.loadtxt(fh, ndmin=2)
+            values = read_rows(fh)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     if values.shape != (nx, n_p):

@@ -22,8 +22,8 @@ import numpy as np
 from .phasespace import (_BLOCK_ROWS, HBAR, REALNESS_TOL, NonFiniteFieldError,
                          NumericalError, PhaseSpaceGrid, WignerField,
                          _one_dimensional, _spline_stencil,
-                         at_lattice_coordinates, check_mass, truncate_real,
-                         write_rows)
+                         at_lattice_coordinates, check_mass, read_rows,
+                         truncate_real, write_rows)
 from .potentials import Potential
 from .spectral import _memoized
 
@@ -190,14 +190,15 @@ def stable_p3_cutoff(grid: PhaseSpaceGrid, pot: Potential, dt: float) -> float:
     One corrected step multiplies the p-spectrum at wavenumber s by
     1 + i dt V''' s^3 / 24 (per x); the band where |dt V''' s^3 / 24|
     exceeds one grows without bound under iteration.  The returned cutoff
-    caps that factor at ``P3_SAFETY``.
+    caps that factor at ``P3_SAFETY``; it depends on |dt| alone, and a
+    step of zero (or one too small to move the factor) keeps every band.
     """
     axis = _one_dimensional(grid, "stable_p3_cutoff")
     v3max = float(np.abs(_third_derivative(pot, axis)).max())
     s_max = float(np.abs(axis.s_lattice).max())
-    if v3max == 0.0:
+    if abs(dt) * v3max == 0.0:
         return s_max
-    return min(s_max, (24.0 * P3_SAFETY / (dt * v3max)) ** (1.0 / 3.0))
+    return min(s_max, (24.0 * P3_SAFETY / (abs(dt) * v3max)) ** (1.0 / 3.0))
 
 
 def stepper(grid: PhaseSpaceGrid, pot: Potential, dt: float,
@@ -493,8 +494,15 @@ def load_ensemble(path) -> Ensemble:
         header = fh.readline().split()
         if len(header) != 3 or header[0] != "#" or header[1] != "ensemble":
             raise ValueError(f"{path}: not an ensemble file")
-        count = int(header[2])
-        data = np.loadtxt(fh, ndmin=2) if count else np.empty((0, 5))
+        try:
+            count = int(header[2])
+            data = read_rows(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if count < 0:
+        raise ValueError(f"{path}: the particle count must not be negative, got {count}")
+    if data.size == 0:
+        data = data.reshape(0, 5)
     if data.shape != (count, 5):
         raise ValueError(f"{path}: expected {count} rows of 5 columns, got {data.shape}")
     return Ensemble(r=data[:, 0], p=data[:, 1], f_l=data[:, 2],

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wigprop import cli, oracle, spectral
-from wigprop.cli import (_SECTION_KEYS, ConfigError, compare_runs, main,
+from wigprop.cli import (_SCHEMA, ConfigError, compare_runs, main,
                          parse_scenario_text, run_scenario)
 from wigprop.phasespace import WignerField, load_field, make_grid, save_field
 
@@ -487,6 +487,27 @@ class TestCommands:
         assert "config error" in res.output and option in res.output
         assert not (tmp_path / "back.txt").exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("target, text, message", [
+        # particles under a zero count were read as an empty ensemble (exit 0)
+        ("field", "# ensemble 0\n0 0 1 0.5 0.5\n", "expected 0 rows of 5 columns"),
+        ("field", "# ensemble -1\n", "the particle count must not be negative"),
+        ("field", "# ensemble two\n", "invalid literal for int()"),
+        ("field", "# ensemble 1\n0 0 x 0.5 0.5\n", "could not convert string 'x'"),
+        # a header without rows gave numpy's "no data" warning first
+        ("ensemble", "# wignerfield 4 4 0 1 0 1 0\n", "expected 4x4 values"),
+    ])
+    def test_transcribe_bad_input_file_exits_2_naming_it(self, tmp_path, target,
+                                                         text, message):
+        path = tmp_path / "in.txt"
+        path.write_text(text)
+        res = CliRunner().invoke(main, ["transcribe", "--to", target, "-i", str(path),
+                                        "--grid", "-4 4 16 -4 4 16",
+                                        "-o", str(tmp_path / "out.txt")])
+        assert res.exit_code == 2, res.output
+        assert f"config error: {path}: {message}" in res.output
+        assert not (tmp_path / "out.txt").exists()
+
 
 class TestNonFinitePotentialParameters:
     """Non-finite potential parameters are configuration errors (exit 2),
@@ -599,7 +620,7 @@ def _with(text, key, value):
     if key in keys:
         lines[keys.index(key)] = f"{key} = {value}"
     else:
-        section = next(name for name, names in _SECTION_KEYS.items() if key in names)
+        section = next(name for name, names in _SCHEMA.items() if key in names)
         lines.insert(lines.index(f"[{section}]") + 1, f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
@@ -668,6 +689,9 @@ class TestBadValuesExit2:
         ("oracle", "amplitudes", "0 0"),
         ("lo", "potential", "gaussian_well depth=1.0 sigma=1e200"),
         ("oracle", "potential", "gaussian_well depth=1.0 sigma=1e-200"),
+        # the oracle solves the unit-depth well only
+        ("oracle", "potential", "gaussian_well depth=2.0 sigma=3.0"),
+        ("spectral-full", "potential", "gaussian_well depth=0.5 sigma=3.0"),
     ])
     def test_scenario_value(self, tmp_path, method, key, value):
         text = _with(SCENARIO_ORACLE.replace("method = oracle", f"method = {method}"),
@@ -713,6 +737,31 @@ class TestBadValuesExit2:
         assert res.exit_code == 2, res.output
         assert "config error" in res.output
         assert not (tmp_path / "run").exists()
+
+
+class TestOracleWellDepth:
+    """The oracle solves the unit-depth well, so an oracle initial state
+    in a well of any other depth is refused at its potential line; a
+    field file may start in any well."""
+
+    @pytest.mark.parametrize("depth", ["2.0", "0.5", "-1.0", "0"])
+    def test_other_depth_is_refused(self, depth):
+        text = SCENARIO_ORACLE.replace("depth=1.0", f"depth={depth}")
+        with pytest.raises(ConfigError, match=r"^line 10: oracle initial states "
+                           r"solve the unit-depth well: depth must be 1\.0, got "):
+            parse_scenario_text(text)
+
+    def test_non_well_message_is_kept(self):
+        text = SCENARIO_ORACLE.replace("gaussian_well depth=1.0 sigma=3.0",
+                                       "harmonic k=1")
+        with pytest.raises(ConfigError, match="^line 10: oracle initial states "
+                           "require potential = gaussian_well$"):
+            parse_scenario_text(text)
+
+    def test_file_state_takes_any_depth(self):
+        text = _with(SCENARIO_ORACLE.replace("depth=1.0", "depth=2.0")
+                     .replace("method = oracle", "method = lo"), "state", "file f.txt")
+        assert parse_scenario_text(text).potential.depth == 2.0
 
 
 class TestUnresolvedOracleState:
@@ -926,7 +975,7 @@ NASTY_VALUES = st.one_of(
 
 def _scenario_text(values: dict) -> str:
     lines = []
-    for section, keys in _SECTION_KEYS.items():
+    for section, keys in _SCHEMA.items():
         lines.append(f"[{section}]")
         lines += [f"{key} = {values[key]}" for key in sorted(keys) if key in values]
     return "\n".join(lines) + "\n"
@@ -965,6 +1014,126 @@ def test_parser_raises_only_config_errors(text):
     assert sys.float_info.min <= (sc.t1 - sc.t0) / sc.nsteps < math.inf
     assert 0 < sc.mass < math.inf
     assert sc.initial_kind != "oracle" or 2 <= sc.n_max <= oracle.N_MAX_SOLVABLE
+
+
+#: Every scenario key once, each on a line of its own.
+SCENARIO_ALL_KEYS = """\
+[grid]
+x_min = -8
+x_max = 8
+nx = 64
+p_min = -4
+p_max = 4
+np = 64
+[potential]
+potential = gaussian_well depth=1.0 sigma=3.0
+[initial]
+state = oracle
+amplitudes = 1 1
+beta0_sq = 1.0
+n_max = 8
+[run]
+method = spectral-full
+t0 = 0
+t1 = 0.6
+nsteps = 6
+checkpoints = 0 0.6
+slices = 0 0.6
+mass = 1.0
+"""
+
+_FLOAT = "{key}: could not convert string to float: {value!r}"
+_INT = "{key}: invalid literal for int() with base 10: {value!r}"
+
+#: The error of each key set to "zzz" and to ""; None where the empty
+#: value is valid (no checkpoints, no slices).
+BAD_VALUE_ERRORS = {
+    "x_min": (_FLOAT, _FLOAT), "x_max": (_FLOAT, _FLOAT), "nx": (_INT, _INT),
+    "p_min": (_FLOAT, _FLOAT), "p_max": (_FLOAT, _FLOAT), "np": (_INT, _INT),
+    "potential": ("unknown potential 'zzz' (known: constant, gaussian_well, "
+                  "harmonic, linear)", "empty potential specification"),
+    "state": ("state must be 'oracle' or 'file <path>', got {value!r}",) * 2,
+    "amplitudes": (_FLOAT, "amplitudes must be numbers whose squares sum to a "
+                   "positive finite double, got sum 0.0"),
+    "beta0_sq": (_FLOAT, _FLOAT), "n_max": (_INT, _INT),
+    "method": ("method must be one of spectral-full, spectral-fo, lo, nlo, oracle",) * 2,
+    "t0": (_FLOAT, _FLOAT), "t1": (_FLOAT, _FLOAT), "nsteps": (_INT, _INT),
+    "checkpoints": (_FLOAT, None), "slices": (_FLOAT, None), "mass": (_FLOAT, _FLOAT),
+}
+
+#: The keys whose absence is an error.
+REQUIRED_KEYS = ("x_min", "x_max", "nx", "p_min", "p_max", "np", "potential",
+                 "method", "t0", "t1", "nsteps")
+
+
+def _single_error_cases():
+    """(text, message, line) of every scenario with one bad value or one
+    required key missing."""
+    lines = SCENARIO_ALL_KEYS.splitlines()
+    where, section = {}, None
+    for lineno, raw in enumerate(lines, start=1):
+        if raw.startswith("["):
+            section = raw[1:-1]
+        else:
+            where[raw.split(" =")[0]] = (lineno, section)
+    for key, messages in BAD_VALUE_ERRORS.items():
+        lineno, _ = where[key]
+        for value, message in zip(("zzz", ""), messages):
+            if message is not None:
+                text = lines[:lineno - 1] + [f"{key} = {value}"] + lines[lineno:]
+                yield pytest.param("\n".join(text) + "\n",
+                                   f"line {lineno}: " + message.format(key=key, value=value),
+                                   lineno, id=f"{key}={value}")
+    for key in REQUIRED_KEYS:
+        lineno, section = where[key]
+        yield pytest.param("\n".join(lines[:lineno - 1] + lines[lineno:]) + "\n",
+                           f"missing required key {key!r} in section [{section}]",
+                           None, id=f"{key} missing")
+
+
+@pytest.mark.parametrize("text, message, line", list(_single_error_cases()))
+def test_each_key_keeps_its_error(text, message, line):
+    """A scenario with one bad value or one missing key gives one message,
+    naming the key's line when the key is there."""
+    parse_scenario_text(SCENARIO_ALL_KEYS)
+    with pytest.raises(ConfigError) as info:
+        parse_scenario_text(text)
+    assert (str(info.value), info.value.line) == (message, line)
+
+
+def test_single_error_cases_cover_the_schema():
+    """Every schema key has its bad-value cases, and exactly the keys
+    without a default have a missing-key case."""
+    defaults = {key: default for keys in _SCHEMA.values()
+                for key, (_, default) in keys.items()}
+    assert set(BAD_VALUE_ERRORS) == set(defaults)
+    assert set(REQUIRED_KEYS) == {key for key, d in defaults.items() if d is None}
+    assert len(list(_single_error_cases())) == 45
+
+
+def test_readme_grammar_table_lists_the_schema():
+    """The README's scenario grammar table has one row per schema key with
+    its section, whether it is required and its default text."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    grammar = readme.split("## Scenario file grammar", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for raw in grammar.splitlines():
+        if raw.startswith("| `"):
+            key, section, required, default = (
+                cell.strip().strip("`") for cell in raw.split("|")[1:5])
+            rows[key] = (section, required, default or None)
+    assert rows == {key: (section, "yes" if default is None else "no", default)
+                    for section, keys in _SCHEMA.items()
+                    for key, (_, default) in keys.items()}
+
+
+@pytest.mark.parametrize("line, want", [(None, [0.6]), ("checkpoints =", [])])
+def test_absent_checkpoints_mean_t1_and_empty_ones_none(line, want):
+    text = "\n".join(raw for raw in SCENARIO_ALL_KEYS.splitlines()
+                     if not raw.startswith("checkpoints"))
+    if line is not None:
+        text = text.replace("[run]", f"[run]\n{line}")
+    assert parse_scenario_text(text).checkpoints == want
 
 
 class TestShippedScenarios:

@@ -280,6 +280,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match="expected 4x4 values, got"):
             load_field(path)
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_header_without_rows_is_refused_without_a_numpy_warning(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("# wignerfield 4 4 0 1 0 1 0\n")
+        with pytest.raises(ValueError, match=r"expected 4x4 values, got \(0, 1\)$"):
+            load_field(path)
+
 
 def per_value(table):
     """The reference bytes of ``write_rows``: each value through

@@ -272,6 +272,43 @@ class TestEnsemble:
         with pytest.raises(ValueError, match=f"expected {count} rows of 5 columns, got"):
             load_ensemble(path)
 
+    def test_load_reads_the_rows_of_a_zero_count(self, tmp_path):
+        # the rows are read first and then compared with the count, so an
+        # ensemble of particles under "# ensemble 0" is not read as empty
+        path = tmp_path / "ens.txt"
+        path.write_text("# ensemble 0\n1 2 3 4 5\n1 2 3 4 5\n")
+        with pytest.raises(ValueError, match=r"expected 0 rows of 5 columns, "
+                           r"got \(2, 5\)$"):
+            load_ensemble(path)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_header_without_rows_is_refused_without_a_numpy_warning(self, tmp_path):
+        path = tmp_path / "ens.txt"
+        path.write_text("# ensemble 3\n")
+        with pytest.raises(ValueError, match=r"expected 3 rows of 5 columns, "
+                           r"got \(0, 5\)$"):
+            load_ensemble(path)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rows", ["", "1 2 3 4 5\n"])
+    def test_load_refuses_a_negative_count(self, tmp_path, rows):
+        path = tmp_path / "ens.txt"
+        path.write_text(f"# ensemble -1\n{rows}")
+        with pytest.raises(ValueError) as info:
+            load_ensemble(path)
+        assert str(info.value) == f"{path}: the particle count must not be negative, got -1"
+
+    @pytest.mark.parametrize("text, message", [
+        ("# ensemble two\n1 2 3 4 5\n", "invalid literal for int() with base 10: 'two'"),
+        ("# ensemble 1\n1 2 x 4 5\n", "could not convert string 'x' to float64"),
+    ])
+    def test_load_errors_name_the_file(self, tmp_path, text, message):
+        path = tmp_path / "ens.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_ensemble(path)
+        assert str(info.value).startswith(f"{path}: {message}")
+
     def test_save_load_roundtrip(self, tmp_path):
         rng = np.random.default_rng(6)
         ens = Ensemble(r=rng.uniform(-1, 1, 9), p=rng.uniform(-1, 1, 9),
@@ -426,6 +463,25 @@ class TestEvolveNlo:
     def test_harmonic_cutoff_is_full_band(self):
         cutoff = stable_p3_cutoff(GRID, Harmonic(k=1.0), 0.1)
         assert cutoff == np.abs(GRID.s_lattice).max()
+
+    @settings(max_examples=60, deadline=None)
+    @given(dt=st.one_of(st.just(0.0), st.just(-0.0), st.floats(-2.0, 2.0)))
+    def test_cutoff_depends_on_the_step_size_alone(self, dt):
+        # step_lo and nlo_correction take steps of either sign, and so does
+        # the nlo stepper: the cutoff is finite, at most the band's edge
+        # and the same for dt and -dt
+        grid = make_grid(-8, 8, 64, -8, 8, 64)
+        well = GaussianWell()
+        s_max = float(np.abs(grid.s_lattice).max())
+        cutoff = stable_p3_cutoff(grid, well, dt)
+        assert math.isfinite(cutoff) and 0.0 < cutoff <= s_max
+        assert cutoff == stable_p3_cutoff(grid, well, abs(dt))
+        if dt == 0.0:
+            assert cutoff == s_max
+        f = blob(grid)
+        stepped = stepper(grid, well, dt, order=1)(f)
+        assert stepped.values.shape == f.values.shape
+        assert np.isfinite(stepped.values).all()
 
     def test_invalid_order(self, bench):
         with pytest.raises(ValueError):
