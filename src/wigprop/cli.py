@@ -23,7 +23,7 @@ from . import oracle, pseudoparticle, spectral
 from .phasespace import (DEFAULT_GRID_SPEC, HBAR, NumericalError,
                          PhaseSpaceGrid, StepDiagnostics, WignerField,
                          check_mass, diff_metrics, evolve, load_field,
-                         make_grid, norm, save_field, step_size)
+                         make_grid, norm, read_rows, save_field, step_size)
 from .potentials import GaussianWell, parse_potential
 
 METHODS = ("spectral-full", "spectral-fo", "lo", "nlo", "oracle")
@@ -367,7 +367,7 @@ def _load_run_slices(rundir: Path) -> dict[tuple[float, float], np.ndarray]:
             meta = dict(item.split("=", 1) for item in header[2:])
             if not {"t", "p"} <= meta.keys():
                 raise ValueError("header lacks t= or p=")
-            data = np.loadtxt(fh, ndmin=2)
+            data = read_rows(fh)
             if data.shape[0] == 0 or data.shape[1] < 2:
                 raise ValueError("expected rows of x and W")
             key = (round(float(meta["t"]), 6), round(float(meta["p"]), 6))

@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -166,19 +167,19 @@ class WignerField:
 
 
 def truncate_real(values: np.ndarray, *, tol: float = REALNESS_TOL,
-                  context: str = "transform") -> tuple[np.ndarray, float]:
+                  context: str = "transform") -> np.ndarray:
     """Drop the imaginary part of a transform result after checking it.
 
-    Returns (real array, residue).  Raises NumericalError when the residue
-    exceeds ``tol``: a large residue means the field is not contained in the
-    grid (aliasing), which silently corrupts everything downstream.
+    Raises NumericalError when the largest imaginary part (the residue)
+    exceeds ``tol``: a large residue means the field is not contained in
+    the grid (aliasing), which silently corrupts everything downstream.
     """
     residue = float(np.abs(values.imag).max()) if np.iscomplexobj(values) else 0.0
     if residue > tol:
         raise NumericalError(
             f"imaginary residue {residue:.3e} from {context} exceeds {tol:.1e}; "
             f"field is not contained in the grid")
-    return np.real(values) if np.iscomplexobj(values) else values, residue
+    return np.real(values) if np.iscomplexobj(values) else values
 
 
 def _one_dimensional(grid: PhaseSpaceGrid | PhaseSpaceGridND,
@@ -591,21 +592,30 @@ def save_field(field: WignerField, path) -> None:
         write_rows(fh, field.values)
 
 
+@contextmanager
+def naming_file(path):
+    """Put ``{path}: `` in front of the message of a ``ValueError`` raised
+    in the block; a ``NonFiniteFieldError`` keeps its type."""
+    try:
+        yield
+    except ValueError as exc:
+        # not type(exc): a UnicodeDecodeError, say, takes other arguments
+        kind = NonFiniteFieldError if isinstance(exc, NonFiniteFieldError) else ValueError
+        raise kind(f"{path}: {exc}") from None
+
+
 def load_field(path) -> WignerField:
-    with open(path) as fh:
+    with open(path) as fh, naming_file(path):
         header = fh.readline().split()
         if len(header) != 9 or header[0] != "#" or header[1] != "wignerfield":
-            raise ValueError(f"{path}: not a wignerfield file")
-        try:
-            nx, n_p = int(header[2]), int(header[3])
-            x_min, x_max, p_min, p_max, time = map(float, header[4:9])
-            values = read_rows(fh)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    if values.shape != (nx, n_p):
-        raise ValueError(f"{path}: expected {nx}x{n_p} values, got {values.shape}")
-    grid = make_grid(x_min, x_max, nx, p_min, p_max, n_p)
-    return WignerField(grid=grid, values=values, time=time)
+            raise ValueError("not a wignerfield file")
+        nx, n_p = int(header[2]), int(header[3])
+        x_min, x_max, p_min, p_max, time = map(float, header[4:9])
+        values = read_rows(fh)
+        if values.shape != (nx, n_p):
+            raise ValueError(f"expected {nx}x{n_p} values, got {values.shape}")
+        grid = make_grid(x_min, x_max, nx, p_min, p_max, n_p)
+        return WignerField(grid=grid, values=values, time=time)
 
 
 # ---------------------------------------------------------------------------

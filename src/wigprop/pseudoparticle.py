@@ -22,8 +22,8 @@ import numpy as np
 from .phasespace import (_BLOCK_ROWS, HBAR, REALNESS_TOL, NonFiniteFieldError,
                          NumericalError, PhaseSpaceGrid, WignerField,
                          _one_dimensional, _spline_stencil,
-                         at_lattice_coordinates, check_mass, read_rows,
-                         truncate_real, write_rows)
+                         at_lattice_coordinates, check_mass, naming_file,
+                         read_rows, truncate_real, write_rows)
 from .potentials import Potential
 from .spectral import _memoized
 
@@ -128,9 +128,8 @@ def _spectral_p3(values: np.ndarray, grid: PhaseSpaceGrid,
     spectrum = np.fft.fft(values, axis=1)
     spectrum *= _memoized(("p3", grid, s_cutoff),
                           lambda: _p3_multiplier(grid, s_cutoff))
-    third, _ = truncate_real(np.fft.ifft(spectrum, axis=1), tol=tol,
-                             context="spectral third derivative")
-    return third
+    return truncate_real(np.fft.ifft(spectrum, axis=1), tol=tol,
+                         context="spectral third derivative")
 
 
 def d_p3(field_in: WignerField, s_cutoff: float | None = None) -> WignerField:
@@ -490,20 +489,17 @@ def save_ensemble(ensemble: Ensemble, path) -> None:
 
 
 def load_ensemble(path) -> Ensemble:
-    with open(path) as fh:
+    with open(path) as fh, naming_file(path):
         header = fh.readline().split()
         if len(header) != 3 or header[0] != "#" or header[1] != "ensemble":
-            raise ValueError(f"{path}: not an ensemble file")
-        try:
-            count = int(header[2])
-            data = read_rows(fh)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    if count < 0:
-        raise ValueError(f"{path}: the particle count must not be negative, got {count}")
-    if data.size == 0:
-        data = data.reshape(0, 5)
-    if data.shape != (count, 5):
-        raise ValueError(f"{path}: expected {count} rows of 5 columns, got {data.shape}")
-    return Ensemble(r=data[:, 0], p=data[:, 1], f_l=data[:, 2],
-                    dr=data[:, 3], dp=data[:, 4])
+            raise ValueError("not an ensemble file")
+        count = int(header[2])
+        data = read_rows(fh)
+        if count < 0:
+            raise ValueError(f"the particle count must not be negative, got {count}")
+        if data.size == 0:
+            data = data.reshape(0, 5)
+        if data.shape != (count, 5):
+            raise ValueError(f"expected {count} rows of 5 columns, got {data.shape}")
+        return Ensemble(r=data[:, 0], p=data[:, 1], f_l=data[:, 2],
+                        dr=data[:, 3], dp=data[:, 4])

@@ -12,9 +12,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from wigprop import make_grid
-from wigprop.oracle import (GaussianBasis, kinetic_matrix, numeric_wigner,
-                            overlap_matrix, potential_matrix, solve,
-                            wavefunction)
+from wigprop.oracle import (GaussianBasis, kinetic_matrix, overlap_matrix,
+                            potential_matrix, solve, wavefunction)
 from wigprop.phasespace import REALNESS_TOL, WignerField, diff_metrics, norm
 from wigprop.potentials import Constant, Harmonic
 from wigprop.pseudoparticle import (DFunctionParams, auto_alpha, d_function,
@@ -22,6 +21,7 @@ from wigprop.pseudoparticle import (DFunctionParams, auto_alpha, d_function,
 from wigprop.spectral import (SpectralStepConfig, _apply_kick, _kick_phase,
                               _spectral_shift_rows, kick_full,
                               step_first_order, step_full)
+from wigner_reference import numeric_wigner
 
 EXACTNESS_GRID = make_grid(-8, 8, 256, -8, 8, 256)
 

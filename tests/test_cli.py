@@ -253,6 +253,17 @@ class TestCompare:
         assert res.exit_code == 2, res.output
         assert "config error" in res.output and name in res.output
 
+    def test_header_only_slice_table_is_refused_without_a_numpy_warning(self, tmp_path):
+        run_scenario(parse_scenario_text(SCENARIO_ORACLE), tmp_path / "a")
+        name = "slice_t0.000000_p0.000000.txt"
+        (tmp_path / "a" / name).write_text("# slice p=0 t=0 method=oracle\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConfigError, match=f"{name}: not a slice table: "
+                                                  "expected rows of x and W$"):
+                compare_runs(tmp_path / "a", tmp_path / "a")
+        assert [str(w.message) for w in caught] == []
+
     def test_runs_without_snapshots_or_shared_times_rejected(self, tmp_path):
         run_scenario(parse_scenario_text(SCENARIO_ORACLE.replace(
             "checkpoints = 0 3", "checkpoints = 0")), tmp_path / "a")
@@ -496,6 +507,15 @@ class TestCommands:
         ("field", "# ensemble 1\n0 0 x 0.5 0.5\n", "could not convert string 'x'"),
         # a header without rows gave numpy's "no data" warning first
         ("ensemble", "# wignerfield 4 4 0 1 0 1 0\n", "expected 4x4 values"),
+        # errors building the grid, field or ensemble lacked the path
+        ("ensemble", "# wignerfield 4 4 -1 1 -1 1 0\n" + "1 2 3 4\n" * 3
+         + "1 nan 3 4\n", "field values must be finite"),
+        ("ensemble", "# wignerfield 3 4 -1 1 -1 1 0\n" + "1 2 3 4\n" * 3,
+         "nx must be a power of two >= 4, got 3"),
+        ("ensemble", "# wignerfield 4 4 1 -1 -1 1 0\n" + "1 2 3 4\n" * 4,
+         "x_max > x_min and p_max > p_min must give spacings"),
+        ("field", "# ensemble 2\n0 0 1 0.5 0.5\n0 0 1 -0.5 0.5\n",
+         "cell widths must be positive"),
     ])
     def test_transcribe_bad_input_file_exits_2_naming_it(self, tmp_path, target,
                                                          text, message):
@@ -1180,10 +1200,11 @@ def tree_sha256(root):
 class TestShippedRunBytes:
     """Run directories of the shipped well scenario, byte for byte.
 
-    The digests were recorded with numpy 2.4.6 and scipy 1.17.1; other
-    versions may round some transcendental or FFT results differently.
-    The ``lo`` and ``nlo`` bytes depend on numpy only: their bicubic
-    backtrack reproduces scipy.ndimage's arithmetic without calling it.
+    The digests were recorded with numpy 2.4.6; other versions may round
+    some transcendental or FFT results differently.  Run bytes depend on
+    numpy only: no command imports scipy, and the ``lo`` and ``nlo``
+    bicubic backtrack reproduces scipy.ndimage's arithmetic without
+    calling it.
     """
 
     DIGESTS = {
@@ -1197,15 +1218,19 @@ class TestShippedRunBytes:
             "1483db74203da52ff2434f8e5681696fc03047d3c501df3293edac3edd3f5a39",
     }
 
-    @pytest.mark.parametrize("case", sorted(DIGESTS))
-    def test_run_directory_sha256(self, tmp_path, case):
+    @staticmethod
+    def scenario_text(case):
+        """A shipped scenario file, or the spectral one run by ``case``."""
         root = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
         if case.endswith(".txt"):
-            text = (root / case).read_text()
-        else:
-            text = (root / "gaussian_well_spectral.txt").read_text().replace(
-                "method = spectral-full", f"method = {case}")
-        outdir = run_scenario(parse_scenario_text(text), tmp_path / "run")
+            return (root / case).read_text()
+        return (root / "gaussian_well_spectral.txt").read_text().replace(
+            "method = spectral-full", f"method = {case}")
+
+    @pytest.mark.parametrize("case", sorted(DIGESTS))
+    def test_run_directory_sha256(self, tmp_path, case):
+        outdir = run_scenario(parse_scenario_text(self.scenario_text(case)),
+                              tmp_path / "run")
         assert tree_sha256(outdir) == self.DIGESTS[case]
 
 
@@ -1214,8 +1239,9 @@ class TestShippedTranscriptionBytes:
     ensemble, and that ensemble deposited back with ``--dfunc-m 0``, byte
     for byte.
 
-    The digests were recorded with numpy 2.4.6 and scipy 1.17.1; other
-    versions may round some transcendental or FFT results differently.
+    The digests were recorded with numpy 2.4.6; other versions may round
+    some transcendental or FFT results differently.  The bytes depend on
+    numpy only: no command imports scipy.
     """
 
     DIGESTS = {

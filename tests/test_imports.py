@@ -1,15 +1,19 @@
-"""Which scipy submodules each command loads, and which start threads.
+"""Which modules each command loads, and which start threads.
 
-scipy submodules take most of a second to import, and every command runs
-in a fresh process, so each is imported inside the one function that uses
-it; ``concurrent.futures`` likewise waits for the first kernel that uses
-it, and each such kernel joins its own row-block threads before it
-returns.  These tests run commands in fresh interpreters and read
-sys.modules and the live thread count; they measure no time.
+The package depends on numpy and click alone: no command imports scipy,
+and with scipy blocked from import every command runs and the shipped
+runs and transcriptions give their pinned bytes.
+Every command runs in a fresh process, so ``concurrent.futures`` waits
+for the first kernel that uses it, and each such kernel joins its own
+row-block threads before it returns.  These tests run commands in fresh
+interpreters and read sys.modules and the live thread count; they
+measure no time.
 """
 
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -156,3 +160,46 @@ def test_pseudoparticle_run_loads_no_scipy(tmp_path, method):
     assert (tmp_path / "run" / "field_t0.300000.txt").exists()
     # the bicubic backtrack is numpy alone
     assert scipy_modules(loaded) == set()
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # test_cli is imported here, not at module level, so that pytest does
+    # not collect its classes a second time in this module
+    import test_cli
+
+    runs = test_cli.TestShippedRunBytes
+    commands = []
+    for case in runs.DIGESTS:
+        scenario = tmp_path / f"{Path(case).stem}.txt"
+        scenario.write_text(runs.scenario_text(case))
+        commands.append(["run", str(scenario), "-o", Path(case).stem])
+    loaded = modules_after("import sys\nsys.modules['scipy'] = None\n" + run_cli(
+        *commands,
+        ["transcribe", "--to", "ensemble", "-i",
+         "gaussian_well_oracle/field_t3.000000.txt", "-o", "ensemble"],
+        ["transcribe", "--to", "field", "-i", "ensemble", "--dfunc-m", "0",
+         "--grid", "-10 10 256 -6.4 6.4 256", "-o", "field"],
+        ["oracle", "solve", "--nmax", "8"],
+        ["oracle", "field", "--nmax", "8", "--grid", "-8 8 64 -4 4 64",
+         "-o", "f.txt"],
+        ["compare", "gaussian_well_oracle", "gaussian_well_spectral"]), tmp_path)
+    # the block held: scipy is there only as its None entry
+    assert scipy_modules(loaded) == {"scipy"}
+    assert (tmp_path / "f.txt").exists()
+    assert {case: test_cli.tree_sha256(tmp_path / Path(case).stem)
+            for case in runs.DIGESTS} == runs.DIGESTS
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("ensemble", "field")} \
+        == test_cli.TestShippedTranscriptionBytes.DIGESTS
+
+
+def test_scipy_is_a_test_dependency_only():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+
+    def names(requirements):
+        return {re.match(r"[A-Za-z0-9_.-]+", r)[0].lower() for r in requirements}
+
+    assert names(project["dependencies"]) == {"numpy", "click"}
+    assert "scipy" in names(project["optional-dependencies"]["test"])

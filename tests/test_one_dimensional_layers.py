@@ -1,8 +1,8 @@
 """The layers that read one (x, p) axis: the transported steps, the NLO
-correction, its third derivative and its stable band, transcription, and
-the oracle's sampling and direct transform.  A 2-d/3-d lattice raises
-``ValueError`` naming the function, and a one-axis product grid steps,
-transcribes and samples as its axis."""
+correction, its third derivative and its stable band, transcription, the
+oracle's sampling and the tests' direct transform.  A 2-d/3-d lattice
+raises ``ValueError`` naming the function, and a one-axis product grid
+steps, transcribes and samples as its axis."""
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ import pytest
 from wigprop import make_grid, oracle, pseudoparticle
 from wigprop.phasespace import PhaseSpaceGridND, WignerField, interpolate
 from wigprop.potentials import GaussianWell
+from wigner_reference import numeric_wigner
 
 AXIS = make_grid(-6, 6, 32, -5, 5, 32)
 POT = GaussianWell(depth=1.0, sigma=2.0)
@@ -47,7 +48,7 @@ def entry_points(f, grid):
         "deposit": lambda: [pseudoparticle.deposit(ensemble, grid, PARAMS, PARAMS).values],
         "sample_fields": lambda: [g.values for g in
                                   oracle.sample_fields(state(), [0.0, 1.5], grid)],
-        "numeric_wigner": lambda: [oracle.numeric_wigner(PSI, X_FINE, grid).values],
+        "numeric_wigner": lambda: [numeric_wigner(PSI, X_FINE, grid).values],
         "interpolate": lambda: [interpolate(f, [0.25, -1.3], [0.1, 2.2])],
     }
 

@@ -9,11 +9,12 @@ from wigprop import make_grid
 from wigprop.oracle import (N_MAX_SOLVABLE, ConditioningError, GaussianBasis,
                             SuperpositionState, _jacobi_eigh, basis_function,
                             basis_coefficients, eigen_wavefunction,
-                            kinetic_matrix, numeric_wigner, overlap_matrix,
+                            kinetic_matrix, overlap_matrix,
                             potential_matrix, sample_field, solve,
                             superposition, wavefunction, wigner_at,
                             wigner_basis, wigner_dp3_at)
 from wigprop.phasespace import NumericalError, diff_metrics, norm
+from wigner_reference import numeric_wigner
 
 SIGMA = 3.0
 

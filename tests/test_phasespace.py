@@ -287,6 +287,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"expected 4x4 values, got \(0, 1\)$"):
             load_field(path)
 
+    def test_a_non_finite_value_names_the_file_and_keeps_its_type(self, tmp_path):
+        path = tmp_path / "nan.txt"
+        path.write_text("# wignerfield 4 4 0 1 0 1 0\n" + "1 2 nan 4\n" * 4)
+        with pytest.raises(phasespace.NonFiniteFieldError,
+                           match=f"^{path}: field values must be finite$"):
+            load_field(path)
+
 
 def per_value(table):
     """The reference bytes of ``write_rows``: each value through
