@@ -8,16 +8,16 @@ the attractive Gaussian well.
 
 from .phasespace import (DEFAULT_GRID_SPEC, HBAR, DiffMetrics, NumericalError,
                          PhaseSpaceGrid, PhaseSpaceGridND, WignerField,
-                         WignerFieldND, diff_metrics, interpolate, load_field,
-                         make_grid, marginal_x, norm, norm_nd, save_field)
+                         WignerFieldND, diff_metrics, load_field, make_grid,
+                         marginal_x, norm, norm_nd, save_field)
 from .potentials import (Constant, GaussianWell, Harmonic, Linear, Potential,
                          SeparableSum, parse_potential)
 
 __all__ = [
     "DEFAULT_GRID_SPEC", "HBAR", "DiffMetrics", "NumericalError",
     "PhaseSpaceGrid", "PhaseSpaceGridND", "WignerField", "WignerFieldND",
-    "diff_metrics", "interpolate", "load_field", "make_grid", "marginal_x",
-    "norm", "norm_nd", "save_field",
+    "diff_metrics", "load_field", "make_grid", "marginal_x", "norm",
+    "norm_nd", "save_field",
     "Constant", "GaussianWell", "Harmonic", "Linear", "Potential",
     "SeparableSum", "parse_potential",
 ]

@@ -210,6 +210,8 @@ def _validate_scenario(sc: Scenario) -> None:
               "amplitudes must be at most n_max numbers")
     check(sc.method != "oracle" or sc.initial_kind == "oracle", "method",
           "method = oracle requires an oracle initial state")
+    check(sc.method != "oracle" or sc.mass == 1.0, "mass", "method = oracle "
+          f"solves the unit-mass Hamiltonian: mass must be 1.0, got {sc.mass!r}")
 
 
 def parse_scenario(path) -> Scenario:

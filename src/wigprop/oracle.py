@@ -8,8 +8,10 @@ problem H = -d^2/dx^2 / 2 - exp(-x^2/2 sigma^2) of the unit-depth well
 into a small dense generalized eigenproblem (T + V) a = E B a with
 closed-form matrix elements.  The resulting eigenpairs give an analytic
 Wigner function at any time, which every propagator in the package is
-checked against.  A scenario with an oracle initial state in a well of
-any other depth is refused as a configuration error.
+checked against.  The Hamiltonian has unit mass and unit depth: a
+scenario with an oracle initial state in a well of any other depth, or a
+``method = oracle`` run at any other mass, is refused as a configuration
+error.
 
 The basis spans even-parity states only; odd states are out of reach by
 construction.  Matrix elements are exact for any n_max, but the overlap
@@ -246,15 +248,6 @@ def solve(basis: GaussianBasis, sigma: float) -> EigenSolution:
                          min_pivot=min_pivot)
 
 
-def eigen_wavefunction(solution: EigenSolution, lam: int, x) -> np.ndarray:
-    """Psi_lam(x) from the basis coefficients."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for n in range(1, solution.basis.n_max + 1):
-        out = out + solution.coeffs[lam, n - 1] * basis_function(solution.basis, n, x)
-    return out
-
-
 @dataclass(frozen=True)
 class SuperpositionState:
     """Linear combination of eigenstates with amplitudes b_lam."""
@@ -360,31 +353,27 @@ def _pair_terms(state: SuperpositionState, times) -> list[tuple]:
 
 
 def _assemble(terms: list[tuple], count: int, x: np.ndarray, p: np.ndarray,
-              derivative_p3: bool = False, mirror: slice | None = None
-              ) -> np.ndarray:
+              mirror: slice | None = None) -> np.ndarray:
     """Hermitian double sum over basis pairs, folded to n <= m, at each of
     ``count`` times; stacked along a new first axis.
 
     Only the coefficients depend on time, so each pair term is evaluated
     once and accumulated into every time it is live at.  Each time gets
     the same operations in the same order as a sum for that time alone.
-    With derivative_p3 the third momentum derivative of every pair term is
-    accumulated instead (used as an analytic cross-check for the spectral
-    differentiation).
 
     Each pair's exponent is written into one complex buffer, real part
     -a x^2 - b p^2 and imaginary part (d x) p, and exponentiated and scaled
     in place; the sums get the bits of pref * exp(-a x^2 - b p^2
     + 1j d x p) with its three full-size complex temporaries.
 
-    ``mirror`` (not with derivative_p3) picks rows of x, a column, whose
-    negatives -x are lattice rows too; the stack holds their mirror rows
-    after the rows of x, in the order of ``mirror``.  At -x the exponent is
-    the exact conjugate of the one at x, and cexp(conj z) is
-    conj(cexp z) (C99 Annex G, G.6.3.1), so each mirror row's exponential
-    is copied as the conjugate of its source row's, not computed.  From
-    the scaling on, every row gets the same operations, and a mirror row
-    has the bits it would have as a row of x.
+    ``mirror`` picks rows of x, a column, whose negatives -x are lattice
+    rows too; the stack holds their mirror rows after the rows of x, in
+    the order of ``mirror``.  At -x the exponent is the exact conjugate of
+    the one at x, and cexp(conj z) is conj(cexp z) (C99 Annex G,
+    G.6.3.1), so each mirror row's exponential is copied as the conjugate
+    of its source row's, not computed.  From the scaling on, every row
+    gets the same operations, and a mirror row has the bits it would have
+    as a row of x.
     """
     shape = np.broadcast(x, p).shape
     if mirror is None:
@@ -406,10 +395,6 @@ def _assemble(terms: list[tuple], count: int, x: np.ndarray, p: np.ndarray,
         # a 0-d buffer as a numpy scalar: complex scalar products round
         # differently from the array loop, and a point takes the scalar path
         term = buf[()]
-        if derivative_p3:
-            # d^3/dp^3 exp(-b p^2 + i d x p) = (w^3 - 6 b w) * exp(...)
-            w = -2.0 * b * p + 1j * d * x
-            term = term * (w**3 - 6.0 * b * w)
         for k, cc in live:
             out[k] += weight * (cc * term).real
     return out
@@ -438,15 +423,6 @@ def wigner_at(state: SuperpositionState, t: float, x, p):
     if np.ndim(x) == 0 and np.ndim(p) == 0:
         return float(out)
     return out
-
-
-def wigner_dp3_at(state: SuperpositionState, t: float, x, p):
-    """Analytic third momentum derivative of the superposition's Wigner
-    function (cross-check oracle for spectral differentiation)."""
-    x_arr = np.asarray(x, dtype=float)
-    p_arr = np.asarray(p, dtype=float)
-    return _assemble(_pair_terms(state, [t]), 1, x_arr, p_arr,
-                     derivative_p3=True)[0]
 
 
 def sample_fields(state: SuperpositionState, times,

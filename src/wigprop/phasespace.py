@@ -2,9 +2,9 @@
 
 Uniform rectangular (x, p) lattices with the conjugate s-lattice derived
 from the momentum axis, plus the field container and the shared operations
-every propagator needs: norm, the stepping driver, marginals,
-interpolation, difference metrics and plain-text serialization.  All
-quantities are dimensionless with hbar = 1.
+every propagator needs: norm, the stepping driver, marginals, difference
+metrics and plain-text serialization.  All quantities are dimensionless
+with hbar = 1.
 """
 
 from __future__ import annotations
@@ -104,11 +104,6 @@ class PhaseSpaceGrid:
     @property
     def ds(self) -> float:
         return 2.0 * np.pi * HBAR / (self.np * self.dp)
-
-    @property
-    def s_max(self) -> float:
-        """Largest s-lattice value, (pi*hbar/dp) * (1 - 2/np)."""
-        return self.ds * (self.np // 2 - 1)
 
     @cached_property
     def x_lattice(self) -> np.ndarray:
@@ -498,23 +493,6 @@ def at_lattice_coordinates(field: WignerField, stencil: np.ndarray) -> np.ndarra
         block = slice(start, start + _SPLINE_BLOCK)
         out[block] = _spline_sum(coeffs, points[:, block])
     return out.reshape(stencil.shape[1:])
-
-
-def interpolate(field: WignerField, x, p):
-    """Bicubic spline interpolation of the field at arbitrary (x, p) points,
-    through ``at_lattice_coordinates`` on a stencil built for this call.
-
-    Points outside the grid bounds return 0 (fields are treated as
-    compactly supported).  ``x`` and ``p`` broadcast against each other;
-    scalars in, scalar out.
-    """
-    g = _one_dimensional(field.grid, "interpolate")
-    xs, ps = np.atleast_1d(x, p)
-    out = at_lattice_coordinates(field, _spline_stencil(
-        g.shape(), (xs - g.x_min) / g.dx, (ps - g.p_min) / g.dp))
-    if np.ndim(x) == 0 and np.ndim(p) == 0:
-        return float(out[0])
-    return out
 
 
 @dataclass(frozen=True)

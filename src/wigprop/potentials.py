@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -140,12 +140,9 @@ class SeparableSum:
 # config syntax: 'gaussian_well depth=1.0 sigma=3.0', 'harmonic k=1.0', ...
 # ---------------------------------------------------------------------------
 
-_VARIANTS = {
-    "constant": (Constant, {"c": 0.0}),
-    "linear": (Linear, {"g": 1.0}),
-    "harmonic": (Harmonic, {"k": 1.0}),
-    "gaussian_well": (GaussianWell, {"depth": 1.0, "sigma": 3.0}),
-}
+#: each variant's parameters and their defaults are its dataclass fields
+_VARIANTS = {"constant": Constant, "linear": Linear, "harmonic": Harmonic,
+             "gaussian_well": GaussianWell}
 
 
 def parse_potential(text: str) -> Potential:
@@ -157,8 +154,8 @@ def parse_potential(text: str) -> Potential:
     if name not in _VARIANTS:
         known = ", ".join(sorted(_VARIANTS))
         raise ValueError(f"unknown potential {name!r} (known: {known})")
-    cls, defaults = _VARIANTS[name]
-    kwargs = dict(defaults)
+    cls = _VARIANTS[name]
+    kwargs = {field.name: field.default for field in fields(cls)}
     for item in parts[1:]:
         if "=" not in item:
             raise ValueError(f"malformed potential parameter {item!r} (expected key=value)")

@@ -310,10 +310,6 @@ class Ensemble:
     def __len__(self) -> int:
         return len(self.r)
 
-    def weighted_volume(self) -> float:
-        """sum f_L dr dp; equals the norm of the originating field."""
-        return float((self.f_l * self.dr * self.dp).sum())
-
 
 def to_ensemble(field_in: WignerField) -> Ensemble:
     """One particle per lattice cell, carrying that node's value."""

@@ -711,6 +711,8 @@ class TestBadValuesExit2:
         ("oracle", "potential", "gaussian_well depth=1.0 sigma=1e-200"),
         # the oracle solves the unit-depth well only
         ("oracle", "potential", "gaussian_well depth=2.0 sigma=3.0"),
+        # and the unit-mass Hamiltonian
+        ("oracle", "mass", "2"),
         ("spectral-full", "potential", "gaussian_well depth=0.5 sigma=3.0"),
     ])
     def test_scenario_value(self, tmp_path, method, key, value):
@@ -782,6 +784,33 @@ class TestOracleWellDepth:
         text = _with(SCENARIO_ORACLE.replace("depth=1.0", "depth=2.0")
                      .replace("method = oracle", "method = lo"), "state", "file f.txt")
         assert parse_scenario_text(text).potential.depth == 2.0
+
+
+class TestOracleMass:
+    """The oracle solves the unit-mass Hamiltonian, so ``method = oracle``
+    at any other mass is refused at its mass line; the propagators take
+    any valid mass, from an oracle initial state too."""
+
+    def test_other_mass_is_refused(self):
+        text = _with(SCENARIO_ORACLE, "mass", "2")
+        line = text.splitlines().index("mass = 2") + 1
+        with pytest.raises(ConfigError, match=rf"^line {line}: method = oracle solves "
+                           r"the unit-mass Hamiltonian: mass must be 1\.0, got 2\.0$"):
+            parse_scenario_text(text)
+
+    @pytest.mark.parametrize("method", ["spectral-full", "spectral-fo", "lo", "nlo"])
+    def test_propagators_take_any_mass(self, method):
+        text = _with(SCENARIO_ORACLE.replace("method = oracle", f"method = {method}"),
+                     "mass", "2")
+        assert parse_scenario_text(text).mass == 2.0
+
+    def test_unit_mass_runs_as_the_default(self, tmp_path):
+        # the run directory holds the scenario text, so compare the fields
+        runs = [run_scenario(parse_scenario_text(text), tmp_path / name)
+                for name, text in (("default", SCENARIO_ORACLE),
+                                   ("unit", _with(SCENARIO_ORACLE, "mass", "1.0")))]
+        for name in ("field_t0.000000.txt", "field_t3.000000.txt"):
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
 
 
 class TestUnresolvedOracleState:

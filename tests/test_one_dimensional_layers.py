@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from wigprop import make_grid, oracle, pseudoparticle
-from wigprop.phasespace import PhaseSpaceGridND, WignerField, interpolate
+from wigprop.phasespace import PhaseSpaceGridND, WignerField
 from wigprop.potentials import GaussianWell
 from wigner_reference import numeric_wigner
 
@@ -49,7 +49,6 @@ def entry_points(f, grid):
         "sample_fields": lambda: [g.values for g in
                                   oracle.sample_fields(state(), [0.0, 1.5], grid)],
         "numeric_wigner": lambda: [numeric_wigner(PSI, X_FINE, grid).values],
-        "interpolate": lambda: [interpolate(f, [0.25, -1.3], [0.1, 2.2])],
     }
 
 

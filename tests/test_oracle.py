@@ -8,11 +8,10 @@ from scipy.integrate import quad
 from wigprop import make_grid
 from wigprop.oracle import (N_MAX_SOLVABLE, ConditioningError, GaussianBasis,
                             SuperpositionState, _jacobi_eigh, basis_function,
-                            basis_coefficients, eigen_wavefunction,
-                            kinetic_matrix, overlap_matrix,
-                            potential_matrix, sample_field, solve,
-                            superposition, wavefunction, wigner_at,
-                            wigner_basis, wigner_dp3_at)
+                            basis_coefficients, kinetic_matrix,
+                            overlap_matrix, potential_matrix, sample_field,
+                            solve, superposition, wavefunction, wigner_at,
+                            wigner_basis)
 from wigprop.phasespace import NumericalError, diff_metrics, norm
 from wigner_reference import numeric_wigner
 
@@ -199,12 +198,13 @@ class TestSolve:
 
     def test_sign_convention_positive_at_origin(self):
         solution = solve(GaussianBasis(), SIGMA)
-        for lam in (0, 1):
-            assert eigen_wavefunction(solution, lam, 0.0) > 0
+        for one_hot in ((1.0,), (0.0, 1.0)):
+            psi0 = wavefunction(superposition(solution, *one_hot), 0.0, 0.0)
+            assert psi0.real > 0 and psi0.imag == 0
 
     def test_eigenfunction_unit_norm_by_quadrature(self):
-        solution = solve(GaussianBasis(), SIGMA)
-        total = quad(lambda x: eigen_wavefunction(solution, 0, x) ** 2,
+        ground = superposition(solve(GaussianBasis(), SIGMA), 1.0)
+        total = quad(lambda x: abs(wavefunction(ground, 0.0, x)) ** 2,
                      -60, 60, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
         assert total == pytest.approx(1.0, abs=1e-9)
 
@@ -312,18 +312,6 @@ class TestWignerAt:
         assert abs(x[imax] - 1.692) <= bench.grid.dx
         assert row[imin] == pytest.approx(-0.3888, abs=0.003)
         assert abs(x[imin] - (-1.1667)) <= bench.grid.dx
-
-    def test_third_momentum_derivative_vs_finite_difference(self, bench):
-        # h is chosen above the roundoff floor of the third-difference
-        # (values ~1 cancel down to ~2 h^3 f'''); truncation there is O(h^2)
-        h = 4e-3
-        for x0, p0 in ((0.5, 0.2), (-1.5, 0.8)):
-            fd = (wigner_at(bench.state, 3.0, x0, p0 + 2 * h)
-                  - 2 * wigner_at(bench.state, 3.0, x0, p0 + h)
-                  + 2 * wigner_at(bench.state, 3.0, x0, p0 - h)
-                  - wigner_at(bench.state, 3.0, x0, p0 - 2 * h)) / (2 * h**3)
-            got = wigner_dp3_at(bench.state, 3.0, np.asarray(x0), np.asarray(p0))
-            assert got == pytest.approx(fd, rel=1e-3, abs=1e-3)
 
 
 class TestSampleField:

@@ -4,9 +4,8 @@
 rows on a thread pool of each call's own, joined before the call returns;
 with the worker count set to 1 it is one plain call over the whole
 lattice, the reference the pooled path must reproduce bit for bit.  The
-spline prefilter and evaluation of ``step_lo`` and ``interpolate`` run on
-the calling thread, and their tests guard that their bits never depend on
-the worker count.
+spline prefilter and evaluation of ``step_lo`` run on the calling thread,
+and its test guards that their bits never depend on the worker count.
 """
 
 import os
@@ -58,25 +57,6 @@ def random_field(nx, n_p, seed):
 def test_step_lo(nx, n_p, dt, seed):
     field = random_field(nx, n_p, seed)
     assert_same_bits(lambda: step_lo(field, GaussianWell(), dt).values)
-
-
-@settings(max_examples=15, deadline=None)
-@given(nx=sizes, n_p=sizes, seed=st.integers(0, 2**32 - 1),
-       x=st.floats(-9.0, 9.0), p=st.floats(-5.0, 5.0),
-       shape=st.sampled_from([(1,), (7,), (300,), (33, 2), (70, 5)]))
-def test_interpolate_scalar_and_array(nx, n_p, seed, x, p, shape):
-    field = random_field(nx, n_p, seed)
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(-9.0, 9.0, shape)
-    ps = rng.uniform(-5.0, 5.0, shape)
-    single = on_workers(1, phasespace.interpolate, field, x, p)
-    pooled = on_workers(4, phasespace.interpolate, field, x, p)
-    assert isinstance(pooled, float)
-    assert np.float64(single).tobytes() == np.float64(pooled).tobytes()
-    assert_same_bits(phasespace.interpolate, field, xs, ps)
-    # a column of points against a row of momenta broadcasts to a block
-    assert_same_bits(phasespace.interpolate, field, xs.reshape(-1, 1)[:40],
-                     ps.ravel()[None, :6])
 
 
 @settings(max_examples=10, deadline=None)

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from wigprop import (diff_metrics, interpolate, load_field, make_grid,
-                     marginal_x, norm, save_field)
+from wigprop import (diff_metrics, load_field, make_grid, marginal_x, norm,
+                     save_field)
 from wigprop import _format17, phasespace
-from wigprop.oracle import (GaussianBasis, eigen_wavefunction, sample_field,
-                            solve, superposition, wavefunction)
+from wigprop.oracle import (GaussianBasis, sample_field, solve, superposition,
+                            wavefunction)
 from wigprop.phasespace import (DEFAULT_GRID_SPEC, PhaseSpaceGridND, WignerField,
-                                WignerFieldND)
+                                WignerFieldND, _spline_stencil,
+                                at_lattice_coordinates)
 
 DEFAULT_GRID = make_grid(*DEFAULT_GRID_SPEC)
 
@@ -32,8 +33,8 @@ class TestMakeGrid:
     def test_conjugate_lattice(self):
         g = make_grid(-8, 8, 256, -4, 4, 256)
         assert g.ds == pytest.approx(2 * np.pi / 8, rel=1e-15)
-        assert g.s_max == pytest.approx(np.pi / 0.03125 * (1 - 2 / 256), rel=1e-15)
-        assert g.s_lattice.max() == pytest.approx(g.s_max, rel=1e-15)
+        assert g.s_lattice.max() == pytest.approx(np.pi / 0.03125 * (1 - 2 / 256),
+                                                  rel=1e-15)
         # FFT ordering: k = 0 first, Nyquist at index np/2
         assert g.s_lattice[0] == 0.0
         assert g.s_lattice[128] == pytest.approx(-np.pi / 0.03125, rel=1e-15)
@@ -126,8 +127,8 @@ class TestMarginal:
         state = superposition(solution, 1.0)
         f = sample_field(state, 0.0, DEFAULT_GRID)
         rho = marginal_x(f)
-        psi0 = eigen_wavefunction(solution, 0, DEFAULT_GRID.x_lattice)
-        np.testing.assert_allclose(rho, psi0**2, atol=1e-4)
+        psi0 = wavefunction(state, 0.0, DEFAULT_GRID.x_lattice)
+        np.testing.assert_allclose(rho, np.abs(psi0) ** 2, atol=1e-4)
         # even state; the lattice includes -x_max but not +x_max, so the
         # mirror of node k is node nx - k
         np.testing.assert_allclose(rho[1:], rho[:0:-1], atol=1e-12)
@@ -140,26 +141,34 @@ class TestMarginal:
         assert np.abs(marginal_x(f) - np.abs(phi) ** 2).max() < 1e-4
 
 
+def spline_at(field, x, p):
+    """The field's spline at points (x, p), through the kernel ``step_lo``
+    runs: ``at_lattice_coordinates`` on their ``_spline_stencil``."""
+    g = field.grid
+    return at_lattice_coordinates(field, _spline_stencil(
+        g.shape(), (np.asarray(x) - g.x_min) / g.dx,
+        (np.asarray(p) - g.p_min) / g.dp))
+
+
 class TestInterpolate:
     def test_reproduces_nodes(self):
         rng = np.random.default_rng(3)
         g = make_grid(-2, 2, 16, -2, 2, 16)
         f = WignerField(grid=g, values=rng.standard_normal(g.shape()))
-        for i, j in ((0, 0), (5, 11), (15, 15), (8, 3)):
-            got = interpolate(f, g.x_lattice[i], g.p_lattice[j])
-            assert got == pytest.approx(f.values[i, j], rel=1e-12, abs=1e-12)
+        i, j = [0, 5, 15, 8], [0, 11, 15, 3]
+        got = spline_at(f, g.x_lattice[i], g.p_lattice[j])
+        np.testing.assert_allclose(got, f.values[i, j], rtol=1e-12, atol=1e-12)
 
     def test_out_of_bounds_is_zero(self):
         f = gaussian_field(DEFAULT_GRID)
-        assert interpolate(f, 9.5, 0.0) == 0.0
-        assert interpolate(f, 0.0, -5.0) == 0.0
+        assert (spline_at(f, [9.5, 0.0], [0.0, -5.0]) == 0.0).all()
 
     def test_midpoint_accuracy_on_gaussian(self):
         f = gaussian_field(DEFAULT_GRID, x_width_sq=4.0, p_width_sq=1.0, amp=2.0)
         g = DEFAULT_GRID
         xm = g.x_lattice[60:190] + g.dx / 2
         pm = g.p_lattice[100:150] + g.dp / 2
-        got = interpolate(f, xm[:, None], pm[None, :])
+        got = spline_at(f, xm[:, None], pm[None, :])
         want = 2.0 * np.exp(-xm[:, None] ** 2 / 4.0 - pm[None, :] ** 2)
         assert np.abs(got - want).max() < 1e-6
 

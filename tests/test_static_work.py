@@ -27,7 +27,8 @@ from wigprop.oracle import (GaussianBasis, _assemble, _pair_terms,
                             sample_field, sample_fields, solve, superposition,
                             wigner_at)
 from wigprop.phasespace import (_BLOCK_ROWS, HBAR, NonFiniteFieldError,
-                                WignerField, _spline_stencil, interpolate)
+                                WignerField, _spline_stencil,
+                                at_lattice_coordinates)
 from wigprop.potentials import (Constant, GaussianWell, Harmonic, Linear,
                                 Potential)
 from wigprop.pseudoparticle import _backtrack_stencil, nlo_correction, step_lo
@@ -101,15 +102,12 @@ def test_sample_fields_equal_one_time_samples(nx, n_p, times, amps):
         assert same_bits(f.values, wigner_at(state, t, x, p))
 
 
-def three_temporary_assemble(terms, count, x, p, derivative_p3):
+def three_temporary_assemble(terms, count, x, p):
     """The pair sum with each exponent as one expression of complex
     temporaries."""
     out = np.zeros((count,) + np.broadcast(x, p).shape, dtype=float)
     for weight, live, (pref, a, b, d) in terms:
         term = pref * np.exp(-a * x**2 - b * p**2 + 1j * d * x * p)
-        if derivative_p3:
-            w = -2.0 * b * p + 1j * d * x
-            term = term * (w**3 - 6.0 * b * w)
         for k, cc in live:
             out[k] += weight * (cc * term).real
     return out
@@ -121,18 +119,17 @@ def three_temporary_assemble(terms, count, x, p, derivative_p3):
                       max_size=4),
        amps=st.sampled_from([(1.0, 1.0), (1.0, 0.8, 0.3), (0.0, 1.0),
                              (1.0, 0.0, 0.0, 0.5), (0.3, -0.7, 0.2, 0.1, 0.9)]),
-       extent=st.floats(1.0, 40.0), derivative_p3=st.booleans())
+       extent=st.floats(1.0, 40.0))
 def test_pair_exponent_buffer_equals_three_temporaries(nx, n_p, times, amps,
-                                                       extent, derivative_p3):
+                                                       extent):
     state = superposition(SOLUTION, *amps)
     grid = make_grid(-extent, extent, max(nx, 4), -extent / 2, extent / 2, n_p)
     terms = _pair_terms(state, times)
     # a block of rows, and one point as ``wigner_at`` passes a scalar
     for x, p in ((grid.x_lattice[:nx, None], grid.p_lattice[None, :]),
                  (np.asarray(grid.x_lattice[-1]), np.asarray(grid.p_lattice[0]))):
-        assert same_bits(_assemble(terms, len(times), x, p, derivative_p3),
-                         three_temporary_assemble(terms, len(times), x, p,
-                                                  derivative_p3))
+        assert same_bits(_assemble(terms, len(times), x, p),
+                         three_temporary_assemble(terms, len(times), x, p))
 
 
 # ---------------------------------------------------------------------------
@@ -173,16 +170,6 @@ def test_blocked_nlo_correction_equals_whole_array(nx, n_p, seed, dt, depth,
 # pseudoparticle.step_lo and the backtrack memo
 # ---------------------------------------------------------------------------
 
-def fresh_step(field, pot, dt, mass=1.0):
-    """step_lo's values with the backtrack built here."""
-    grid = field.grid
-    x = grid.x_lattice[:, None]
-    p = grid.p_lattice[None, :]
-    x0 = x - p * (dt / mass)
-    p0 = p + pot.grad(x0) * dt
-    return interpolate(field, x0, p0)
-
-
 def whole_array_stencil(grid, pot, dt, mass):
     """The backtrack stencil built over the whole lattice at once."""
     x = grid.x_lattice[:, None]
@@ -191,6 +178,12 @@ def whole_array_stencil(grid, pot, dt, mass):
     p0 = p + pot.grad(x0) * dt
     return _spline_stencil(grid.shape(), (x0 - grid.x_min) / grid.dx,
                            (p0 - grid.p_min) / grid.dp)
+
+
+def fresh_step(field, pot, dt, mass=1.0):
+    """step_lo's values with the backtrack built here."""
+    return at_lattice_coordinates(field, whole_array_stencil(field.grid, pot,
+                                                             dt, mass))
 
 
 def backtrack_keys():
