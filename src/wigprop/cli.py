@@ -432,13 +432,14 @@ def compare_runs(dir_a, dir_b, linf_tol: float | None = None,
 class _Commands(click.Group):
     """The command group, and the one error boundary of every command in
     it: a ``ConfigError`` exits 2, a ``NumericalError`` exits 3, and an
-    ``OSError`` exits 2, each with its message on stderr."""
+    ``OSError`` exits 2, each with its message on stderr.  A
+    ``MemoryError``, a lattice too large to allocate, is a config error."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except ConfigError as exc:
-            click.echo(f"config error: {exc}", err=True)
+        except (ConfigError, MemoryError) as exc:
+            click.echo(f"config error: {str(exc) or 'out of memory'}", err=True)
             sys.exit(2)
         except NumericalError as exc:
             click.echo(f"numerical failure: {exc}", err=True)

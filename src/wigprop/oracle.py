@@ -24,14 +24,15 @@ garbage.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .phasespace import (NumericalError, PhaseSpaceGrid, WignerField,
-                         _one_dimensional, by_rows)
+from .phasespace import (_BLOCK_ROWS, NumericalError, PhaseSpaceGrid,
+                         WignerField, _one_dimensional)
 from .potentials import check_sigma
 
 #: Cholesky pivots below this abort the solve.
@@ -425,24 +426,31 @@ def wigner_at(state: SuperpositionState, t: float, x, p):
     return out
 
 
+#: Row-block threads: the CPUs this process may run on, settled on first use.
+_workers: int | None = None
+
+
 def sample_fields(state: SuperpositionState, times,
                   grid: PhaseSpaceGrid) -> list[WignerField]:
     """Evaluate the analytic Wigner function on every lattice node at each
     of ``times``; one field per time, in the order given.
 
     Each basis pair's complex exponential is evaluated once per block of
-    x-rows for all the times (see ``_assemble``), and the blocks are
-    summed on all CPUs through ``by_rows``.  Rows n - 1 ... n - m, the
-    exact mirrors -x of rows 1 ... m (``_mirrored_rows``: all rows but 0
-    and n / 2 on a box symmetric about 0 with an exact spacing, none on an
-    asymmetric one), are not evaluated: the block of each source row
-    copies the conjugate of its exponential into the mirror row.  Every
-    node of every field gets the same operations in the same order as a
-    single-threaded sum over the whole lattice at its own time, so each
-    field has the same bits whatever the other times, the number of CPUs
-    and the mirrored rows.  The fields share one array of len(times)
-    lattices, which bounds how many times one call should take.
+    ``_BLOCK_ROWS`` x-rows for all the times (see ``_assemble``).  Rows
+    n - 1 ... n - m, the exact mirrors -x of rows 1 ... m
+    (``_mirrored_rows``), are not evaluated: the block of each source row
+    copies the conjugate of its exponential into the mirror row.  With
+    ``_workers`` >= 2 and more than one block, the blocks run on a thread
+    pool of this call's own; every block finishes and the pool is joined
+    before the first error, in block order, is raised.  Else they run in
+    turn on the calling thread.  Every node of every field gets the same
+    operations in the same order as a single-threaded sum over the whole
+    lattice at its own time, so each field has the same bits whatever the
+    other times, the number of CPUs and the mirrored rows.  The fields
+    share one array of len(times) lattices, which bounds how many times
+    one call should take.
     """
+    global _workers
     axis = _one_dimensional(grid, "sample_fields")
     times = [float(t) for t in times]
     terms = _pair_terms(state, times)
@@ -462,7 +470,23 @@ def sample_fields(state: SuperpositionState, times,
         values[:, sl] = block[:, :size]
         values[:, nx - lo:nx - hi:-1] = block[:, size:]
 
-    by_rows(rows, nx - m)
+    blocks = [slice(start, min(start + _BLOCK_ROWS, nx - m))
+              for start in range(0, nx - m, _BLOCK_ROWS)]
+    if _workers is None:            # os.cpu_count() where there is no affinity
+        _workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+    if len(blocks) < 2 or _workers < 2:
+        for block in blocks:
+            rows(block)
+    else:
+        # imported here: concurrent.futures loads logging, which no
+        # single-threaded command needs at start-up
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=_workers,
+                                thread_name_prefix="wigprop-rows") as pool:
+            futures = [pool.submit(rows, block) for block in blocks]
+        for future in futures:
+            future.result()
     return [WignerField(grid=grid, values=values[k], time=t)
             for k, t in enumerate(times)]
 

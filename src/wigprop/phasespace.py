@@ -10,7 +10,6 @@ with hbar = 1.
 from __future__ import annotations
 
 import math
-import os
 import sys
 import warnings
 from contextlib import contextmanager
@@ -289,58 +288,11 @@ def marginal_x(field: WignerField) -> np.ndarray:
     return field.values.sum(axis=1) * g.dp / (2.0 * np.pi * HBAR)
 
 
-# ---------------------------------------------------------------------------
-# row-parallel lattice kernels
-# ---------------------------------------------------------------------------
-
-#: Lattice rows per ``by_rows`` task.  Fixed blocks, not one share per
-#: core: the temporaries of a block stay small, and so does what glibc's
-#: per-thread arenas keep of them once freed.
+#: Lattice rows per block of the oracle's pair sum, the backtrack stencil
+#: and the nlo correction.  Fixed blocks, not one share per core: the
+#: temporaries of a block stay small, and so does what glibc's per-thread
+#: arenas keep of them once freed.
 _BLOCK_ROWS = 32
-
-# number of pool workers: the CPUs this process may run on, so ``taskset``
-# limits it; settled on first use
-_workers: int | None = None
-
-
-def _worker_count() -> int:
-    global _workers
-    if _workers is None:
-        try:
-            _workers = len(os.sched_getaffinity(0))
-        except AttributeError:          # platforms without CPU affinity
-            _workers = os.cpu_count() or 1
-    return _workers
-
-
-def by_rows(fn, n: int) -> None:
-    """Call ``fn(rows)`` on slices of ``range(n)`` that cover it once.
-
-    The slices are consecutive blocks of ``_BLOCK_ROWS`` rows, run on a
-    thread pool of this call's own, with one worker per usable CPU.  With
-    one CPU or a single block it is one plain call ``fn(slice(0, n))``.
-    ``fn`` must write only its own rows and should spend its time in code
-    that releases the GIL and keeps no shared state (numpy calls on
-    blocks large enough that the GIL is rarely handed over).  Its one
-    user is the oracle's pair sum in ``oracle.sample_fields``.
-    When every row is computed without reference to the others, the
-    result has the same bits for any number of CPUs.  Returns once every
-    block has finished and the pool's threads are joined; the first
-    exception, in block order, is raised to the caller.
-    """
-    if n <= _BLOCK_ROWS or _worker_count() < 2:
-        fn(slice(0, n))
-        return
-    # imported here: concurrent.futures loads logging, which no
-    # single-threaded command needs at start-up
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=_worker_count(),
-                            thread_name_prefix="wigprop-rows") as pool:
-        futures = [pool.submit(fn, slice(start, min(start + _BLOCK_ROWS, n)))
-                   for start in range(0, n, _BLOCK_ROWS)]
-    for future in futures:
-        if (error := future.exception()) is not None:
-            raise error
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +435,7 @@ def at_lattice_coordinates(field: WignerField, stencil: np.ndarray) -> np.ndarra
     order=3, mode="constant", cval=0.0)`` call over the field, with no
     scipy involved.  Prefilter and evaluation both run on the calling
     thread, the evaluation in calls of at most ``_SPLINE_BLOCK`` points:
-    on the row-block pool, numpy calls that short save about a tenth of
+    on a row-block thread pool, numpy calls that short save about a tenth of
     the wall time for half again the CPU, the threads handing the GIL
     back and forth."""
     coeffs = _spline_coefficients(field.values)

@@ -315,9 +315,10 @@ def _apply_matrices(values: np.ndarray, mats: np.ndarray, j: int,
 
 
 #: Rows per block when _swap_halves transposes: a block's strided writes
-#: stay in cache, so a 32^4 swap takes about 2 ms where numpy's
-#: transposing copy takes about 6 ms.
-_SWAP_ROWS = 32
+#: stay in cache.  A 32^4 swap (2-vCPU x86-64, numpy 2.4.6, medians of 400
+#: interleaved calls) took 1.78 ms in 64-row blocks, 2.44 ms in 32-row and
+#: 2.47 ms in 128-row ones, and 10.1 ms as one numpy transposing copy.
+_SWAP_ROWS = 64
 
 
 def _swap_halves(values: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -946,6 +946,53 @@ class TestErrorBoundary:
         assert capsys.readouterr().err.startswith(message)
 
 
+class TestOutOfMemory:
+    """A lattice too large to allocate is bad input: exit 2 with one
+    ``config error:`` line carrying numpy's message, not a traceback.
+    The allocating call is patched to raise, so nothing is allocated."""
+
+    MESSAGE = ("Unable to allocate 8.00 TiB for an array with shape "
+               "(1048576, 1048576) and data type float64")
+
+    def raise_memory_error(self, *args, **kwargs):
+        raise MemoryError(self.MESSAGE)
+
+    def check(self, res):
+        assert res.exit_code == 2, res.output
+        assert res.output == f"config error: {self.MESSAGE}\n"
+
+    def test_oracle_field(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(oracle, "sample_fields", self.raise_memory_error)
+        out = tmp_path / "f.txt"
+        self.check(CliRunner().invoke(main, ["oracle", "field", "--nmax", "8",
+                                             "-o", str(out)]))
+        assert not out.exists()
+
+    def test_transcribe_to_field(self, tmp_path, monkeypatch):
+        runner = CliRunner()
+        field_path, ens = tmp_path / "f0.txt", tmp_path / "e.txt"
+        runner.invoke(main, ["oracle", "field", "--nmax", "8",
+                             "--grid", "-8 8 64 -4 4 64", "-o", str(field_path)])
+        runner.invoke(main, ["transcribe", "--to", "ensemble", "-i", str(field_path),
+                             "-o", str(ens)])
+        assert ens.exists()
+        monkeypatch.setattr(cli.pseudoparticle, "deposit", self.raise_memory_error)
+        out = tmp_path / "b.txt"
+        self.check(runner.invoke(main, ["transcribe", "--to", "field", "-i", str(ens),
+                                        "--grid", "-8 8 64 -4 4 64", "-o", str(out)]))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["oracle", "spectral-full"])
+    def test_run_leaves_no_run_directory(self, tmp_path, monkeypatch, method):
+        monkeypatch.setattr(oracle, "sample_fields", self.raise_memory_error)
+        scenario = tmp_path / "s.txt"
+        scenario.write_text(SCENARIO_ORACLE.replace("method = oracle",
+                                                    f"method = {method}"))
+        out = tmp_path / "run"
+        self.check(CliRunner().invoke(main, ["run", str(scenario), "-o", str(out)]))
+        assert not out.exists()
+
+
 class TestUnwritableOutput:
     """An output path that cannot be written is bad input (exit 2) whose
     message names the path, not a traceback (exit 1)."""

@@ -4,8 +4,8 @@ The package depends on numpy and click alone: no command imports scipy,
 and with scipy blocked from import every command runs and the shipped
 runs and transcriptions give their pinned bytes.
 Every command runs in a fresh process, so ``concurrent.futures`` waits
-for the first kernel that uses it, and each such kernel joins its own
-row-block threads before it returns.  These tests run commands in fresh
+for the oracle's sampling, the one kernel that uses it, which joins its
+own row-block threads before it returns.  These tests run commands in fresh
 interpreters and read sys.modules and the live thread count; they
 measure no time.
 """
@@ -78,8 +78,8 @@ def run_cli(*commands: list[str]) -> str:
 def test_cli_import_loads_no_scipy(tmp_path):
     loaded, threads = state_after("import wigprop.cli", tmp_path)
     assert scipy_modules(loaded) == set()
-    # the row-block thread pools are built by the kernel calls that use
-    # them, and concurrent.futures (which loads logging) imported there
+    # the oracle's row-block thread pool is built by each sampling call,
+    # and concurrent.futures (which loads logging) imported there
     assert not {"concurrent.futures", "logging"} & loaded
     assert threads == 1
     # the %.17g writer is loaded by the first write, and its tables come
@@ -119,7 +119,7 @@ def test_pooled_oracle_field_leaves_no_thread(tmp_path):
     # 64 rows on 4 workers go through the row-block pool, whose threads
     # are joined before the sampling call returns
     loaded, threads = state_after(
-        "from wigprop import phasespace\nphasespace._workers = 4\n" + run_cli(
+        "from wigprop import oracle\noracle._workers = 4\n" + run_cli(
             ["oracle", "field", "--nmax", "8", "--grid", "-8 8 64 -4 4 64",
              "-o", "f.txt"]), tmp_path)
     assert (tmp_path / "f.txt").exists()
@@ -130,11 +130,11 @@ def test_pooled_oracle_field_leaves_no_thread(tmp_path):
 @pytest.mark.parametrize("method", ["lo", "nlo"])
 def test_pseudoparticle_step_starts_no_thread(tmp_path, method):
     # the spline evaluation runs on the calling thread even where the
-    # row-block pool would take its 64 rows
+    # oracle's row-block pool would take its 64 rows
     modules_after(run_cli(["oracle", "field", "--nmax", "8", "--grid",
                            "-8 8 64 -4 4 64", "-o", "f.txt"]), tmp_path)
     loaded, threads = state_after(
-        "from wigprop import phasespace\nphasespace._workers = 4\n" + run_cli(
+        "from wigprop import oracle\noracle._workers = 4\n" + run_cli(
             ["evolve", "--method", method, "--potential", "gaussian_well",
              "-i", "f.txt", "--t1", "0.3", "--steps", "3", "-o", "run"]),
         tmp_path)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wigprop import make_grid, phasespace
+from wigprop import make_grid, oracle
 from wigprop.oracle import (GaussianBasis, _mirrored_rows, sample_fields, solve,
                             superposition, wigner_at)
 
@@ -61,7 +61,7 @@ def test_sampled_fields_equal_pointwise_evaluation(box, workers, data, nx, n_p,
         assert _mirrored_rows(grid.x_lattice) == nx // 2 - 1
     state = STATES[which]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(phasespace, "_workers", workers)
+        mp.setattr(oracle, "_workers", workers)
         fields = sample_fields(state, ts, grid)
     x, p = grid.x_lattice[:, None], grid.p_lattice[None, :]
     for f, t in zip(fields, ts):
@@ -74,7 +74,7 @@ def test_mirrors_cross_blocks_at_seven_times(workers):
     grid = make_grid(-10.0, 10.0, 512, -6.4, 6.4, 16)
     ts = [0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(phasespace, "_workers", workers)
+        mp.setattr(oracle, "_workers", workers)
         fields = sample_fields(STATES[0], ts, grid)
     x, p = grid.x_lattice[:, None], grid.p_lattice[None, :]
     for f, t in zip(fields, ts):
